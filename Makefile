@@ -27,6 +27,7 @@ check:
 	sh scripts/check_docs.sh
 	sh scripts/check_allocs.sh
 	go test -race -short ./...
+	cd perfbench && go vet ./... && go test ./...
 
 # Bench-regression gate against the newest committed BENCH_pr*.json
 # (see scripts/check_bench.sh for the waiver path).

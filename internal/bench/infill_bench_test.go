@@ -91,8 +91,8 @@ func BenchmarkInfillRound(b *testing.B) {
 			})
 		}
 		// Predict-fraction sub-measurement: the K=8 candidate predictions
-		// of one round against the warm cached factor, blocked vs the
-		// SequentialBatch ablation arm. Measured under a spherical
+		// of one round against the warm cached factor, blocked vs a loop
+		// of Predict calls. Measured under a spherical
 		// (cheap-γ) model so the rows isolate the triangular-solve
 		// fraction the blocked kernels accelerate — under the exponential
 		// model above, math.Exp in the RHS build (identical work either
@@ -105,19 +105,15 @@ func BenchmarkInfillRound(b *testing.B) {
 			wide[i] = []float64{r.Float64() * 30, r.Float64() * 30, r.Float64() * 30, r.Float64() * 30}
 		}
 		out := make([]float64, kWide)
-		for _, seq := range []bool{false, true} {
-			name := "blocked"
-			if seq {
-				name = "sequential"
-			}
-			b.Run(fmt.Sprintf("predict/%s/n=%d", name, n), func(b *testing.B) {
-				o := &kriging.Ordinary{Model: predictModel, CacheSize: 8, SequentialBatch: seq}
-				if err := o.PredictBatch(xs[:n], ys[:n], wide, out); err != nil {
+		for _, arm := range predictArms {
+			b.Run(fmt.Sprintf("predict/%s/n=%d", arm.name, n), func(b *testing.B) {
+				o := &kriging.Ordinary{Model: predictModel, CacheSize: 8}
+				if err := arm.predict(o, xs[:n], ys[:n], wide, out); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := o.PredictBatch(xs[:n], ys[:n], wide, out); err != nil {
+					if err := arm.predict(o, xs[:n], ys[:n], wide, out); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -44,9 +44,32 @@ func batchSupport(n, k int, seed uint64) (xs [][]float64, ys []float64, queries 
 	return xs, ys, queries
 }
 
+// predictEach is the sequential arm of the batch benchmarks: K
+// single-query Predict calls against one support.
+func predictEach(o *kriging.Ordinary, xs [][]float64, ys []float64, queries [][]float64, out []float64) error {
+	for j, q := range queries {
+		v, err := o.Predict(xs, ys, q)
+		if err != nil {
+			return err
+		}
+		out[j] = v
+	}
+	return nil
+}
+
+// predictArms are the two arms of the batch benchmarks: one blocked
+// PredictBatch call, and a loop of Predict calls.
+var predictArms = []struct {
+	name    string
+	predict func(o *kriging.Ordinary, xs [][]float64, ys []float64, queries [][]float64, out []float64) error
+}{
+	{"blocked", (*kriging.Ordinary).PredictBatch},
+	{"sequential", predictEach},
+}
+
 // BenchmarkPredictBatch measures K predictions against one warm cached
-// factor: the blocked multi-RHS path (PredictBatch) vs the sequential
-// ablation arm (SequentialBatch), across support sizes and batch widths.
+// factor: the blocked multi-RHS path (PredictBatch) vs a loop of K
+// Predict calls, across support sizes and batch widths.
 // The spherical model keeps γ evaluation cheap so the rows expose the
 // triangular-solve fraction the blocked kernels accelerate; K=1 pins the
 // blocked path's small-batch overhead (it degrades to the single-RHS
@@ -57,20 +80,17 @@ func BenchmarkPredictBatch(b *testing.B) {
 		for _, k := range []int{1, 8, 64} {
 			xs, ys, queries := batchSupport(n, k, uint64(n)*31+uint64(k))
 			out := make([]float64, k)
-			for _, arm := range []struct {
-				name string
-				seq  bool
-			}{{"blocked", false}, {"sequential", true}} {
+			for _, arm := range predictArms {
 				b.Run(fmt.Sprintf("%s/n=%d/k=%d", arm.name, n, k), func(b *testing.B) {
-					o := &kriging.Ordinary{Model: model, CacheSize: 8, SequentialBatch: arm.seq}
+					o := &kriging.Ordinary{Model: model, CacheSize: 8}
 					// Warm the factor cache; the rounds measure prediction,
 					// not factorisation.
-					if err := o.PredictBatch(xs, ys, queries, out); err != nil {
+					if err := arm.predict(o, xs, ys, queries, out); err != nil {
 						b.Fatal(err)
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := o.PredictBatch(xs, ys, queries, out); err != nil {
+						if err := arm.predict(o, xs, ys, queries, out); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -83,8 +103,8 @@ func BenchmarkPredictBatch(b *testing.B) {
 // TestBatchPredictSpeedup is the acceptance gate of the blocked predict
 // path (in the style of TestMultiTenantCoalescingSpeedup): at n=100,
 // K=8 — the predict fraction of one infill round — the blocked arm must
-// run >= 3x faster than the sequential-predict ablation arm, with
-// bit-identical results.
+// run >= 3x faster than a loop of K Predict calls, with bit-identical
+// results.
 func TestBatchPredictSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement; skipped under -short")
@@ -93,16 +113,15 @@ func TestBatchPredictSpeedup(t *testing.T) {
 	model := &variogram.SphericalModel{Range: 40, Sill: 9, Nugget: 0.1}
 	xs, ys, queries := batchSupport(n, k, 1234)
 
-	blocked := &kriging.Ordinary{Model: model, CacheSize: 8}
-	sequential := &kriging.Ordinary{Model: model, CacheSize: 8, SequentialBatch: true}
+	o := &kriging.Ordinary{Model: model, CacheSize: 8}
 	outB := make([]float64, k)
 	outS := make([]float64, k)
-	// Warm both factor caches so the measurement is the per-round predict
+	// Warm the factor cache so the measurement is the per-round predict
 	// fraction, not the one-off factorisation.
-	if err := blocked.PredictBatch(xs, ys, queries, outB); err != nil {
+	if err := o.PredictBatch(xs, ys, queries, outB); err != nil {
 		t.Fatal(err)
 	}
-	if err := sequential.PredictBatch(xs, ys, queries, outS); err != nil {
+	if err := predictEach(o, xs, ys, queries, outS); err != nil {
 		t.Fatal(err)
 	}
 	for j := range outB {
@@ -111,10 +130,11 @@ func TestBatchPredictSpeedup(t *testing.T) {
 		}
 	}
 
-	measure := func(o *kriging.Ordinary, out []float64, rounds int) time.Duration {
+	blocked, sequential := predictArms[0].predict, predictArms[1].predict
+	measure := func(predict func(*kriging.Ordinary, [][]float64, []float64, [][]float64, []float64) error, out []float64, rounds int) time.Duration {
 		start := time.Now()
 		for i := 0; i < rounds; i++ {
-			if err := o.PredictBatch(xs, ys, queries, out); err != nil {
+			if err := predict(o, xs, ys, queries, out); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,16 +10,15 @@ import (
 	"repro/internal/store"
 )
 
-// EvaluateAll answers a batch of independent queries on a bounded worker
-// pool: each worker runs whole queries — exact-hit lookup, interpolation
-// decision, kriging, and (when needed) the simulation — so the
-// simulator's latency AND the kriging linear algebra scale across cores.
-// Before the workers start, a pre-pass detects batch members whose
-// neighbourhood search resolves the same support and answers each such
-// group through one blocked multi-RHS kriging solve (see BatchPredictor
-// and Options.DisableBatchPredict); answers are bit-identical to the
-// per-query path. It is the background-context form of
-// EvaluateAllContext.
+// EvaluateAll answers a batch of independent queries. A pre-pass on the
+// calling goroutine answers exact hits and sorts every other query into
+// a support group (batch members whose neighbourhood search resolves the
+// same support) or a simulation. A bounded worker pool then claims those
+// items: a group is kriged through one blocked multi-RHS solve (see
+// BatchPredictor), a simulation runs the simulator, so the simulator's
+// latency AND the kriging linear algebra scale across cores. Answers are
+// bit-identical to kriging each query alone. It is the
+// background-context form of EvaluateAllContext.
 //
 // The batch semantics match issuing the queries one at a time EXCEPT that
 // no query in the batch observes another batch member — neither as an
@@ -68,17 +67,23 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
 	results := make([]Result, len(cfgs))
 	if len(cfgs) == 0 {
 		return results, ctx.Err()
 	}
 	// Box the snapshot into the storeView interface once: handing the
-	// struct value to answerFromStore per query would re-box (and
+	// struct value to the neighbour search per query would re-box (and
 	// allocate) on every call.
 	var snap storeView = e.store.Snapshot()
+	// The pre-pass answers exact hits and sorts the rest into support
+	// groups and simulations; the workers claim those items, groups
+	// first (each is microseconds of kriging, and a member the group
+	// cannot answer is simulated by the same worker right away).
+	groups, sims := e.batchPredictPrepass(ctx, snap, cfgs, results)
+	items := len(groups) + len(sims)
+	if workers > items {
+		workers = items
+	}
 	var (
 		simulated = make([]bool, len(cfgs))
 		errs      = make([]error, len(cfgs))
@@ -91,24 +96,27 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 		// them.
 		batchStats counters
 	)
-	// Shared-support pre-pass: batch members whose neighbourhood search
-	// resolves the same support (a min+1/max-1 competition round) are
-	// answered through one blocked kriging solve per group before the
-	// workers start; exact hits are answered too, and queries known to
-	// need simulation are marked so workers skip the redundant decision.
-	// Answers are bit-identical to the per-query path (the BatchPredictor
-	// contract), so this changes cost, not results.
-	var resolved, needsSim []bool
-	if len(cfgs) > 1 {
-		resolved, needsSim = e.batchPredictPrepass(ctx, snap, cfgs, results, &batchStats)
+	// simulateMember simulates cfgs[idx], coalesced through the
+	// evaluator-wide single-flight table (identical misses inside the
+	// batch, in sibling batches, or in live sessions share one run); the
+	// store insert is deferred to the batch commit below.
+	simulateMember := func(idx int) {
+		lam, coalesced, err := e.simulateShared(ctx, cfgs[idx], &batchStats, nil, false)
+		if err != nil {
+			errs[idx] = err
+			failed.Store(true)
+			return
+		}
+		results[idx] = Result{Lambda: lam, Source: Simulated, Coalesced: coalesced}
+		simulated[idx] = true
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			// Each worker owns one query scratch for its whole run: the
-			// neighbourhood buffer and interpolation inputs are reused
-			// across every query the worker claims.
+			// transformed values and group answers are reused across
+			// every group the worker claims.
 			qs := e.scratch.Get().(*queryScratch)
 			defer e.scratch.Put(qs)
 			for {
@@ -119,32 +127,24 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 				if failed.Load() || ctx.Err() != nil {
 					return
 				}
-				idx := int(next.Add(1)) - 1
-				if idx >= len(cfgs) {
+				item := int(next.Add(1)) - 1
+				if item >= items {
 					return
 				}
-				if resolved != nil && resolved[idx] {
-					continue // answered by the pre-pass
-				}
-				cfg := cfgs[idx]
-				if needsSim == nil || !needsSim[idx] {
-					if res, ok := e.answerFromStore(snap, cfg, &batchStats, qs); ok {
-						results[idx] = res
-						continue
-					}
-				}
-				// The simulation is coalesced through the evaluator-wide
-				// single-flight table (identical misses inside the batch,
-				// in sibling batches, or in live sessions share one run);
-				// the store insert is deferred to the batch commit below.
-				lam, coalesced, err := e.simulateShared(ctx, cfg, &batchStats, nil, false)
-				if err != nil {
-					errs[idx] = err
-					failed.Store(true)
+				if item >= len(groups) {
+					simulateMember(sims[item-len(groups)])
 					continue
 				}
-				results[idx] = Result{Lambda: lam, Source: Simulated, Coalesced: coalesced}
-				simulated[idx] = true
+				g := &groups[item]
+				out := grow(&qs.out, len(g.idxs))
+				e.krige(g.xs, g.ys, g.qx, out, &batchStats, qs)
+				for i, idx := range g.idxs {
+					if out[i].Source == Interpolated {
+						results[idx] = out[i]
+					} else {
+						simulateMember(idx)
+					}
+				}
 			}
 		}()
 	}

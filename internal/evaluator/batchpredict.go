@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/fnv1a"
 	"repro/internal/space"
 	"repro/internal/store"
 )
@@ -13,25 +14,26 @@ import (
 // queries sharing one support through a single blocked multi-RHS solve
 // (kriging.Ordinary, kriging.Simple and kriging.Universal all qualify).
 // Results must be bit-identical to calling Predict once per query — the
-// evaluator relies on that to route batch members through either path
-// without changing their answers.
+// evaluator relies on that to answer a support group through either path
+// without changing its answers.
 type BatchPredictor interface {
 	PredictBatch(xs [][]float64, ys []float64, queries [][]float64, out []float64) error
 }
 
 // BatchVariancePredictor is the variance-reporting form of
 // BatchPredictor (e.g. kriging.Ordinary). When variance gating is on
-// (Options.MaxVariance) the batch path requires it, so gating decisions
-// stay identical to the sequential VariancePredictor path.
+// (Options.MaxVariance) a support group takes the blocked path only
+// through it, so gating decisions stay identical to per-query
+// VariancePredictor calls.
 type BatchVariancePredictor interface {
 	PredictVarBatch(xs [][]float64, ys []float64, queries [][]float64, outVal, outVar []float64) error
 }
 
-// predictGroup accumulates the batch members that share one support: the
-// neighbourhood search returned the same points in the same order, so
-// one blocked solve answers every member. Inner coordinate slices alias
-// the snapshot's stable precomputed coordinates (read-only); ys holds
-// untransformed store values, transformed once when the group is served.
+// predictGroup is a support group: the batch members whose neighbourhood
+// search returned the same points in the same order, so one blocked
+// solve answers them all. Inner coordinate slices alias the snapshot's
+// stable precomputed coordinates (read-only); ys holds untransformed
+// store values.
 type predictGroup struct {
 	xs   [][]float64
 	ys   []float64
@@ -39,20 +41,87 @@ type predictGroup struct {
 	qx   [][]float64 // member query points as floats
 }
 
-// FNV-1a over float bit patterns; the support fingerprint used to bucket
-// batch members before the exact (order-sensitive) comparison.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvFloat64(h uint64, v float64) uint64 {
-	b := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		h = (h ^ (b & 0xff)) * fnvPrime64
-		b >>= 8
+// krige is the one transform → predict → gate → untransform → count step
+// behind every kriged answer: it predicts each query of qx from the
+// shared support (xs, ys), with ys untransformed, and writes member i's
+// answer to out[i]. A group of K > 1 goes through one blocked
+// PredictBatch/PredictVarBatch call when the interpolator implements it;
+// K = 1, interpolators without the batch interfaces, and the members of
+// a blocked solve that failed as a unit take per-query Predict/PredictVar
+// calls, which the BatchPredictor contract makes bit-identical.
+//
+// A member that cannot be answered — degenerate system, or a variance
+// above Options.MaxVariance — comes back as the zero Result, whose
+// Source is Simulated: it needs a simulation. Activity is charged to
+// stats. A nil stats is the brownout mode: the variance gate is waived
+// and nothing is counted, so NInterp and SumNeigh stay measures of
+// full-quality interpolation.
+func (e *Evaluator) krige(xs [][]float64, ys []float64, qx [][]float64, out []Result, stats *counters, qs *queryScratch) {
+	start := time.Now()
+	if e.opts.Transform != nil {
+		qs.ys = qs.ys[:0]
+		for _, v := range ys {
+			qs.ys = append(qs.ys, e.opts.Transform(v))
+		}
+		ys = qs.ys
 	}
-	return h
+	vp, gated := e.opts.Interp.(VariancePredictor)
+	gated = gated && stats != nil && e.opts.MaxVariance > 0
+	k := len(qx)
+	vals, vars := grow(&qs.vals, k), grow(&qs.vars, k)
+	batched := false
+	if k > 1 {
+		if bvp, ok := e.opts.Interp.(BatchVariancePredictor); ok && gated {
+			batched = bvp.PredictVarBatch(xs, ys, qx, vals, vars) == nil
+		} else if bp, ok := e.opts.Interp.(BatchPredictor); ok && !gated {
+			batched = bp.PredictBatch(xs, ys, qx, vals) == nil
+		}
+	}
+	for i, x := range qx {
+		out[i] = Result{}
+		if !batched {
+			var err error
+			if gated {
+				vals[i], vars[i], err = vp.PredictVar(xs, ys, x)
+			} else {
+				vals[i], err = e.opts.Interp.Predict(xs, ys, x)
+			}
+			if err != nil {
+				// A degenerate kriging system falls back to simulation; the
+				// paper's flow has no failure path because its supports are
+				// well spread, but a robust library must not abort the run.
+				continue
+			}
+		}
+		if gated && vars[i] > e.opts.MaxVariance {
+			stats.nVarRejected.Add(1)
+			continue
+		}
+		pred := vals[i]
+		if e.opts.Untransform != nil {
+			pred = e.opts.Untransform(pred)
+		}
+		out[i] = Result{Lambda: pred, Source: Interpolated, Neighbors: len(xs)}
+		if stats != nil {
+			stats.nInterp.Add(1)
+			stats.sumNeigh.Add(int64(len(xs)))
+			if batched {
+				stats.nBatchPred.Add(1)
+			}
+		}
+	}
+	if stats != nil {
+		stats.interpTime.Add(int64(time.Since(start)))
+	}
+}
+
+// grow resizes *buf to n elements, reallocating only on growth.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // supportKey fingerprints a neighbourhood's ordered coordinates and
@@ -62,15 +131,14 @@ func fnvFloat64(h uint64, v float64) uint64 {
 // queries that resolve the same support group together exactly when the
 // blocked solve can serve them all.
 func supportKey(nb *store.Neighborhood) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvFloat64(h, float64(nb.Len()))
+	h := fnv1a.Mix(fnv1a.Offset, uint64(nb.Len()))
 	for _, c := range nb.Coords {
 		for _, v := range c {
-			h = fnvFloat64(h, v)
+			h = fnv1a.Mix(h, math.Float64bits(v))
 		}
 	}
 	for _, v := range nb.Values {
-		h = fnvFloat64(h, v)
+		h = fnv1a.Mix(h, math.Float64bits(v))
 	}
 	return h
 }
@@ -100,64 +168,37 @@ func sameSupport(g *predictGroup, nb *store.Neighborhood) bool {
 	return true
 }
 
-// batchPredictPrepass is EvaluateAll's shared-support detector: it runs
-// once on the caller's goroutine, against the batch snapshot, before the
-// workers start. Every query is classified — exact hit (answered on the
-// spot), insufficient support (marked needsSim so workers skip the
-// redundant neighbourhood search and simulate directly), or
+// batchPredictPrepass is EvaluateAll's classifier: it runs once on the
+// caller's goroutine, against the batch snapshot, before the workers
+// start. Every query is classified — exact hit (answered on the spot),
+// insufficient support (returned in sims, to be simulated), or
 // interpolatable, in which case queries whose neighbourhood search
-// returned the same support in the same order are grouped and served
-// through ONE blocked PredictBatch/PredictVarBatch call per group. A
-// min+1/max-1 competition round — Nv single-bit perturbations of one
-// incumbent, all kriged from the same neighbourhood — collapses from Nv
-// triangular-solve passes to one.
+// returned the same support in the same order join one support group.
+// The workers then claim whole groups and simulations, so no query's
+// lookup or neighbour search runs twice. A min+1/max-1 competition round
+// — Nv single-bit perturbations of one incumbent, all kriged from the
+// same neighbourhood — collapses from Nv triangular-solve passes to one
+// blocked solve; Stats.NBatchPredict counts the queries served that way
+// (the batch hit rate is NBatchPredict/NInterp).
 //
-// Groups of one keep the ordinary worker path (nothing to amortise).
-// Answers are bit-identical to the per-query path by the BatchPredictor
-// contract, so routing is invisible in the results; Stats.NBatchPredict
-// counts the queries served by blocked solves (the batch hit rate is
-// NBatchPredict/NInterp).
-//
-// It returns nil maps when the pre-pass does not apply: interpolation
-// off (D == 0), an interpolator without PredictBatch, variance gating
-// without PredictVarBatch, or Options.DisableBatchPredict.
-func (e *Evaluator) batchPredictPrepass(ctx context.Context, snap storeView, cfgs []space.Config, results []Result, stats *counters) (resolved, needsSim []bool) {
-	if e.opts.DisableBatchPredict || e.opts.D <= 0 {
-		return nil, nil
-	}
-	bp, ok := e.opts.Interp.(BatchPredictor)
-	if !ok {
-		return nil, nil
-	}
-	var bvp BatchVariancePredictor
-	if _, gated := e.opts.Interp.(VariancePredictor); gated && e.opts.MaxVariance > 0 {
-		if bvp, ok = e.opts.Interp.(BatchVariancePredictor); !ok {
-			// The sequential path would gate on variance but the batch
-			// path could not; keep the per-query path so gating decisions
-			// are unchanged.
-			return nil, nil
-		}
-	}
+// A dead ctx stops the classification early; the workers observe it
+// themselves and the batch is discarded.
+func (e *Evaluator) batchPredictPrepass(ctx context.Context, snap storeView, cfgs []space.Config, results []Result) (groups []predictGroup, sims []int) {
 	qs := e.scratch.Get().(*queryScratch)
 	defer e.scratch.Put(qs)
-	resolved = make([]bool, len(cfgs))
-	needsSim = make([]bool, len(cfgs))
-	var groups []predictGroup
+	sims = make([]int, 0, len(cfgs))
 	byKey := make(map[uint64][]int)
 	for idx, cfg := range cfgs {
 		if ctx.Err() != nil {
-			// Leave the rest unclassified; the workers observe the dead
-			// context themselves.
-			return resolved, needsSim
+			return groups, sims
 		}
 		if lam, ok := snap.Lookup(cfg); ok {
 			results[idx] = Result{Lambda: lam, Source: Simulated}
-			resolved[idx] = true
 			continue
 		}
 		support, ok := e.gatherSupport(snap, cfg, qs)
 		if !ok {
-			needsSim[idx] = true
+			sims = append(sims, idx)
 			continue
 		}
 		key := supportKey(support)
@@ -179,99 +220,16 @@ func (e *Evaluator) batchPredictPrepass(ctx context.Context, snap storeView, cfg
 			byKey[key] = append(byKey[key], gi)
 		}
 		g := &groups[gi]
-		x := make([]float64, len(cfg))
-		for i, v := range cfg {
-			x[i] = float64(v)
-		}
 		g.idxs = append(g.idxs, idx)
-		g.qx = append(g.qx, x)
+		g.qx = append(g.qx, cfgFloats(make([]float64, 0, len(cfg)), cfg))
 	}
-	for gi := range groups {
-		if g := &groups[gi]; len(g.idxs) > 1 {
-			e.serveGroup(bp, bvp, g, results, resolved, needsSim, stats)
-		}
-	}
-	return resolved, needsSim
+	return groups, sims
 }
 
-// serveGroup answers one shared-support group through a blocked solve,
-// with the same variance gating, degenerate-system fallback and stats
-// accounting as the per-query path: a gated or degenerate member falls
-// back to simulation (needsSim), the rest are interpolations.
-func (e *Evaluator) serveGroup(bp BatchPredictor, bvp BatchVariancePredictor, g *predictGroup, results []Result, resolved, needsSim []bool, stats *counters) {
-	start := time.Now()
-	defer func() { stats.interpTime.Add(int64(time.Since(start))) }()
-	ys := g.ys
-	if e.opts.Transform != nil {
-		ys = make([]float64, len(g.ys))
-		for i, v := range g.ys {
-			ys[i] = e.opts.Transform(v)
-		}
+// cfgFloats appends cfg's word-lengths as floats to dst.
+func cfgFloats(dst []float64, cfg space.Config) []float64 {
+	for _, v := range cfg {
+		dst = append(dst, float64(v))
 	}
-	k := len(g.idxs)
-	vals := make([]float64, k)
-	var vars []float64
-	var err error
-	if bvp != nil {
-		vars = make([]float64, k)
-		err = bvp.PredictVarBatch(g.xs, ys, g.qx, vals, vars)
-	} else {
-		err = bp.PredictBatch(g.xs, ys, g.qx, vals)
-	}
-	if err != nil {
-		// A blocked solve fails as a unit even when a single column is
-		// degenerate; re-answer each member on its own so the healthy ones
-		// keep their interpolation, exactly as per-query evaluation would.
-		for i, idx := range g.idxs {
-			e.serveGroupMember(g, i, idx, ys, results, resolved, needsSim, stats)
-		}
-		return
-	}
-	for i, idx := range g.idxs {
-		if vars != nil && vars[i] > e.opts.MaxVariance {
-			stats.nVarRejected.Add(1)
-			needsSim[idx] = true
-			continue
-		}
-		pred := vals[i]
-		if e.opts.Untransform != nil {
-			pred = e.opts.Untransform(pred)
-		}
-		results[idx] = Result{Lambda: pred, Source: Interpolated, Neighbors: len(g.xs)}
-		resolved[idx] = true
-		stats.nInterp.Add(1)
-		stats.sumNeigh.Add(int64(len(g.xs)))
-		stats.nBatchPred.Add(1)
-	}
-}
-
-// serveGroupMember is the sequential fallback for one member of a group
-// whose blocked solve failed; ys is already transformed.
-func (e *Evaluator) serveGroupMember(g *predictGroup, i, idx int, ys []float64, results []Result, resolved, needsSim []bool, stats *counters) {
-	var (
-		pred float64
-		err  error
-	)
-	if vp, ok := e.opts.Interp.(VariancePredictor); ok && e.opts.MaxVariance > 0 {
-		var variance float64
-		pred, variance, err = vp.PredictVar(g.xs, ys, g.qx[i])
-		if err == nil && variance > e.opts.MaxVariance {
-			stats.nVarRejected.Add(1)
-			needsSim[idx] = true
-			return
-		}
-	} else {
-		pred, err = e.opts.Interp.Predict(g.xs, ys, g.qx[i])
-	}
-	if err != nil {
-		needsSim[idx] = true
-		return
-	}
-	if e.opts.Untransform != nil {
-		pred = e.opts.Untransform(pred)
-	}
-	results[idx] = Result{Lambda: pred, Source: Interpolated, Neighbors: len(g.xs)}
-	resolved[idx] = true
-	stats.nInterp.Add(1)
-	stats.sumNeigh.Add(int64(len(g.xs)))
+	return dst
 }

@@ -21,17 +21,41 @@ func seedCluster(ev *Evaluator) {
 	})
 }
 
-// TestEvaluateAllBatchPredict pins the shared-support pre-pass end to
-// end: a batch of interpolatable queries sharing one neighbourhood is
-// served through blocked kriging solves, bit-identical to the
-// DisableBatchPredict ablation arm, without extra simulations.
+// perQueryInterp exposes only Predict and PredictVar of an ordinary
+// kriging interpolator, hiding its batch interfaces: support groups then
+// take per-query calls, the reference arm of the twin runs below.
+type perQueryInterp struct{ o *kriging.Ordinary }
+
+func (p perQueryInterp) Predict(xs [][]float64, ys []float64, x []float64) (float64, error) {
+	return p.o.Predict(xs, ys, x)
+}
+
+func (p perQueryInterp) PredictVar(xs [][]float64, ys []float64, x []float64) (float64, float64, error) {
+	return p.o.PredictVar(xs, ys, x)
+}
+
+func (p perQueryInterp) Name() string { return p.o.Name() }
+
+// twinInterp returns a fresh ordinary kriging interpolator, wrapped in
+// perQueryInterp for the per-query arm.
+func twinInterp(perQuery bool) kriging.Interpolator {
+	o := &kriging.Ordinary{CacheSize: 8}
+	if perQuery {
+		return perQueryInterp{o}
+	}
+	return o
+}
+
+// TestEvaluateAllBatchPredict pins the support groups end to end: a
+// batch of interpolatable queries sharing one neighbourhood is served
+// through blocked kriging solves, bit-identical to the per-query arm,
+// without extra simulations.
 func TestEvaluateAllBatchPredict(t *testing.T) {
 	queries := []space.Config{{1, 1}, {1, 0}, {0, 1}, {2, 1}, {1, 2}}
-	run := func(disable bool) (*planeSim, []Result, Stats) {
+	run := func(perQuery bool) (*planeSim, []Result, Stats) {
 		t.Helper()
 		sim := newPlaneSim()
-		ev, err := New(sim, Options{D: 8, NnMin: 1, DisableBatchPredict: disable,
-			Interp: &kriging.Ordinary{CacheSize: 8}})
+		ev, err := New(sim, Options{D: 8, NnMin: 1, Interp: twinInterp(perQuery)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +71,7 @@ func TestEvaluateAllBatchPredict(t *testing.T) {
 
 	for i := range queries {
 		if batch[i].Lambda != seq[i].Lambda {
-			t.Errorf("query %v: batch λ = %v != sequential %v (must be bit-identical)",
+			t.Errorf("query %v: batch λ = %v != per-query %v (must be bit-identical)",
 				queries[i], batch[i].Lambda, seq[i].Lambda)
 		}
 		if batch[i].Source != Interpolated || seq[i].Source != Interpolated {
@@ -65,10 +89,10 @@ func TestEvaluateAllBatchPredict(t *testing.T) {
 			stB.NBatchPredict, len(queries))
 	}
 	if stS.NBatchPredict != 0 {
-		t.Errorf("ablation arm NBatchPredict = %d, want 0", stS.NBatchPredict)
+		t.Errorf("per-query arm NBatchPredict = %d, want 0", stS.NBatchPredict)
 	}
 	if stB.NInterp != stS.NInterp || stB.SumNeigh != stS.SumNeigh {
-		t.Errorf("stats diverge: batch %+v vs sequential %+v", stB, stS)
+		t.Errorf("stats diverge: batch %+v vs per-query %+v", stB, stS)
 	}
 }
 
@@ -120,15 +144,14 @@ func TestEvaluateAllBatchPredictMixed(t *testing.T) {
 
 // TestEvaluateAllBatchPredictVarianceGate runs the batch path under a
 // variance gate that rejects every prediction: gated members fall back
-// to simulation exactly like the sequential path, and the rejection
+// to simulation exactly like the per-query arm, and the rejection
 // counter moves identically in both arms.
 func TestEvaluateAllBatchPredictVarianceGate(t *testing.T) {
 	queries := []space.Config{{1, 1}, {1, 0}, {0, 1}}
-	run := func(disable bool) (*planeSim, Stats) {
+	run := func(perQuery bool) (*planeSim, Stats) {
 		t.Helper()
 		sim := newPlaneSim()
-		ev, err := New(sim, Options{D: 8, NnMin: 1, MaxVariance: 1e-12,
-			DisableBatchPredict: disable, Interp: &kriging.Ordinary{CacheSize: 8}})
+		ev, err := New(sim, Options{D: 8, NnMin: 1, MaxVariance: 1e-12, Interp: twinInterp(perQuery)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +173,7 @@ func TestEvaluateAllBatchPredictVarianceGate(t *testing.T) {
 		t.Errorf("simulator calls %d/%d, want %d each", simB.calls, simS.calls, len(queries))
 	}
 	if stB.NVarRejected != stS.NVarRejected || stB.NVarRejected == 0 {
-		t.Errorf("NVarRejected %d (batch) vs %d (sequential), want equal and nonzero",
+		t.Errorf("NVarRejected %d (batch) vs %d (per-query), want equal and nonzero",
 			stB.NVarRejected, stS.NVarRejected)
 	}
 	if stB.NBatchPredict != 0 {
@@ -158,19 +181,19 @@ func TestEvaluateAllBatchPredictVarianceGate(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllBatchPredictTransform runs the pre-pass under a
-// log-domain transform pair and checks it against the sequential arm:
+// TestEvaluateAllBatchPredictTransform runs the support groups under a
+// log-domain transform pair and checks them against the per-query arm:
 // the transform must be applied once per group with untransformed
 // answers bit-identical to the per-query path.
 func TestEvaluateAllBatchPredictTransform(t *testing.T) {
 	queries := []space.Config{{1, 1}, {2, 1}, {1, 2}}
 	tf := func(v float64) float64 { return math.Log1p(v) }
 	utf := func(v float64) float64 { return math.Expm1(v) }
-	run := func(disable bool) []Result {
+	run := func(perQuery bool) []Result {
 		t.Helper()
 		sim := newPlaneSim()
 		ev, err := New(sim, Options{D: 8, NnMin: 1, Transform: tf, Untransform: utf,
-			DisableBatchPredict: disable, Interp: &kriging.Ordinary{CacheSize: 8}})
+			Interp: twinInterp(perQuery)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +208,7 @@ func TestEvaluateAllBatchPredictTransform(t *testing.T) {
 	seq := run(true)
 	for i := range queries {
 		if batch[i].Lambda != seq[i].Lambda || batch[i].Source != seq[i].Source {
-			t.Errorf("query %v: batch (%v, %v) != sequential (%v, %v)", queries[i],
+			t.Errorf("query %v: batch (%v, %v) != per-query (%v, %v)", queries[i],
 				batch[i].Lambda, batch[i].Source, seq[i].Lambda, seq[i].Source)
 		}
 	}

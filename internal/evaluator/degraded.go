@@ -50,9 +50,9 @@ func brownoutEligible(err error) bool {
 // admission gates relaxed — any non-empty neighbourhood within D..DMax
 // qualifies (the NnMin threshold and the variance gate are waived,
 // because the alternative is no answer at all). The prediction runs the
-// exact normal pipeline (same neighbour search, same Transform/Predict/
-// Untransform), so for a frozen store it is bit-identical to Predict on
-// a snapshot of that store; it only skips the gates. Nothing is
+// exact normal pipeline (same neighbour search, same krige step in its
+// gate-waived mode), so for a frozen store it is bit-identical to
+// Predict on a snapshot of that store; it only skips the gates. Nothing is
 // inserted, no simulation is charged; NDegraded counts the answer.
 //
 // ok=false means the store cannot support even a degraded answer
@@ -79,10 +79,11 @@ func (e *Evaluator) degradedAnswer(cfg space.Config) (Result, bool) {
 	if nb.Len() == 0 {
 		return Result{}, false
 	}
-	lam, err := e.predictUngated(nb, cfg, qs)
-	if err != nil {
+	res := e.krigeOne(nb, cfg, nil, qs)
+	if res.Source != Interpolated {
 		return Result{}, false
 	}
 	e.stats.nDegraded.Add(1)
-	return Result{Lambda: lam, Source: Interpolated, Neighbors: nb.Len(), Degraded: true}, true
+	res.Degraded = true
+	return res, true
 }

@@ -142,16 +142,6 @@ type Options struct {
 	// kriges λ = -P directly (identity); the log-domain ablation uses a
 	// dB pair. Both must be set together.
 	Transform, Untransform func(float64) float64
-	// DisableBatchPredict turns off EvaluateAll's shared-support batch
-	// prediction: by default, batch queries whose neighbourhood search
-	// resolves the same support (same points, same order — the shape of a
-	// min+1/max-1 competition round) are answered through one blocked
-	// multi-RHS kriging solve when the interpolator implements
-	// BatchPredictor. Results are bit-identical either way (that is the
-	// BatchPredictor contract); the flag exists for ablation and
-	// bisection. Stats.NBatchPredict counts the queries the batch path
-	// served.
-	DisableBatchPredict bool
 	// DisableShedding turns off the engine's deadline-aware load
 	// shedding: requests park on the admission semaphore until their
 	// context expires, however hopeless the queue — the pre-resilience
@@ -269,11 +259,15 @@ type Evaluator struct {
 	scratch sync.Pool
 }
 
-// queryScratch is the reusable working set of one evaluator query.
+// queryScratch is the reusable working set of one evaluator query (or,
+// in a batch worker, of one support group).
 type queryScratch struct {
-	nb store.Neighborhood
-	ys []float64 // transformed support values
-	x  []float64 // query point as floats
+	nb         store.Neighborhood
+	ys         []float64    // transformed support values
+	x          []float64    // query point as floats
+	one        [1][]float64 // x as a support group of one
+	out        []Result     // answers of the group being kriged
+	vals, vars []float64    // predicted values and variances of the group
 }
 
 // New builds an Evaluator around a Simulator.
@@ -425,7 +419,7 @@ func (e *Evaluator) evaluateLive(ctx context.Context, cfg space.Config, eng *Eng
 		return Result{}, err
 	}
 	qs := e.scratch.Get().(*queryScratch)
-	res, ok := e.answerFromStore(e.store, cfg, &e.stats, qs)
+	res, ok := e.answerFromStore(cfg, qs)
 	e.scratch.Put(qs)
 	if ok {
 		return res, nil
@@ -472,42 +466,30 @@ func isContextError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// answerFromStore resolves a query without simulating when possible: an
-// exact store hit costs nothing (the optimiser revisiting a
-// configuration), and a sufficient neighbourhood is kriged. The second
-// return value reports whether an answer was produced. Activity is
-// recorded on stats, which Evaluate points at the live counters and
-// EvaluateAll at a per-batch accumulator committed only on success. The
-// neighbourhood search and the interpolation inputs run on qs's reused
-// buffers, so a steady-state answer performs (at most) one allocation.
-func (e *Evaluator) answerFromStore(view storeView, cfg space.Config, stats *counters, qs *queryScratch) (Result, bool) {
-	if lam, ok := view.Lookup(cfg); ok {
+// answerFromStore resolves a live query without simulating when
+// possible: an exact store hit costs nothing (the optimiser revisiting a
+// configuration), and a sufficient neighbourhood is kriged as a support
+// group of one. The second return value reports whether an answer was
+// produced. The neighbourhood search and the interpolation inputs run
+// on qs's reused buffers, so a steady-state answer performs (at most)
+// one allocation.
+func (e *Evaluator) answerFromStore(cfg space.Config, qs *queryScratch) (Result, bool) {
+	if lam, ok := e.store.Lookup(cfg); ok {
 		return Result{Lambda: lam, Source: Simulated}, true
 	}
-	support, ok := e.gatherSupport(view, cfg, qs)
+	support, ok := e.gatherSupport(e.store, cfg, qs)
 	if !ok {
 		return Result{}, false
 	}
-	start := time.Now()
-	lam, err := e.interpolate(support, cfg, stats, qs)
-	stats.interpTime.Add(int64(time.Since(start)))
-	if err != nil {
-		// A degenerate kriging system (or a variance-gate rejection)
-		// falls back to simulation; the paper's flow has no failure path
-		// because its supports are well spread, but a robust library
-		// must not abort the optimisation run.
-		return Result{}, false
-	}
-	stats.nInterp.Add(1)
-	stats.sumNeigh.Add(int64(support.Len()))
-	return Result{Lambda: lam, Source: Interpolated, Neighbors: support.Len()}, true
+	res := e.krigeOne(support, cfg, &e.stats, qs)
+	return res, res.Source == Interpolated
 }
 
 // gatherSupport collects the kriging support of one query, or reports
 // ok=false when interpolation is off or the neighbourhood stays at or
-// below NnMin. It is shared by the per-query decision path and
-// EvaluateAll's shared-support pre-pass, so both resolve exactly the
-// same support (same points, same order) for the same view.
+// below NnMin. It is shared by the live path and EvaluateAll's
+// pre-pass, so both resolve exactly the same support (same points, same
+// order) for the same view.
 func (e *Evaluator) gatherSupport(view storeView, cfg space.Config, qs *queryScratch) (*store.Neighborhood, bool) {
 	if e.opts.D <= 0 {
 		return nil, false
@@ -542,69 +524,14 @@ func (e *Evaluator) gatherSupport(view storeView, cfg space.Config, qs *queryScr
 	return support, true
 }
 
-// errVarianceGate marks a variance-gate rejection internally.
-var errVarianceGate = errors.New("evaluator: kriging variance above threshold")
-
-// prepInterp loads the (transformed) support values and the query point
-// into qs's reused buffers, returning the value slice to hand the
-// interpolator — the shared setup of the gated and ungated predictors.
-func (e *Evaluator) prepInterp(nb *store.Neighborhood, cfg space.Config, qs *queryScratch) []float64 {
-	ys := nb.Values
-	if e.opts.Transform != nil {
-		qs.ys = qs.ys[:0]
-		for _, v := range nb.Values {
-			qs.ys = append(qs.ys, e.opts.Transform(v))
-		}
-		ys = qs.ys
-	}
-	// The query point and (transformed) values hand reused scratch to the
-	// interpolator; the kriging system cache stores defensive copies of
-	// whatever it retains, so the buffers are free for the next query.
-	qs.x = qs.x[:0]
-	for _, v := range cfg {
-		qs.x = append(qs.x, float64(v))
-	}
-	return ys
-}
-
-// predictUngated runs the plain interpolation pipeline — Transform,
-// Predict, Untransform — with no variance gate: the brownout path,
-// where the choice is a gate-waived prediction or no answer at all. It
-// charges nothing to the paper-metric counters (NInterp/SumNeigh stay
-// measures of full-quality interpolation).
-func (e *Evaluator) predictUngated(nb *store.Neighborhood, cfg space.Config, qs *queryScratch) (float64, error) {
-	ys := e.prepInterp(nb, cfg, qs)
-	pred, err := e.opts.Interp.Predict(nb.Coords, ys, qs.x)
-	if err != nil {
-		return 0, err
-	}
-	if e.opts.Untransform != nil {
-		pred = e.opts.Untransform(pred)
-	}
-	return pred, nil
-}
-
-func (e *Evaluator) interpolate(nb *store.Neighborhood, cfg space.Config, stats *counters, qs *queryScratch) (float64, error) {
-	ys := e.prepInterp(nb, cfg, qs)
-	var (
-		pred float64
-		err  error
-	)
-	if vp, ok := e.opts.Interp.(VariancePredictor); ok && e.opts.MaxVariance > 0 {
-		var variance float64
-		pred, variance, err = vp.PredictVar(nb.Coords, ys, qs.x)
-		if err == nil && variance > e.opts.MaxVariance {
-			stats.nVarRejected.Add(1)
-			return 0, errVarianceGate
-		}
-	} else {
-		pred, err = e.opts.Interp.Predict(nb.Coords, ys, qs.x)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if e.opts.Untransform != nil {
-		pred = e.opts.Untransform(pred)
-	}
-	return pred, nil
+// krigeOne kriges cfg from the support nb as a group of one (see krige;
+// a nil stats is the gate-waived brownout mode). The kriging system
+// cache stores defensive copies of whatever it retains, so qs's buffers
+// are free for the next query.
+func (e *Evaluator) krigeOne(nb *store.Neighborhood, cfg space.Config, stats *counters, qs *queryScratch) Result {
+	qs.x = cfgFloats(qs.x[:0], cfg)
+	qs.one[0] = qs.x
+	out := grow(&qs.out, 1)
+	e.krige(nb.Coords, nb.Values, qs.one[:], out, stats, qs)
+	return out[0]
 }

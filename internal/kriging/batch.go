@@ -8,25 +8,26 @@ import (
 	"repro/internal/variogram"
 )
 
-// Blocked batch prediction: K queries against ONE shared support solve
-// as a single column-major multi-RHS block through the cached factor
-// (linalg SolveBatchInto, BLAS-3 shape) instead of K independent O(n²)
-// passes. The per-query costs a sequential loop pays K times —
-// fingerprint + cache lookup, scratch pool round-trip, interface
-// dispatch per variogram evaluation — are paid once per batch, and the
-// triangular sweeps share each factor-row load across four columns.
+// Blocked batch prediction is the one implementation of Eq. 10: K
+// queries against ONE shared support solve as a single column-major
+// multi-RHS block through the cached factor (linalg SolveBatchInto,
+// BLAS-3 shape), and Predict/PredictVar are its K=1 case. The per-query
+// costs a loop of single predictions pays K times — fingerprint + cache
+// lookup, scratch pool round-trip, interface dispatch per variogram
+// evaluation — are paid once per batch, and the triangular sweeps share
+// each factor-row load across four columns.
 //
-// Contract: results are bit-identical to K sequential Predict /
-// PredictVar calls. Three ingredients make that hold (and the property
-// wall in batch_test.go enforces it):
+// Contract: column j of a batch is bit-identical to predicting
+// queries[j] alone, whatever K. Three ingredients make that hold (and
+// the property wall in batch_test.go enforces it against a single-query
+// reference implementation):
 //
 //   - the blocked linalg kernels replicate the single-RHS accumulation
 //     order per column exactly;
 //   - variogram.GammaInto performs the same per-element arithmetic as
 //     Model.Gamma, merely devirtualised;
-//   - the sequential output loops and the batch output loops both go
-//     through the same dot kernels (linalg.Dot / linalg.Dot4, which are
-//     bit-identical per column, and centeredDot).
+//   - the 4-wide output sweep (linalg.Dot4) is bit-identical per column
+//     to linalg.Dot.
 //
 // All block scratch comes from the predict pool: a warm batch (cached
 // factor) performs zero heap allocations regardless of K.
@@ -50,8 +51,8 @@ func batchDims(xs [][]float64, ys []float64, queries [][]float64, outs ...[]floa
 }
 
 // PredictBatch predicts all queries against one shared support, writing
-// out[j] for queries[j]. See the package comment above for the blocked
-// execution shape and the bit-identity contract with sequential Predict.
+// out[j] for queries[j]. See the comment above for the blocked execution
+// shape and the bit-identity contract with single-query prediction.
 func (o *Ordinary) PredictBatch(xs [][]float64, ys []float64, queries [][]float64, out []float64) error {
 	s := predictPool.Get().(*predictScratch)
 	defer predictPool.Put(s)
@@ -62,24 +63,13 @@ func (o *Ordinary) PredictBatch(xs [][]float64, ys []float64, queries [][]float6
 }
 
 // PredictVarBatch is PredictBatch returning the ordinary-kriging
-// variance estimate alongside each value (the batch analogue of
-// PredictVar, bit-identical to K sequential calls).
+// variance estimate alongside each value (PredictVar is its K=1 case).
 func (o *Ordinary) PredictVarBatch(xs [][]float64, ys []float64, queries [][]float64, outVal, outVar []float64) error {
 	n, k, err := batchDims(xs, ys, queries, outVal, outVar)
 	if err != nil {
 		return err
 	}
 	if k == 0 {
-		return nil
-	}
-	if o.SequentialBatch {
-		for j, q := range queries {
-			v, ve, err := o.PredictVar(xs, ys, q)
-			if err != nil {
-				return err
-			}
-			outVal[j], outVar[j] = v, ve
-		}
 		return nil
 	}
 	if n == 1 {
@@ -101,8 +91,7 @@ func (o *Ordinary) PredictVarBatch(xs [][]float64, ys []float64, queries [][]flo
 	// devirtualised variogram sweep in place, then the constraint row.
 	// When the interpolator runs on the default metric the distance call
 	// is devirtualised too (same function, direct and inlinable — the
-	// arithmetic is identical to the dist closure the sequential path
-	// dispatches through).
+	// arithmetic is identical to a call through the dist closure).
 	rhs := growFloats(&s.rhs, m*k)
 	for j, q := range queries {
 		col := rhs[j*m : (j+1)*m]
@@ -158,8 +147,7 @@ func (o *Ordinary) PredictVarBatch(xs [][]float64, ys []float64, queries [][]flo
 }
 
 // centeredDot returns mean + Σ w[i]·(ys[i]-mean) with the same paired
-// accumulation as the linalg kernels; shared by the sequential and batch
-// simple-kriging output loops so they agree bit for bit.
+// accumulation as the linalg kernels: the simple-kriging output.
 func centeredDot(mean float64, w, ys []float64) float64 {
 	n := len(w)
 	if n > len(ys) {
@@ -178,24 +166,14 @@ func centeredDot(mean float64, w, ys []float64) float64 {
 }
 
 // PredictBatch predicts all queries against one shared support through
-// the cached covariance factor in one blocked solve; bit-identical to K
-// sequential Predict calls.
+// the cached covariance factor in one blocked solve (Predict is its K=1
+// case).
 func (s *Simple) PredictBatch(xs [][]float64, ys []float64, queries [][]float64, out []float64) error {
 	n, k, err := batchDims(xs, ys, queries, out)
 	if err != nil {
 		return err
 	}
 	if k == 0 {
-		return nil
-	}
-	if s.SequentialBatch {
-		for j, q := range queries {
-			v, err := s.Predict(xs, ys, q)
-			if err != nil {
-				return err
-			}
-			out[j] = v
-		}
 		return nil
 	}
 	mean := s.Mean
@@ -265,26 +243,16 @@ func (s *Simple) PredictBatch(xs [][]float64, ys []float64, queries [][]float64,
 // drift system depends on the support alone, so the batch assembles and
 // factorises it ONCE and solves all K right-hand sides in one blocked
 // call — the biggest single win of the batch API, since Universal has no
-// factor cache and the sequential path refactorises per query.
-// linalg.Factorize is deterministic, so results stay bit-identical to K
-// sequential Predict calls; a degenerate drift system falls back to
-// ordinary kriging per query exactly as Predict does.
+// factor cache and a loop of Predict calls refactorises per query.
+// linalg.Factorize is deterministic, so results stay bit-identical to
+// predicting each query alone; a degenerate drift system falls back to
+// ordinary kriging.
 func (u *Universal) PredictBatch(xs [][]float64, ys []float64, queries [][]float64, out []float64) error {
 	n, k, err := batchDims(xs, ys, queries, out)
 	if err != nil {
 		return err
 	}
 	if k == 0 {
-		return nil
-	}
-	if u.SequentialBatch {
-		for j, q := range queries {
-			v, err := u.Predict(xs, ys, q)
-			if err != nil {
-				return err
-			}
-			out[j] = v
-		}
 		return nil
 	}
 	if n == 1 {
@@ -333,17 +301,11 @@ func (u *Universal) PredictBatch(xs [][]float64, ys []float64, queries [][]float
 	}
 	f, err := linalg.Factorize(g)
 	if err != nil {
-		// Same degraded path as sequential Predict: ordinary kriging,
-		// query by query.
-		ord := &Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget}
-		for j, q := range queries {
-			v, err := ord.Predict(xs, ys, q)
-			if err != nil {
-				return err
-			}
-			out[j] = v
-		}
-		return nil
+		// A degenerate drift system (e.g. supports on a line queried
+		// diagonally) falls back to ordinary kriging rather than failing
+		// the evaluation. The throwaway interpolator runs uncached.
+		ord := &Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget, CacheSize: -1}
+		return ord.PredictBatch(xs, ys, queries, out)
 	}
 	sc := predictPool.Get().(*predictScratch)
 	defer predictPool.Put(sc)

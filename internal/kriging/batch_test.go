@@ -2,9 +2,11 @@ package kriging
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/rng"
 	"repro/internal/variogram"
 )
@@ -26,11 +28,201 @@ func bitEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
+// The single-query reference implementation of Eq. 10: one right-hand
+// side assembled through Model.Gamma and the dist closure, one
+// single-column solve, scalar output dots. Production code answers every
+// query through the blocked batch solvers (Predict is their K=1 case),
+// so the property wall checks them against this independent oracle.
+
+// refSolve solves the factored system for one right-hand side (in
+// logical order), re-permuting through logicalIndex for incrementally
+// grown ordinary factors.
+func refSolve(sys *factored, dst, rhs []float64) error {
+	if sys.chol != nil {
+		return sys.chol.SolveInto(dst, rhs)
+	}
+	if sys.lu == nil {
+		return errNotExtendable
+	}
+	if sys.extended() == 0 {
+		return sys.lu.SolveInto(dst, rhs)
+	}
+	m := len(rhs)
+	pb := make([]float64, m)
+	for pos := 0; pos < m; pos++ {
+		pb[pos] = rhs[sys.logicalIndex(pos)]
+	}
+	sol := make([]float64, m)
+	if err := sys.lu.SolveInto(sol, pb); err != nil {
+		return err
+	}
+	for pos := 0; pos < m; pos++ {
+		dst[sys.logicalIndex(pos)] = sol[pos]
+	}
+	return nil
+}
+
+// refOrdinaryPredictVar is the reference ordinary-kriging value and
+// variance at x.
+func refOrdinaryPredictVar(o *Ordinary, xs [][]float64, ys []float64, x []float64) (value, variance float64, err error) {
+	n := len(xs)
+	if n == 0 {
+		return 0, 0, ErrNoSupport
+	}
+	if len(ys) != n {
+		return 0, 0, fmt.Errorf("kriging: %d coordinates but %d values", n, len(ys))
+	}
+	if n == 1 {
+		return ys[0], 0, nil
+	}
+	sys, err := o.system(xs, ys)
+	if err != nil {
+		return 0, 0, err
+	}
+	dist := o.dist()
+	rhs := make([]float64, n+1)
+	for k := 0; k < n; k++ {
+		rhs[k] = sys.model.Gamma(dist(x, xs[k]))
+	}
+	rhs[n] = 1
+	w := make([]float64, n+1)
+	if err := refSolve(sys, w, rhs); err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrDegenerate, err)
+	}
+	val := linalg.Dot(w[:n], ys)
+	varEst := linalg.Dot(w[:n], rhs[:n])
+	varEst += w[n]
+	if varEst < 0 {
+		varEst = 0
+	}
+	if math.IsNaN(val) || math.IsInf(val, 0) {
+		return 0, 0, ErrDegenerate
+	}
+	return val, varEst, nil
+}
+
+// refSimplePredict is the reference simple-kriging value at x.
+func refSimplePredict(s *Simple, xs [][]float64, ys []float64, x []float64) (float64, error) {
+	n := len(xs)
+	if n == 0 {
+		return 0, ErrNoSupport
+	}
+	if len(ys) != n {
+		return 0, fmt.Errorf("kriging: %d coordinates but %d values", n, len(ys))
+	}
+	mean := s.Mean
+	if !s.KnownMean {
+		var sum float64
+		for _, y := range ys {
+			sum += y
+		}
+		mean = sum / float64(n)
+	}
+	if n == 1 {
+		return ys[0], nil
+	}
+	sys, err := s.system(xs, ys)
+	if err != nil {
+		return 0, err
+	}
+	if sys.sill == 0 {
+		return mean, nil
+	}
+	dist := s.dist()
+	rhs := make([]float64, n)
+	for k := 0; k < n; k++ {
+		cv := sys.sill - sys.model.Gamma(dist(x, xs[k]))
+		if cv < 0 {
+			cv = 0
+		}
+		rhs[k] = cv
+	}
+	w := make([]float64, n)
+	if err := refSolve(sys, w, rhs); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrDegenerate, err)
+	}
+	val := centeredDot(mean, w, ys)
+	if math.IsNaN(val) || math.IsInf(val, 0) {
+		return 0, ErrDegenerate
+	}
+	return val, nil
+}
+
+// refUniversalPredict is the reference universal-kriging value at x,
+// assembling and solving the drift system for this one query.
+func refUniversalPredict(u *Universal, xs [][]float64, ys []float64, x []float64) (float64, error) {
+	n := len(xs)
+	if n == 0 {
+		return 0, ErrNoSupport
+	}
+	if len(ys) != n {
+		return 0, fmt.Errorf("kriging: %d coordinates but %d values", n, len(ys))
+	}
+	if n == 1 {
+		return ys[0], nil
+	}
+	dist := u.dist()
+	model := u.Model
+	if model == nil {
+		var err error
+		if u.PowerBeta != 0 {
+			model, err = variogram.FitPower(variogram.CloudFromSamples(xs, ys, dist), u.PowerBeta, u.Nugget)
+		} else {
+			model, err = variogram.FitSamples(u.FitKind, xs, ys, dist, u.Nugget)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	dims := driftDims(xs, n-2)
+	size := n + 1 + len(dims)
+	g := linalg.NewMatrix(size, size)
+	var scale float64
+	for j := 0; j < n; j++ {
+		for k := j + 1; k < n; k++ {
+			gv := model.Gamma(dist(xs[j], xs[k]))
+			g.Set(j, k, gv)
+			g.Set(k, j, gv)
+			if gv > scale {
+				scale = gv
+			}
+		}
+	}
+	jitter := 1e-12 * (scale + 1)
+	for j := 0; j < n; j++ {
+		g.Set(j, j, u.Nugget+jitter)
+		g.Set(j, n, 1)
+		g.Set(n, j, 1)
+		for i, d := range dims {
+			g.Set(j, n+1+i, xs[j][d])
+			g.Set(n+1+i, j, xs[j][d])
+		}
+	}
+	rhs := make([]float64, size)
+	for k := 0; k < n; k++ {
+		rhs[k] = model.Gamma(dist(x, xs[k]))
+	}
+	rhs[n] = 1
+	for i, d := range dims {
+		rhs[n+1+i] = x[d]
+	}
+	w, err := linalg.Solve(g, rhs)
+	if err != nil {
+		v, _, err := refOrdinaryPredictVar(&Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget, CacheSize: -1}, xs, ys, x)
+		return v, err
+	}
+	val := linalg.Dot(w[:n], ys)
+	if math.IsNaN(val) || math.IsInf(val, 0) {
+		return 0, ErrDegenerate
+	}
+	return val, nil
+}
+
 // TestBatchMatchesSequentialPropertyWall is the batch-prediction
 // property wall: across 100 seeded supports × {ordinary, simple,
 // universal} × 3 variogram models × K ∈ {1, 2, 7, 64}, a blocked
 // PredictBatch (and PredictVarBatch for ordinary) must reproduce K
-// sequential Predict/PredictVar calls BIT FOR BIT — stronger than the
+// calls of the single-query reference implementation BIT FOR BIT — stronger than the
 // 1e-12 the acceptance criteria ask for. Queries deliberately include
 // exact support coincidences so the γ(h<=0) nugget branch is crossed.
 func TestBatchMatchesSequentialPropertyWall(t *testing.T) {
@@ -69,38 +261,38 @@ func TestBatchMatchesSequentialPropertyWall(t *testing.T) {
 					batch func(queries [][]float64, out []float64) error
 					seq   func(q []float64) (float64, error)
 				}{"ordinary", func(q [][]float64, out []float64) error { return o.PredictBatch(xs, ys, q, out) },
-					func(q []float64) (float64, error) { return o.Predict(xs, ys, q) }},
+					func(q []float64) (float64, error) { v, _, err := refOrdinaryPredictVar(o, xs, ys, q); return v, err }},
 				struct {
 					name  string
 					batch func(queries [][]float64, out []float64) error
 					seq   func(q []float64) (float64, error)
 				}{"simple", func(q [][]float64, out []float64) error { return s.PredictBatch(xs, ys, q, out) },
-					func(q []float64) (float64, error) { return s.Predict(xs, ys, q) }},
+					func(q []float64) (float64, error) { return refSimplePredict(s, xs, ys, q) }},
 				struct {
 					name  string
 					batch func(queries [][]float64, out []float64) error
 					seq   func(q []float64) (float64, error)
 				}{"universal", func(q [][]float64, out []float64) error { return u.PredictBatch(xs, ys, q, out) },
-					func(q []float64) (float64, error) { return u.Predict(xs, ys, q) }},
+					func(q []float64) (float64, error) { return refUniversalPredict(u, xs, ys, q) }},
 			)
 			for _, ip := range interps {
 				for _, k := range ks {
 					out := make([]float64, k)
 					if err := ip.batch(queries[:k], out); err != nil {
 						// A degenerate batch is acceptable only if the
-						// sequential path degenerates too.
+						// reference degenerates too.
 						if _, serr := ip.seq(queries[0]); serr == nil {
-							t.Fatalf("trial %d %s model %d K=%d: batch failed (%v) but sequential succeeds", trial, ip.name, mi, k, err)
+							t.Fatalf("trial %d %s model %d K=%d: batch failed (%v) but the reference succeeds", trial, ip.name, mi, k, err)
 						}
 						continue
 					}
 					for j := 0; j < k; j++ {
 						want, err := ip.seq(queries[j])
 						if err != nil {
-							t.Fatalf("trial %d %s model %d K=%d q%d: sequential error %v after batch success", trial, ip.name, mi, k, j, err)
+							t.Fatalf("trial %d %s model %d K=%d q%d: reference error %v after batch success", trial, ip.name, mi, k, j, err)
 						}
 						if !bitEqual(out[j], want) {
-							t.Fatalf("trial %d %s model %d K=%d q%d: batch %v != sequential %v (diff %g)",
+							t.Fatalf("trial %d %s model %d K=%d q%d: batch %v != reference %v (diff %g)",
 								trial, ip.name, mi, k, j, out[j], want, out[j]-want)
 						}
 					}
@@ -114,12 +306,12 @@ func TestBatchMatchesSequentialPropertyWall(t *testing.T) {
 					continue
 				}
 				for j := 0; j < k; j++ {
-					wv, wvar, err := o.PredictVar(xs, ys, queries[j])
+					wv, wvar, err := refOrdinaryPredictVar(o, xs, ys, queries[j])
 					if err != nil {
-						t.Fatalf("trial %d model %d K=%d q%d: sequential PredictVar: %v", trial, mi, k, j, err)
+						t.Fatalf("trial %d model %d K=%d q%d: reference PredictVar: %v", trial, mi, k, j, err)
 					}
 					if !bitEqual(outV[j], wv) || !bitEqual(outVar[j], wvar) {
-						t.Fatalf("trial %d model %d K=%d q%d: batch (%v, %v) != sequential (%v, %v)",
+						t.Fatalf("trial %d model %d K=%d q%d: batch (%v, %v) != reference (%v, %v)",
 							trial, mi, k, j, outV[j], outVar[j], wv, wvar)
 					}
 				}
@@ -165,46 +357,15 @@ func TestBatchMatchesSequentialExtendedFactor(t *testing.T) {
 				t.Fatalf("trial %d: batch: %v", trial, err)
 			}
 			for j, q := range queries {
-				wv, wvar, err := o.PredictVar(xs, ys, q)
+				wv, wvar, err := refOrdinaryPredictVar(o, xs, ys, q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bitEqual(outV[j], wv) || !bitEqual(outVar[j], wvar) {
-					t.Fatalf("trial %d q%d: extended-factor batch (%v, %v) != sequential (%v, %v)",
+					t.Fatalf("trial %d q%d: extended-factor batch (%v, %v) != reference (%v, %v)",
 						trial, j, outV[j], outVar[j], wv, wvar)
 				}
 			}
-		}
-	}
-}
-
-// TestBatchSequentialAblationFlag: the SequentialBatch switch must
-// change throughput only, never results.
-func TestBatchSequentialAblationFlag(t *testing.T) {
-	r := rng.New(703)
-	xs, ys := drawSupport(r, 12, 3)
-	queries := make([][]float64, 9)
-	for j := range queries {
-		q := make([]float64, 3)
-		for i := range q {
-			q[i] = float64(r.IntRange(0, 14)) + r.NormScaled(0, 0.25)
-		}
-		queries[j] = q
-	}
-	model := &variogram.SphericalModel{Sill: 40, Range: 9, Nugget: 0.1}
-	blocked := &Ordinary{Model: model}
-	ablated := &Ordinary{Model: model, SequentialBatch: true}
-	a := make([]float64, len(queries))
-	b := make([]float64, len(queries))
-	if err := blocked.PredictBatch(xs, ys, queries, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ablated.PredictBatch(xs, ys, queries, b); err != nil {
-		t.Fatal(err)
-	}
-	for j := range a {
-		if !bitEqual(a[j], b[j]) {
-			t.Fatalf("q%d: blocked %v != ablated %v", j, a[j], b[j])
 		}
 	}
 }
@@ -243,7 +404,7 @@ func TestBatchShapeAndEdgeCases(t *testing.T) {
 }
 
 // TestSimpleBatchFlatField: a constant-valued support has sill 0; the
-// batch path must answer the mean for every query like the sequential
+// batch path must answer the mean for every query like the reference
 // path does, without touching a factor.
 func TestSimpleBatchFlatField(t *testing.T) {
 	xs := [][]float64{{0, 0}, {1, 0}, {0, 1}, {2, 2}}
@@ -255,7 +416,7 @@ func TestSimpleBatchFlatField(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j, q := range queries {
-		want, err := s.Predict(xs, ys, q)
+		want, err := refSimplePredict(s, xs, ys, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,43 +94,13 @@ func (sys *factored) logicalIndex(pos int) int {
 	}
 }
 
-// solveInto solves the factored system for rhs (in logical order) into
-// dst, using s for permutation scratch when the factor was grown
-// incrementally. dst must not alias rhs.
-func (sys *factored) solveInto(dst, rhs []float64, s *predictScratch) error {
-	if sys.chol != nil {
-		return sys.chol.SolveInto(dst, rhs)
-	}
-	if sys.lu == nil {
-		return errNotExtendable
-	}
-	if sys.extended() == 0 {
-		return sys.lu.SolveInto(dst, rhs)
-	}
-	m := len(rhs)
-	pb := growFloats(&s.pb, m)
-	for pos := 0; pos < m; pos++ {
-		pb[pos] = rhs[sys.logicalIndex(pos)]
-	}
-	sol := growFloats(&s.sol, m)
-	if err := sys.lu.SolveInto(sol, pb); err != nil {
-		return err
-	}
-	for pos := 0; pos < m; pos++ {
-		dst[sys.logicalIndex(pos)] = sol[pos]
-	}
-	return nil
-}
-
 // solveBatchInto solves the factored system for k right-hand sides of
 // length m packed column-major into rhs (each column in logical order),
-// writing the solution columns into dst. It is the multi-RHS analogue of
-// solveInto: the same permutation handling for incrementally grown
-// factors, with the triangular sweeps going through the blocked
-// linalg kernels. Because the blocked kernels are bit-identical per
-// column to the single-RHS solves, each dst column equals what a
-// solveInto call on that column would produce, bit for bit. dst must
-// not alias rhs.
+// writing the solution columns into dst; incrementally grown factors
+// re-permute each column through logicalIndex, using s for scratch. It
+// is the only solve behind a prediction: a single query is the k=1
+// case, which the linalg batch solvers hand to their single-column
+// kernel. dst must not alias rhs.
 func (sys *factored) solveBatchInto(dst, rhs []float64, m, k int, s *predictScratch) error {
 	if sys.chol != nil {
 		return sys.chol.SolveBatchInto(dst, rhs, k)

@@ -35,11 +35,11 @@
 // lookup, all K right-hand sides assembled into one pooled column-major
 // block, one blocked multi-RHS solve (linalg SolveBatchInto, 4-wide
 // shared-coefficient kernels — SSE2 on amd64), and a 4-wide output
-// sweep. Results are bit-identical to K sequential Predict/PredictVar
-// calls — the property wall in batch_test.go enforces it — so callers
-// (the evaluator's shared-support pre-pass) can route queries through
-// either path freely. The SequentialBatch flag forces the sequential
-// loop, kept as the ablation arm for the batch speedup gates.
+// sweep. This is the only implementation of Eq. 10: Predict and
+// PredictVar are its K=1 case. Every column is bit-identical to
+// predicting that query alone — the property wall in batch_test.go
+// checks it against a single-query reference implementation — so
+// callers (the evaluator's support groups) can group queries freely.
 //
 // Cache-hit predictions are allocation-free: per-query vectors come
 // from pooled scratch and the factors solve in place; a warm

@@ -89,11 +89,6 @@ type Ordinary struct {
 	// after the first prediction — build a fresh interpolator per
 	// configuration instead.
 	CacheSize int
-	// SequentialBatch is the ablation switch for the blocked multi-RHS
-	// path: when set, PredictBatch/PredictVarBatch degrade to K
-	// sequential calls. Results are bit-identical either way (the
-	// speedup tests assert both directions); only throughput changes.
-	SequentialBatch bool
 
 	cacheOnce sync.Once
 	cache     *systemCache
@@ -131,53 +126,13 @@ func (o *Ordinary) Predict(xs [][]float64, ys []float64, x []float64) (float64, 
 
 // PredictVar returns both the interpolated value and the ordinary-kriging
 // variance estimate Var[λ̂ - λ] = Σ μ_k·γ_ik + m (the optimality objective
-// of Eq. 5 at its minimum), useful as a confidence signal.
+// of Eq. 5 at its minimum), useful as a confidence signal. It is the K=1
+// case of PredictVarBatch, the one implementation of Eq. 10.
 func (o *Ordinary) PredictVar(xs [][]float64, ys []float64, x []float64) (value, variance float64, err error) {
-	n := len(xs)
-	if n == 0 {
-		return 0, 0, ErrNoSupport
-	}
-	if len(ys) != n {
-		return 0, 0, fmt.Errorf("kriging: %d coordinates but %d values", n, len(ys))
-	}
-	if n == 1 {
-		// A single support point: the unbiasedness constraint forces
-		// μ_0 = 1, so the prediction is that value.
-		return ys[0], 0, nil
-	}
-	sys, err := o.system(xs, ys)
-	if err != nil {
-		return 0, 0, err
-	}
-	dist := o.dist()
-	// All per-query vectors come from the pooled scratch, so a prediction
-	// against a cached system performs zero heap allocations.
-	s := predictPool.Get().(*predictScratch)
-	defer predictPool.Put(s)
-	// Right-hand side γ_i of Eq. 8 augmented with the constraint 1.
-	rhs := growFloats(&s.rhs, n+1)
-	for k := 0; k < n; k++ {
-		rhs[k] = sys.model.Gamma(dist(x, xs[k]))
-	}
-	rhs[n] = 1
-	// Weights μ and Lagrange multiplier m: Γ·(μ, m) = (γ_i, 1).
-	w := growFloats(&s.w, n+1)
-	if err := sys.solveInto(w, rhs, s); err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrDegenerate, err)
-	}
-	// Both dot products go through linalg.Dot — the same kernel the
-	// blocked batch path uses — so PredictVarBatch stays bit-identical
-	// to K sequential calls.
-	val := linalg.Dot(w[:n], ys)
-	varEst := linalg.Dot(w[:n], rhs[:n])
-	varEst += w[n] // + Lagrange multiplier
-	if varEst < 0 {
-		varEst = 0
-	}
-	if math.IsNaN(val) || math.IsInf(val, 0) {
-		return 0, 0, ErrDegenerate
-	}
-	return val, varEst, nil
+	q := [1][]float64{x}
+	var v, ve [1]float64
+	err = o.PredictVarBatch(xs, ys, q[:], v[:], ve[:])
+	return v[0], ve[0], err
 }
 
 // system returns the factored Eq. 9 saddle system for a support set,
@@ -324,7 +279,7 @@ func (o *Ordinary) Weights(xs [][]float64, ys []float64, x []float64) ([]float64
 	}
 	rhs[n] = 1
 	out := make([]float64, n+1)
-	if err := sys.solveInto(out, rhs, s); err != nil {
+	if err := sys.solveBatchInto(out, rhs, n+1, 1, s); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -2,7 +2,6 @@ package kriging
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/linalg"
@@ -45,9 +44,6 @@ type Simple struct {
 	// configuration fields must not be mutated after the first
 	// prediction.
 	CacheSize int
-	// SequentialBatch degrades PredictBatch to sequential Predict calls
-	// (ablation switch; results are bit-identical either way).
-	SequentialBatch bool
 
 	cacheOnce sync.Once
 	cache     *systemCache
@@ -63,59 +59,12 @@ func (s *Simple) dist() Distance {
 	return L1Distance
 }
 
-// Predict implements Interpolator.
+// Predict implements Interpolator as the K=1 case of PredictBatch.
 func (s *Simple) Predict(xs [][]float64, ys []float64, x []float64) (float64, error) {
-	n := len(xs)
-	if n == 0 {
-		return 0, ErrNoSupport
-	}
-	if len(ys) != n {
-		return 0, fmt.Errorf("kriging: %d coordinates but %d values", n, len(ys))
-	}
-	mean := s.Mean
-	if !s.KnownMean {
-		var sum float64
-		for _, y := range ys {
-			sum += y
-		}
-		mean = sum / float64(n)
-	}
-	if n == 1 {
-		return ys[0], nil
-	}
-	sys, err := s.system(xs, ys)
-	if err != nil {
-		return 0, err
-	}
-	if sys.sill == 0 {
-		// Flat field: every support value equals the mean.
-		return mean, nil
-	}
-	dist := s.dist()
-	sc := predictPool.Get().(*predictScratch)
-	defer predictPool.Put(sc)
-	rhs := growFloats(&sc.rhs, n)
-	for k := 0; k < n; k++ {
-		// Clamp: a query farther out than every support separation would
-		// otherwise produce a negative covariance under the truncated
-		// sill.
-		cv := sys.sill - sys.model.Gamma(dist(x, xs[k]))
-		if cv < 0 {
-			cv = 0
-		}
-		rhs[k] = cv
-	}
-	w := growFloats(&sc.w, n)
-	if err := sys.solveInto(w, rhs, sc); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrDegenerate, err)
-	}
-	// centeredDot is shared with PredictBatch so the batch path stays
-	// bit-identical to K sequential calls.
-	val := centeredDot(mean, w, ys)
-	if math.IsNaN(val) || math.IsInf(val, 0) {
-		return 0, ErrDegenerate
-	}
-	return val, nil
+	q := [1][]float64{x}
+	var v [1]float64
+	err := s.PredictBatch(xs, ys, q[:], v[:])
+	return v[0], err
 }
 
 // system returns the factored covariance system C = sill - Γ for a

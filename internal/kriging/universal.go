@@ -1,12 +1,6 @@
 package kriging
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/linalg"
-	"repro/internal/variogram"
-)
+import "repro/internal/variogram"
 
 // Universal implements universal kriging (kriging with a linear drift):
 // the field is modelled as a linear trend m(x) = β₀ + Σ β_j·x_j plus a
@@ -34,9 +28,6 @@ type Universal struct {
 	PowerBeta float64
 	// Nugget regularises the system diagonal.
 	Nugget float64
-	// SequentialBatch degrades PredictBatch to sequential Predict calls
-	// (ablation switch; results are bit-identical either way).
-	SequentialBatch bool
 }
 
 // Name implements Interpolator.
@@ -72,81 +63,10 @@ func driftDims(xs [][]float64, maxTerms int) []int {
 	return dims
 }
 
-// Predict implements Interpolator.
+// Predict implements Interpolator as the K=1 case of PredictBatch.
 func (u *Universal) Predict(xs [][]float64, ys []float64, x []float64) (float64, error) {
-	n := len(xs)
-	if n == 0 {
-		return 0, ErrNoSupport
-	}
-	if len(ys) != n {
-		return 0, fmt.Errorf("kriging: %d coordinates but %d values", n, len(ys))
-	}
-	if n == 1 {
-		return ys[0], nil
-	}
-	dist := u.dist()
-	model := u.Model
-	if model == nil {
-		var err error
-		if u.PowerBeta != 0 {
-			model, err = variogram.FitPower(variogram.CloudFromSamples(xs, ys, dist), u.PowerBeta, u.Nugget)
-		} else {
-			model, err = variogram.FitSamples(u.FitKind, xs, ys, dist, u.Nugget)
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-
-	// Each drift term consumes one degree of freedom; keep at least two
-	// supports' worth of residual information.
-	dims := driftDims(xs, n-2)
-	m := 1 + len(dims) // constant + identifiable linear terms
-	size := n + m
-	g := linalg.NewMatrix(size, size)
-	var scale float64
-	for j := 0; j < n; j++ {
-		for k := j + 1; k < n; k++ {
-			gv := model.Gamma(dist(xs[j], xs[k]))
-			g.Set(j, k, gv)
-			g.Set(k, j, gv)
-			if gv > scale {
-				scale = gv
-			}
-		}
-	}
-	jitter := 1e-12 * (scale + 1)
-	for j := 0; j < n; j++ {
-		g.Set(j, j, u.Nugget+jitter)
-		// Drift columns: f_0 = 1, f_i = x_dims[i-1].
-		g.Set(j, n, 1)
-		g.Set(n, j, 1)
-		for i, d := range dims {
-			g.Set(j, n+1+i, xs[j][d])
-			g.Set(n+1+i, j, xs[j][d])
-		}
-	}
-	rhs := make([]float64, size)
-	for k := 0; k < n; k++ {
-		rhs[k] = model.Gamma(dist(x, xs[k]))
-	}
-	rhs[n] = 1
-	for i, d := range dims {
-		rhs[n+1+i] = x[d]
-	}
-	w, err := linalg.Solve(g, rhs)
-	if err != nil {
-		// A degenerate drift system (e.g. supports on a line queried
-		// diagonally) falls back to ordinary kriging rather than
-		// failing the evaluation.
-		ord := &Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget}
-		return ord.Predict(xs, ys, x)
-	}
-	// linalg.Dot is the same kernel the blocked batch path uses, so
-	// PredictBatch stays bit-identical to K sequential calls.
-	val := linalg.Dot(w[:n], ys)
-	if math.IsNaN(val) || math.IsInf(val, 0) {
-		return 0, ErrDegenerate
-	}
-	return val, nil
+	q := [1][]float64{x}
+	var v [1]float64
+	err := u.PredictBatch(xs, ys, q[:], v[:])
+	return v[0], err
 }

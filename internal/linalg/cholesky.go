@@ -135,54 +135,6 @@ func (c *Cholesky) AppendRow(row []float64, diag float64) (*Cholesky, error) {
 	return &Cholesky{l: l, n: m}, nil
 }
 
-// DropRow removes row/column i from the factored matrix, returning the
-// factorisation of the (n-1)×(n-1) principal submatrix in O(n²): the
-// rows below i keep their leading columns, and the trailing block is
-// repaired by a Givens-style rank-1 update with the deleted column. The
-// receiver is not modified. Dropping from a positive definite matrix
-// always yields a positive definite submatrix, so — unlike AppendRow —
-// the update cannot fail for healthy inputs.
-func (c *Cholesky) DropRow(i int) (*Cholesky, error) {
-	n := c.n
-	if i < 0 || i >= n {
-		return nil, fmt.Errorf("%w: drop row %d of %d", ErrShape, i, n)
-	}
-	m := n - 1
-	l := NewMatrix(m, m)
-	for r := 0; r < i; r++ {
-		copy(l.Data[r*m:r*m+r+1], c.l.Data[r*n:r*n+r+1])
-	}
-	// Rows below the deleted one shift up; their column i entries form
-	// the update vector u with S·Sᵀ + u·uᵀ the trailing block of A'.
-	u := make([]float64, n-1-i)
-	for r := i + 1; r < n; r++ {
-		nr := r - 1
-		copy(l.Data[nr*m:nr*m+i], c.l.Data[r*n:r*n+i])
-		u[r-i-1] = c.l.Data[r*n+i]
-		for j := i + 1; j <= r; j++ {
-			l.Data[nr*m+j-1] = c.l.Data[r*n+j]
-		}
-	}
-	// Rank-1 update of the trailing block with u (the classical positive
-	// cholupdate sweep — unconditionally stable).
-	t := len(u)
-	for k := 0; k < t; k++ {
-		dk := l.Data[(i+k)*m+i+k]
-		r := math.Hypot(dk, u[k])
-		if r == 0 {
-			return nil, fmt.Errorf("%w: zero diagonal while restoring dropped row", ErrSingular)
-		}
-		cth, sth := r/dk, u[k]/dk
-		l.Data[(i+k)*m+i+k] = r
-		for j := k + 1; j < t; j++ {
-			v := (l.Data[(i+j)*m+i+k] + sth*u[j]) / cth
-			u[j] = cth*u[j] - sth*v
-			l.Data[(i+j)*m+i+k] = v
-		}
-	}
-	return &Cholesky{l: l, n: m}, nil
-}
-
 // L returns a copy of the lower-triangular factor.
 func (c *Cholesky) L() *Matrix { return c.l.Clone() }
 

@@ -19,13 +19,11 @@
 // # Incremental updates
 //
 // Sequential infill grows a kriging support one point per round, so both
-// factor types support growing (and, for Cholesky, shrinking) an
-// existing factorisation in O(n²) instead of refactorising in O(n³):
+// factor types support growing an existing factorisation in O(n²)
+// instead of refactorising in O(n³):
 //
 //   - [Cholesky.AppendRow] extends A = L·Lᵀ to the bordered matrix with
 //     one new symmetric row/column.
-//   - [Cholesky.DropRow] removes one row/column via Givens-style rank-1
-//     restoration.
 //   - [LU.Extend] extends P·A = L·U to the bordered matrix, freezing the
 //     pivot order of the existing rows and placing the new row last.
 //

@@ -87,83 +87,6 @@ func TestCholeskyAppendRowRejectsUnsafe(t *testing.T) {
 	}
 }
 
-// TestCholeskyDropRowMatchesFull removes each row in turn from random
-// factors and compares against factorising the reduced matrix directly
-// (the Cholesky factor of an SPD matrix is unique, so the factors — not
-// just the solves — must agree).
-func TestCholeskyDropRowMatchesFull(t *testing.T) {
-	r := rng.New(43)
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + r.Intn(12)
-		a := randomSPD(r, n)
-		c, err := FactorizeCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drop := r.Intn(n)
-		got, err := c.DropRow(drop)
-		if err != nil {
-			t.Fatalf("trial %d: DropRow(%d): %v", trial, drop, err)
-		}
-		red := NewMatrix(n-1, n-1)
-		for i := 0; i < n-1; i++ {
-			for j := 0; j < n-1; j++ {
-				si, sj := i, j
-				if si >= drop {
-					si++
-				}
-				if sj >= drop {
-					sj++
-				}
-				red.Set(i, j, a.At(si, sj))
-			}
-		}
-		want, err := FactorizeCholesky(red)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gl, wl := got.L(), want.L()
-		for i := 0; i < n-1; i++ {
-			for j := 0; j <= i; j++ {
-				if math.Abs(gl.At(i, j)-wl.At(i, j)) > 1e-9*(1+math.Abs(wl.At(i, j))) {
-					t.Fatalf("trial %d drop %d: L[%d][%d] = %v, want %v", trial, drop, i, j, gl.At(i, j), wl.At(i, j))
-				}
-			}
-		}
-	}
-	c, _ := FactorizeCholesky(randomSPD(rng.New(1), 3))
-	if _, err := c.DropRow(7); !errors.Is(err, ErrShape) {
-		t.Fatalf("out-of-range drop accepted: %v", err)
-	}
-}
-
-// TestCholeskyAppendDropRoundTrip appends a row then drops it again and
-// expects the original factor back.
-func TestCholeskyAppendDropRoundTrip(t *testing.T) {
-	r := rng.New(44)
-	_, lead, border, corner := borderSPD(r, 8)
-	base, err := FactorizeCholesky(lead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := base.AppendRow(border, corner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ext.DropRow(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, ol := back.L(), base.L()
-	for i := 0; i < 8; i++ {
-		for j := 0; j <= i; j++ {
-			if math.Abs(bl.At(i, j)-ol.At(i, j)) > 1e-10*(1+math.Abs(ol.At(i, j))) {
-				t.Fatalf("L[%d][%d] = %v, want %v", i, j, bl.At(i, j), ol.At(i, j))
-			}
-		}
-	}
-}
-
 // TestCholeskySolveInto pins the in-place solve against Solve, including
 // the documented dst==b aliasing mode.
 func TestCholeskySolveInto(t *testing.T) {
@@ -403,127 +326,6 @@ func BenchmarkIncrementalFactor(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestSlidingCholeskyChain drives a 200-step randomized drop/append
-// chain through the sliding window and demands the maintained factor
-// match a from-scratch factorisation of the current window matrix to
-// 1e-9 at every step. The chain is long enough that the
-// SlidingRefactorBound full refactorisations must trigger along the way.
-func TestSlidingCholeskyChain(t *testing.T) {
-	r := rng.New(90)
-	// A big SPD master matrix; every window is a principal submatrix
-	// (indices tracked in win), hence SPD itself.
-	const master = 260
-	m := randomSPD(r, master)
-	win := make([]int, 12)
-	next := 0
-	for i := range win {
-		win[i] = next
-		next++
-	}
-	sub := func() *Matrix {
-		n := len(win)
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, m.At(win[i], win[j]))
-			}
-		}
-		return a
-	}
-	sw, err := NewSlidingCholesky(sub())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, 0, 64)
-	xe := make([]float64, 0, 64)
-	xr := make([]float64, 0, 64)
-	for step := 0; step < 200; step++ {
-		n := len(win)
-		doAppend := n <= 6 || (n < 40 && r.Intn(2) == 0)
-		if doAppend {
-			if next >= master {
-				t.Fatalf("step %d: master matrix exhausted", step)
-			}
-			row := make([]float64, n)
-			for i := range row {
-				row[i] = m.At(next, win[i])
-			}
-			if err := sw.Append(row, m.At(next, next)); err != nil {
-				t.Fatalf("step %d: Append: %v", step, err)
-			}
-			win = append(win, next)
-			next++
-		} else {
-			i := r.Intn(n)
-			if err := sw.Drop(i); err != nil {
-				t.Fatalf("step %d: Drop(%d): %v", step, i, err)
-			}
-			win = append(win[:i], win[i+1:]...)
-		}
-		n = len(win)
-		if sw.Size() != n {
-			t.Fatalf("step %d: window size %d, want %d", step, sw.Size(), n)
-		}
-		ref, err := FactorizeCholesky(sub())
-		if err != nil {
-			t.Fatalf("step %d: reference factorisation: %v", step, err)
-		}
-		b = b[:0]
-		for i := 0; i < n; i++ {
-			b = append(b, r.NormScaled(0, 1))
-		}
-		xe = append(xe[:0], b...)
-		xr = append(xr[:0], b...)
-		if err := sw.Factor().SolveInto(xe, xe); err != nil {
-			t.Fatalf("step %d: sliding solve: %v", step, err)
-		}
-		if err := ref.SolveInto(xr, xr); err != nil {
-			t.Fatalf("step %d: reference solve: %v", step, err)
-		}
-		for i := range xr {
-			if math.Abs(xe[i]-xr[i]) > 1e-9*(1+math.Abs(xr[i])) {
-				t.Fatalf("step %d: x[%d] = %v (sliding) vs %v (reference)", step, i, xe[i], xr[i])
-			}
-		}
-	}
-	if sw.Refactors() == 0 {
-		t.Fatalf("200-step chain never hit the %d-append refactor bound", SlidingRefactorBound)
-	}
-}
-
-// TestSlidingCholeskyRefactorBound pins the chain-length policy exactly:
-// an uninterrupted append chain must refactorise from scratch on every
-// SlidingRefactorBound-th append and nowhere else.
-func TestSlidingCholeskyRefactorBound(t *testing.T) {
-	r := rng.New(91)
-	const total = 2*SlidingRefactorBound + 5
-	m := randomSPD(r, total+4)
-	win := 4
-	a := NewMatrix(win, win)
-	for i := 0; i < win; i++ {
-		for j := 0; j < win; j++ {
-			a.Set(i, j, m.At(i, j))
-		}
-	}
-	sw, err := NewSlidingCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < total; s++ {
-		n := win + s
-		row := make([]float64, n)
-		for i := range row {
-			row[i] = m.At(n, i)
-		}
-		if err := sw.Append(row, m.At(n, n)); err != nil {
-			t.Fatalf("append %d: %v", s, err)
-		}
-		if want := (s + 1) / SlidingRefactorBound; sw.Refactors() != want {
-			t.Fatalf("after %d appends: %d refactors, want %d", s+1, sw.Refactors(), want)
-		}
 	}
 }
 
