@@ -9,10 +9,8 @@
 // EVALD_STATE_DIR, EVALD_D, EVALD_NNMIN, EVALD_MAX_SUPPORT,
 // EVALD_API_KEYS, EVALD_DRAIN_GRACE, EVALD_REQUEST_TIMEOUT,
 // EVALD_SIM_WORKERS, EVALD_SIM_HEDGE, EVALD_SIM_WORKER_CAP,
-// EVALD_SIM_RETRY_BUDGET, EVALD_SIM_RETRY_BURST, EVALD_BREAKER,
-// EVALD_BREAKER_COOLDOWN, EVALD_BREAKER_THRESHOLD,
-// EVALD_DISABLE_SHED. With no
-// environment at all it serves the small FIR benchmark on :8080,
+// EVALD_SIM_RETRY_BUDGET, EVALD_SIM_RETRY_BURST, EVALD_DISABLE_SHED.
+// With no environment at all it serves the small FIR benchmark on :8080,
 // unauthenticated, simulating in-process; EVALD_SIM_WORKERS moves
 // simulation onto a pool of remote simd workers (see cmd/simd and
 // internal/simpool) while the evaluator — store, kriging, coalescing —
@@ -33,15 +31,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"log"
 	"log/slog"
 	"net"
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/breaker"
 	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/evaluator"
@@ -88,20 +83,6 @@ func main() {
 		sim = pool
 	} else if sim, err = sp.NewSimulator(cfg.Seed); err != nil {
 		log.Fatal(err)
-	}
-	if cfg.Breaker {
-		// ErrSimulation is the benchmark refusing a configuration — a
-		// per-input verdict, not worker sickness — so it must not count
-		// toward tripping the breaker.
-		sim = breaker.Wrap(sim, breaker.Options{
-			Cooldown:  cfg.BreakerCooldown,
-			Threshold: cfg.BreakerThreshold,
-			IsFailure: func(err error) bool {
-				return !errors.Is(err, simpool.ErrSimulation) &&
-					!errors.Is(err, context.Canceled) &&
-					!errors.Is(err, context.DeadlineExceeded)
-			},
-		})
 	}
 
 	evOpts := evaluator.Options{

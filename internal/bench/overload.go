@@ -249,41 +249,3 @@ func RenderOverload(rows []OverloadResult) string {
 	}
 	return b.String()
 }
-
-// KillableSim wraps a simulator with a kill switch, the chaos half of
-// the brownout scenario: while down, every evaluation fails immediately
-// with a transport-flavoured error, the way a dead worker fleet looks
-// to the evaluator. Kill and Revive are safe to call concurrently with
-// evaluations.
-type KillableSim struct {
-	Inner evaluator.Simulator
-	down  atomic.Bool
-}
-
-// Kill makes every subsequent evaluation fail.
-func (k *KillableSim) Kill() { k.down.Store(true) }
-
-// Revive restores the inner simulator.
-func (k *KillableSim) Revive() { k.down.Store(false) }
-
-// Nv returns the configuration dimensionality.
-func (k *KillableSim) Nv() int { return k.Inner.Nv() }
-
-// Evaluate is EvaluateContext without a deadline.
-func (k *KillableSim) Evaluate(cfg space.Config) (float64, error) {
-	return k.EvaluateContext(context.Background(), cfg)
-}
-
-// EvaluateContext fails fast while killed, else delegates.
-func (k *KillableSim) EvaluateContext(ctx context.Context, cfg space.Config) (float64, error) {
-	if k.down.Load() {
-		return 0, errors.New("bench: simulator down: connection refused")
-	}
-	if cs, ok := k.Inner.(evaluator.ContextSimulator); ok {
-		return cs.EvaluateContext(ctx, cfg)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return k.Inner.Evaluate(cfg)
-}

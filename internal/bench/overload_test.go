@@ -3,11 +3,14 @@ package bench
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/breaker"
 	"repro/internal/evaluator"
+	"repro/internal/simpool"
 	"repro/internal/space"
 )
 
@@ -87,25 +90,57 @@ func TestOverloadSweepGoodput(t *testing.T) {
 	}
 }
 
-// TestBrownoutOutage drives the full degradation ladder: a healthy
-// warmup builds kriging support, a simulator outage trips the circuit
-// breaker, a brownout-opted request gets a degraded surrogate answer
-// bit-identical to the normal interpolation pipeline over the same
-// store, a strict request fast-fails typed, and reviving the simulator
-// closes the breaker through a half-open probe.
+// killSwitch fronts a worker handler with an outage switch: while down,
+// every request fails with 503, /healthz included, so the pool sees a
+// dead worker and its readmission probes fail too.
+type killSwitch struct {
+	next http.Handler
+	down atomic.Bool
+}
+
+func (k *killSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if k.down.Load() {
+		http.Error(w, "worker down", http.StatusServiceUnavailable)
+		return
+	}
+	k.next.ServeHTTP(w, r)
+}
+
+// TestBrownoutOutage drives the full degradation ladder over a real
+// remote pool: a healthy warmup builds kriging support, a fleet outage
+// fails the first request with ErrNoWorkers and latches the pool down,
+// a strict request then fast-fails with the typed UnavailableError, a
+// brownout-opted request gets a degraded surrogate answer bit-identical
+// to the normal interpolation pipeline over the same store, and
+// reviving the fleet lets the same pool recover through a probe.
 func TestBrownoutOutage(t *testing.T) {
 	ctx := context.Background()
-	kill := &KillableSim{Inner: &SleepSimulator{NumVars: 3, Seed: 7}}
-	br := breaker.Wrap(kill, breaker.Options{
-		Window:     8,
-		MinSamples: 4,
-		Threshold:  0.5,
-		Cooldown:   50 * time.Millisecond,
+	var switches []*killSwitch
+	var specs []simpool.WorkerSpec
+	for i := 0; i < 2; i++ {
+		w := simpool.NewWorker(simpool.WorkerOptions{Sim: &SleepSimulator{NumVars: 3, Seed: 7}, Capacity: 2})
+		k := &killSwitch{next: w.Handler()}
+		srv := httptest.NewServer(k)
+		t.Cleanup(srv.Close)
+		switches = append(switches, k)
+		specs = append(specs, simpool.WorkerSpec{URL: srv.URL})
+	}
+	pool, err := simpool.NewPool(simpool.Options{
+		Workers:   specs,
+		Nv:        3,
+		RetryBase: time.Millisecond,
+		RetryMax:  5 * time.Millisecond,
+		ProbeBase: 5 * time.Millisecond,
+		ProbeMax:  50 * time.Millisecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
 	// NnMin 3 with two warm points means the query below FAILS the
 	// normal interpolation gate and must reach the simulation tier —
-	// where the open breaker forces the brownout decision.
-	ev, err := evaluator.New(br, evaluator.Options{D: 3, NnMin: 3, MaxSupport: 10})
+	// where the pool being down forces the brownout decision.
+	ev, err := evaluator.New(pool, evaluator.Options{D: 3, NnMin: 3, MaxSupport: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,19 +157,15 @@ func TestBrownoutOutage(t *testing.T) {
 		}
 	}
 
-	// Outage: kill the simulator and push failures through until the
-	// breaker trips (observed as the typed unavailable fast-fail).
-	kill.Kill()
-	tripped := false
-	for i := 0; i < 10 && !tripped; i++ {
-		_, err := engine.Evaluate(ctx, space.Config{10 + i, 10, 10})
-		if err == nil {
-			t.Fatal("evaluation succeeded against a killed simulator")
-		}
-		tripped = errors.Is(err, breaker.ErrSimUnavailable)
+	// Outage: the first request walks the retry ladder to ErrNoWorkers,
+	// which latches the pool down.
+	for _, k := range switches {
+		k.down.Store(true)
 	}
-	if !tripped {
-		t.Fatal("breaker never tripped under repeated simulator failures")
+	_, err = engine.Evaluate(ctx, space.Config{10, 10, 10})
+	var ue *simpool.UnavailableError
+	if !errors.Is(err, simpool.ErrNoWorkers) || errors.As(err, &ue) {
+		t.Fatalf("first request during outage: err = %v, want plain ErrNoWorkers", err)
 	}
 
 	query := space.Config{4, 5, 4} // two warm neighbours within D, below NnMin
@@ -142,8 +173,9 @@ func TestBrownoutOutage(t *testing.T) {
 	// A strict request fails fast and typed; no degraded value leaks to
 	// callers that did not opt in.
 	start := time.Now()
-	if _, err := engine.Evaluate(ctx, query); !errors.Is(err, breaker.ErrSimUnavailable) {
-		t.Fatalf("strict request during outage: err = %v, want ErrSimUnavailable", err)
+	_, err = engine.Evaluate(ctx, query)
+	if !errors.As(err, &ue) || !errors.Is(err, simpool.ErrNoWorkers) {
+		t.Fatalf("strict request during outage: err = %v, want UnavailableError", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("strict fast-fail took %v (not a fast fail)", elapsed)
@@ -187,19 +219,21 @@ func TestBrownoutOutage(t *testing.T) {
 			res.Lambda, want.Lambda)
 	}
 
-	// Observability: the outage and the brownout are both on the books.
-	stats := ev.Stats()
-	if stats.NDegraded != 1 {
-		t.Errorf("NDegraded = %d, want 1", stats.NDegraded)
+	// Observability: the brownout and the outage are both on the books.
+	if n := ev.Stats().NDegraded; n != 1 {
+		t.Errorf("NDegraded = %d, want 1", n)
 	}
-	if stats.NBreakerOpen < 1 || stats.NBreakerRejected < 1 || !stats.BreakerOpen {
-		t.Errorf("breaker stats = opens %d, rejected %d, open %v; want >=1, >=1, true",
-			stats.NBreakerOpen, stats.NBreakerRejected, stats.BreakerOpen)
+	for _, w := range pool.Stats().Workers {
+		if !w.Quarantined {
+			t.Errorf("worker %s not quarantined during the outage", w.URL)
+		}
 	}
 
-	// Recovery: revive the simulator, wait out the cooldown, and the
-	// half-open probe readmits real simulations.
-	kill.Revive()
+	// Recovery: revive the fleet; a readmission probe clears the latch
+	// and the same pool serves real simulations again.
+	for _, k := range switches {
+		k.down.Store(false)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	recovered := false
 	for time.Now().Before(deadline) {
@@ -211,9 +245,6 @@ func TestBrownoutOutage(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !recovered {
-		t.Fatal("service never recovered after simulator revival")
-	}
-	if ev.Stats().BreakerOpen {
-		t.Error("breaker still open after successful probe")
+		t.Fatal("pool never recovered after the fleet revived")
 	}
 }

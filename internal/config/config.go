@@ -28,7 +28,7 @@ type Tenant struct {
 	// admission pipeline.
 	Quota int
 	// AllowDegraded opts the tenant into brownout serving: under
-	// overload (shed) or simulator outage (breaker open) its requests
+	// overload (shed) or simulator outage (remote pool down) its requests
 	// get a surrogate-only kriging answer flagged degraded:true instead
 	// of a 503. Set by the 4th policy field of EVALD_API_KEYS.
 	AllowDegraded bool
@@ -110,17 +110,6 @@ type Config struct {
 	// (EVALD_SIM_RETRY_BURST, default 0 = 1); only read when
 	// SimRetryBudget is set.
 	SimRetryBurst int
-	// Breaker enables the circuit breaker around the simulator
-	// (EVALD_BREAKER=1, default off): a rolling error window trips it
-	// open so a dead simulation tier fails fast instead of burning
-	// deadlines, with half-open probes readmitting traffic on recovery.
-	Breaker bool
-	// BreakerCooldown is how long an open breaker waits before probing
-	// (EVALD_BREAKER_COOLDOWN, default 5s).
-	BreakerCooldown time.Duration
-	// BreakerThreshold is the failure fraction of the rolling window
-	// that trips the breaker (EVALD_BREAKER_THRESHOLD, default 0.5).
-	BreakerThreshold float64
 	// DisableShedding turns off deadline-aware load shedding
 	// (EVALD_DISABLE_SHED=1) — an ablation/debug switch: doomed
 	// requests then park on the admission queue and expire there.
@@ -207,17 +196,6 @@ func FromGetenv(getenv func(string) string) (Config, error) {
 	if cfg.SimRetryBurst, err = intVar(getenv, "EVALD_SIM_RETRY_BURST", cfg.SimRetryBurst); err != nil {
 		return cfg, err
 	}
-	if cfg.Breaker, err = boolVar(getenv, "EVALD_BREAKER"); err != nil {
-		return cfg, err
-	}
-	cfg.BreakerCooldown = 5 * time.Second
-	if cfg.BreakerCooldown, err = durVar(getenv, "EVALD_BREAKER_COOLDOWN", cfg.BreakerCooldown); err != nil {
-		return cfg, err
-	}
-	cfg.BreakerThreshold = 0.5
-	if cfg.BreakerThreshold, err = floatVar(getenv, "EVALD_BREAKER_THRESHOLD", cfg.BreakerThreshold); err != nil {
-		return cfg, err
-	}
 	if cfg.DisableShedding, err = boolVar(getenv, "EVALD_DISABLE_SHED"); err != nil {
 		return cfg, err
 	}
@@ -235,9 +213,6 @@ func FromGetenv(getenv func(string) string) (Config, error) {
 	}
 	if cfg.SimRetryBurst < 0 {
 		return cfg, fmt.Errorf("config: EVALD_SIM_RETRY_BURST %d is negative", cfg.SimRetryBurst)
-	}
-	if cfg.BreakerThreshold <= 0 || cfg.BreakerThreshold > 1 {
-		return cfg, fmt.Errorf("config: EVALD_BREAKER_THRESHOLD %g (want in (0, 1])", cfg.BreakerThreshold)
 	}
 	return cfg, nil
 }

@@ -116,36 +116,27 @@ func TestParseTenantsEmpty(t *testing.T) {
 }
 
 // TestOverloadConfig pins the resilience knobs: the new env vars parse
-// into their fields and the defaults stay safe (breaker off, shedding
-// on, budget unlimited).
+// into their fields and the defaults stay safe (shedding on, budget
+// unlimited).
 func TestOverloadConfig(t *testing.T) {
 	cfg, err := FromGetenv(env(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Breaker || cfg.DisableShedding || cfg.SimRetryBudget != 0 || cfg.SimRetryBurst != 0 {
+	if cfg.DisableShedding || cfg.SimRetryBudget != 0 || cfg.SimRetryBurst != 0 {
 		t.Errorf("unexpected resilience defaults: %+v", cfg)
-	}
-	if cfg.BreakerCooldown != 5*time.Second || cfg.BreakerThreshold != 0.5 {
-		t.Errorf("unexpected breaker defaults: %+v", cfg)
 	}
 
 	cfg, err = FromGetenv(env(map[string]string{
-		"EVALD_SIM_RETRY_BUDGET":  "2.5",
-		"EVALD_SIM_RETRY_BURST":   "4",
-		"EVALD_BREAKER":           "1",
-		"EVALD_BREAKER_COOLDOWN":  "10s",
-		"EVALD_BREAKER_THRESHOLD": "0.25",
-		"EVALD_DISABLE_SHED":      "1",
+		"EVALD_SIM_RETRY_BUDGET": "2.5",
+		"EVALD_SIM_RETRY_BURST":  "4",
+		"EVALD_DISABLE_SHED":     "1",
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.SimRetryBudget != 2.5 || cfg.SimRetryBurst != 4 {
 		t.Errorf("retry budget: %+v", cfg)
-	}
-	if !cfg.Breaker || cfg.BreakerCooldown != 10*time.Second || cfg.BreakerThreshold != 0.25 {
-		t.Errorf("breaker knobs: %+v", cfg)
 	}
 	if !cfg.DisableShedding {
 		t.Errorf("DisableShedding not set: %+v", cfg)
@@ -162,10 +153,6 @@ func TestOverloadConfigRejects(t *testing.T) {
 		{"negative budget", map[string]string{"EVALD_SIM_RETRY_BUDGET": "-1"}, "EVALD_SIM_RETRY_BUDGET"},
 		{"bad budget", map[string]string{"EVALD_SIM_RETRY_BUDGET": "lots"}, "EVALD_SIM_RETRY_BUDGET"},
 		{"negative burst", map[string]string{"EVALD_SIM_RETRY_BURST": "-2"}, "EVALD_SIM_RETRY_BURST"},
-		{"bad breaker bool", map[string]string{"EVALD_BREAKER": "sure"}, "EVALD_BREAKER"},
-		{"bad cooldown", map[string]string{"EVALD_BREAKER_COOLDOWN": "5 parsecs"}, "EVALD_BREAKER_COOLDOWN"},
-		{"threshold zero", map[string]string{"EVALD_BREAKER_THRESHOLD": "0"}, "EVALD_BREAKER_THRESHOLD"},
-		{"threshold high", map[string]string{"EVALD_BREAKER_THRESHOLD": "1.5"}, "EVALD_BREAKER_THRESHOLD"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

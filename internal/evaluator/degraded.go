@@ -1,48 +1,21 @@
 package evaluator
 
-import (
-	"errors"
-	"time"
-
-	"repro/internal/space"
-)
+import "repro/internal/space"
 
 // RequestOptions carries per-request evaluation policy through the
 // Engine's session API. The zero value is the strict default: no
 // degraded answers, exactly the semantics of Engine.Evaluate.
 type RequestOptions struct {
 	// AllowDegraded opts this request into brownout serving: when the
-	// simulation tier is refusing work (the admission shedder returned
-	// ErrOverloaded, or a circuit breaker in front of the simulator is
-	// open), the engine may answer with a surrogate-only kriging
+	// simulation tier is refusing work (any error RetryAfter reports:
+	// the admission shedder's ErrOverloaded, or a remote pool latched
+	// down), the engine may answer with a surrogate-only kriging
 	// prediction from the current store instead of the error. Such an
 	// answer is flagged Result.Degraded, charges no simulation, and is
 	// NEVER inserted into the store — it is a service-quality fallback,
 	// not simulator truth. Requests that feed commit decisions (the
 	// optimisers, the batch path) must leave this false.
 	AllowDegraded bool
-}
-
-// unavailableError is the structural shape of a circuit-breaker
-// rejection (internal/breaker's open-state error implements it).
-// Sniffing the method keeps the evaluator free of a breaker import, the
-// same decoupling trick as remoteCounter.
-type unavailableError interface {
-	error
-	// SimUnavailable returns the suggested wait until the breaker will
-	// probe again.
-	SimUnavailable() time.Duration
-}
-
-// brownoutEligible reports whether err is the kind of failure degraded
-// serving may paper over: capacity refusals (shed, breaker open), not
-// simulator or store failures — a wrong answer must never hide a bug.
-func brownoutEligible(err error) bool {
-	if errors.Is(err, ErrOverloaded) {
-		return true
-	}
-	var ue unavailableError
-	return errors.As(err, &ue)
 }
 
 // degradedAnswer serves the brownout fallback for one query: a kriging

@@ -228,7 +228,7 @@ type Result struct {
 	// and flight owners.
 	Coalesced bool
 	// Degraded marks a brownout answer: the simulation tier refused the
-	// request (admission shed or circuit breaker open) and the caller
+	// request (admission shed or remote pool down) and the caller
 	// had opted in (RequestOptions.AllowDegraded), so this value is a
 	// surrogate-only kriging prediction served with the NnMin and
 	// variance gates waived. It was not inserted into the store and
@@ -333,39 +333,10 @@ func (e *Evaluator) Preload(entries []store.Entry) int {
 	return e.store.AddBatch(entries)
 }
 
-// remoteCounter is the structural interface a remote simulator pool
-// exposes (internal/simpool.Pool satisfies it); sniffing it here keeps
-// the evaluator free of any import of the pool layer.
-type remoteCounter interface {
-	RemoteSimCounts() (nremote, nhedged, nretried, nrequeued uint64)
-}
-
-// breakerCounter is the structural interface a circuit breaker exposes
-// (internal/breaker.Breaker satisfies it); like remoteCounter it is
-// sniffed rather than imported.
-type breakerCounter interface {
-	BreakerCounts() (opens, rejected uint64)
-	BreakerOpen() bool
-}
-
 // Stats returns a snapshot of the activity counters. While evaluations
 // are in flight on other goroutines the snapshot is approximate; it is
-// exact once they have returned. When the simulator is a remote worker
-// pool, the snapshot carries its scheduler counters too; when it sits
-// behind a circuit breaker, the breaker's trip counters and open gauge.
-func (e *Evaluator) Stats() Stats {
-	st := e.stats.snapshot()
-	if rc, ok := e.sim.(remoteCounter); ok {
-		nr, nh, nt, nq := rc.RemoteSimCounts()
-		st.NRemoteSims, st.NHedged, st.NRetried, st.NRequeued = int(nr), int(nh), int(nt), int(nq)
-	}
-	if bc, ok := e.sim.(breakerCounter); ok {
-		opens, rejected := bc.BreakerCounts()
-		st.NBreakerOpen, st.NBreakerRejected = int(opens), int(rejected)
-		st.BreakerOpen = bc.BreakerOpen()
-	}
-	return st
-}
+// exact once they have returned.
+func (e *Evaluator) Stats() Stats { return e.stats.snapshot() }
 
 // InFlight returns the number of simulations currently registered in the
 // single-flight table — a point-in-time gauge of distinct configurations
@@ -426,7 +397,9 @@ func (e *Evaluator) evaluateLive(ctx context.Context, cfg space.Config, eng *Eng
 	}
 	lam, coalesced, err := e.simulateShared(ctx, cfg, &e.stats, eng, true)
 	if err != nil {
-		if ro.AllowDegraded && brownoutEligible(err) {
+		// Degraded serving may paper over a capacity refusal, never a
+		// simulator or store failure: a wrong answer must not hide a bug.
+		if _, refused := RetryAfter(err); refused && ro.AllowDegraded {
 			if res, ok := e.degradedAnswer(cfg); ok {
 				return res, nil
 			}
@@ -446,7 +419,7 @@ func (e *Evaluator) rawSimulate(ctx context.Context, cfg space.Config, stats *co
 	stats.simTime.Add(int64(elapsed))
 	if err == nil {
 		// Only completed simulations feed the shedder's latency
-		// estimate: failures (breaker rejections, dead workers) return
+		// estimate: failures (pool-down refusals, dead workers) return
 		// in microseconds and would talk the EWMA down exactly when
 		// capacity is scarcest.
 		e.observeSimLatency(elapsed)

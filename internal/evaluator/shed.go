@@ -35,6 +35,19 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 // the Retry-After header of the 503 response.
 func (e *OverloadError) RetryAfterHint() time.Duration { return e.EstimatedWait }
 
+// RetryAfter reports whether err is a capacity refusal — the shedder's
+// *OverloadError, or a remote pool's *UnavailableError while its fleet
+// is down — and the client backoff it suggests. The marker is the
+// RetryAfterHint method, so the evaluator needs no import of the pool.
+// Refusals may be served degraded and map to 503 + Retry-After.
+func RetryAfter(err error) (time.Duration, bool) {
+	var ra interface{ RetryAfterHint() time.Duration }
+	if errors.As(err, &ra) {
+		return ra.RetryAfterHint(), true
+	}
+	return 0, false
+}
+
 // ewmaShift is the EWMA smoothing of the simulation-latency estimate:
 // est += (sample - est) / 2^ewmaShift — the TCP RTT estimator's gain of
 // 1/8, heavy enough to ride out one outlier, light enough to track a

@@ -3,6 +3,7 @@ package evaluator
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,14 +207,14 @@ func TestSimLatencyEWMA(t *testing.T) {
 	}
 }
 
-// unavailableSim always fails with a breaker-open-shaped error, so
-// brownout eligibility can be tested without the breaker package.
+// unavailableSim always fails with an error shaped like a pool that is
+// latched down (it carries RetryAfterHint), so brownout eligibility can
+// be tested without the pool.
 type unavailableSim struct{ nv int }
 
 type testUnavailableErr struct{}
 
 func (testUnavailableErr) Error() string                 { return "test: sim unavailable" }
-func (testUnavailableErr) SimUnavailable() time.Duration { return time.Second }
 func (testUnavailableErr) RetryAfterHint() time.Duration { return time.Second }
 func (s *unavailableSim) Nv() int                        { return s.nv }
 func (s *unavailableSim) Evaluate(space.Config) (float64, error) {
@@ -307,5 +308,28 @@ func waitUntil(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRetryAfter pins the one capacity-refusal marker: a wrapped error
+// carrying RetryAfterHint is a refusal with that hint, anything else is
+// not.
+func TestRetryAfter(t *testing.T) {
+	cases := []struct {
+		err  error
+		want time.Duration
+		ok   bool
+	}{
+		{fmt.Errorf("shed: %w", &OverloadError{EstimatedWait: 3 * time.Second}), 3 * time.Second, true},
+		{fmt.Errorf("sim: %w", testUnavailableErr{}), time.Second, true},
+		{ErrOverloaded, 0, false},
+		{errors.New("simulator crashed"), 0, false},
+		{nil, 0, false},
+	}
+	for _, c := range cases {
+		got, ok := RetryAfter(c.err)
+		if got != c.want || ok != c.ok {
+			t.Errorf("RetryAfter(%v) = %v, %v; want %v, %v", c.err, got, ok, c.want, c.ok)
+		}
 	}
 }

@@ -31,19 +31,6 @@ type Stats struct {
 	// quantity the Eq. 2 model needs — rather than the wall-clock of the
 	// parallel region.
 	SimTime, InterpTime time.Duration
-	// Remote scheduler counters, filled when the simulator is a remote
-	// worker pool (anything exposing RemoteSimCounts — see
-	// internal/simpool); all zero for in-process simulation.
-	// NRemoteSims counts successful remote simulations INCLUDING hedge
-	// duplicates, so NRemoteSims - NSim is the duplicate work bought as
-	// straggler insurance; NHedged counts duplicate dispatches (hedges +
-	// idle-worker steals), NRetried re-dispatches after retryable worker
-	// failures, and NRequeued in-flight configurations recovered from a
-	// dead worker onto a survivor.
-	NRemoteSims int
-	NHedged     int
-	NRetried    int
-	NRequeued   int
 	// Overload-resilience counters. NShed counts requests rejected by
 	// the engine's deadline-aware admission shedder (typed ErrOverloaded
 	// instead of parking on a full semaphore); NQueueExpired counts
@@ -56,14 +43,6 @@ type Stats struct {
 	NShed         int
 	NQueueExpired int
 	NDegraded     int
-	// Circuit-breaker counters, filled when the simulator is wrapped in
-	// internal/breaker (sniffed structurally, like the pool counters):
-	// NBreakerOpen counts closed→open trips, NBreakerRejected the
-	// requests fast-failed while open, and BreakerOpen is the live
-	// open-state gauge.
-	NBreakerOpen     int
-	NBreakerRejected int
-	BreakerOpen      bool
 }
 
 // Total returns the number of evaluated configurations.

@@ -23,7 +23,7 @@ type evaluateRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// AllowDegraded opts this single request into brownout serving:
 	// when the simulation tier is refusing work (admission shed or
-	// circuit breaker open) the answer may be a surrogate-only kriging
+	// remote pool down) the answer may be a surrogate-only kriging
 	// prediction flagged "degraded":true instead of a 503. Tenants can
 	// also opt in table-wide (the tenant policy field of
 	// EVALD_API_KEYS); either switch suffices.
@@ -77,8 +77,8 @@ type statsResponse struct {
 	ActiveSims          int     `json:"active_sims"`
 	MaxSims             int     `json:"max_sims"`
 	Draining            bool    `json:"draining"`
-	// Remote simulator pool counters and per-worker gauges; present only
-	// when the evaluator runs on a simpool.Pool. NRemoteSims counts
+	// Remote simulator pool counters and per-worker gauges, read from
+	// Options.Pool; absent without one. NRemoteSims counts
 	// successful remote simulations including hedge duplicates, so
 	// nremote_sims - nsim is the duplicate work bought as straggler
 	// insurance.
@@ -97,12 +97,6 @@ type statsResponse struct {
 	NQueueExpired int `json:"nqueue_expired"`
 	NDegraded     int `json:"ndegraded"`
 	QueuedSims    int `json:"queued_sims"`
-	// Circuit-breaker counters, present when the simulator is wrapped
-	// in a breaker: trips, open-state fast-fails, and the live open
-	// gauge.
-	NBreakerOpen     int  `json:"nbreaker_open,omitempty"`
-	NBreakerRejected int  `json:"nbreaker_rejected,omitempty"`
-	BreakerOpen      bool `json:"breaker_open,omitempty"`
 }
 
 // workerGauge is one remote worker's live row in /v1/stats.
@@ -181,43 +175,25 @@ func (s *Server) checkConfig(c space.Config) error {
 
 // errStatus maps an evaluation error onto its HTTP status.
 func errStatus(err error) (int, string) {
+	_, refused := evaluator.RetryAfter(err)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "evaluation deadline exceeded"
 	case errors.Is(err, context.Canceled):
 		// The client went away; the status is for the log only.
 		return 499, "request cancelled"
-	case errors.Is(err, evaluator.ErrOverloaded), isSimUnavailable(err):
+	case refused:
 		// Capacity refusal, not failure: the admission shedder predicted
-		// the request could not meet its deadline, or the circuit
-		// breaker is holding traffic off a down simulator fleet. Either
-		// way the client should retry after the hinted wait, so these
-		// are 503 + Retry-After, never 502.
+		// the request could not meet its deadline, or the remote pool is
+		// down until its next readmission probe. Either way the client
+		// should retry after the hinted wait, so these are 503 +
+		// Retry-After, never 502.
 		return http.StatusServiceUnavailable, err.Error()
 	default:
 		// The simulator (the upstream the service fronts) failed, or the
 		// durable store went fail-stop.
 		return http.StatusBadGateway, err.Error()
 	}
-}
-
-// isSimUnavailable detects a circuit-breaker open rejection by its
-// structural marker (internal/breaker's OpenError), keeping this
-// package decoupled from the concrete breaker type.
-func isSimUnavailable(err error) bool {
-	var ue interface{ SimUnavailable() time.Duration }
-	return errors.As(err, &ue)
-}
-
-// retryAfterHint extracts the suggested client backoff a capacity
-// refusal carries (the shedder's queue-wait estimate, or the breaker's
-// remaining cooldown); zero when the error carries none.
-func retryAfterHint(err error) time.Duration {
-	var ra interface{ RetryAfterHint() time.Duration }
-	if errors.As(err, &ra) {
-		return ra.RetryAfterHint()
-	}
-	return 0
 }
 
 // retryAfterSeconds renders a wait as a Retry-After header value:
@@ -236,7 +212,8 @@ func retryAfterSeconds(d time.Duration) string {
 func writeEvalError(w http.ResponseWriter, err error) {
 	status, msg := errStatus(err)
 	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", retryAfterSeconds(retryAfterHint(err)))
+		wait, _ := evaluator.RetryAfter(err)
+		w.Header().Set("Retry-After", retryAfterSeconds(wait))
 	}
 	writeError(w, status, msg)
 }
@@ -314,8 +291,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// The batch path never serves degraded values: batches feed commit
 	// decisions (optimiser rounds), which must only see store-backed
-	// truth. Under an open breaker a batch therefore fails typed rather
-	// than degrading.
+	// truth. Against a pool that is down a batch therefore fails typed
+	// rather than degrading.
 	results, err := s.ev.EvaluateAllContext(ctx, cfgs, s.workers)
 	if err != nil {
 		writeEvalError(w, err)
@@ -352,20 +329,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ActiveSims:          s.engine.ActiveSims(),
 		MaxSims:             s.engine.MaxSims(),
 		Draining:            s.draining.Load(),
-		NRemoteSims:         st.NRemoteSims,
-		NHedged:             st.NHedged,
-		NRetried:            st.NRetried,
-		NRequeued:           st.NRequeued,
 		NShed:               st.NShed,
 		NQueueExpired:       st.NQueueExpired,
 		NDegraded:           st.NDegraded,
 		QueuedSims:          s.engine.QueuedSims(),
-		NBreakerOpen:        st.NBreakerOpen,
-		NBreakerRejected:    st.NBreakerRejected,
-		BreakerOpen:         st.BreakerOpen,
 	}
 	if s.pool != nil {
 		ps := s.pool.Stats()
+		resp.NRemoteSims, resp.NHedged = int(ps.NRemoteSims), int(ps.NHedged)
+		resp.NRetried, resp.NRequeued = int(ps.NRetried), int(ps.NRequeued)
 		resp.SimWorkers = make([]workerGauge, len(ps.Workers))
 		for i, w := range ps.Workers {
 			resp.SimWorkers[i] = workerGauge{

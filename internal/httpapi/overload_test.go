@@ -3,7 +3,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/breaker"
 	"repro/internal/evaluator"
+	"repro/internal/simpool"
 	"repro/internal/space"
 )
 
@@ -100,13 +100,6 @@ func retryAfterValue(t *testing.T, h http.Header) int {
 	return n
 }
 
-// unavailableErr mimics a circuit-breaker open rejection structurally.
-type unavailableErr struct{}
-
-func (unavailableErr) Error() string                 { return "sim tier down" }
-func (unavailableErr) SimUnavailable() time.Duration { return 3 * time.Second }
-func (unavailableErr) RetryAfterHint() time.Duration { return 3 * time.Second }
-
 // TestOverloadShedsTo503WithRetryAfter drives the full shed path over
 // HTTP: one admission slot held by a blocked simulation, a warm latency
 // estimate, and a 1ms-deadline request — which must come back as an
@@ -183,7 +176,7 @@ func TestDegradedServingPolicy(t *testing.T) {
 	sim := evaluator.SimulatorFunc{
 		NumVars: 2,
 		Fn: func(space.Config) (float64, error) {
-			return 0, unavailableErr{}
+			return 0, &simpool.UnavailableError{RetryAfter: 3 * time.Second}
 		},
 	}
 	ev, err := evaluator.New(sim, evaluator.Options{D: 2, NnMin: 3, MaxSupport: 8})
@@ -238,71 +231,113 @@ func TestDegradedServingPolicy(t *testing.T) {
 	}
 }
 
-// TestBreakerStatsAndRecoverySurface wires a real breaker under the
-// service: the outage trips it, the open state surfaces as a fast 503
-// with Retry-After plus breaker gauges on /v1/stats, and after the
-// backend heals and the cooldown passes the service answers 200 again.
-func TestBreakerStatsAndRecoverySurface(t *testing.T) {
+// TestPoolDownStatsAndRecoverySurface walks a fleet outage over HTTP:
+// the first request after the kill gets a 502 naming the typed cause,
+// the next a fast 503 with Retry-After while /v1/stats shows every
+// worker quarantined, and once the fleet revives the same pool answers
+// 200 again through a readmission probe.
+func TestPoolDownStatsAndRecoverySurface(t *testing.T) {
 	var down atomic.Bool
-	down.Store(true)
-	boom := errors.New("backend boom")
-	sim := evaluator.SimulatorFunc{
-		NumVars: 1,
-		Fn: func(cfg space.Config) (float64, error) {
+	var specs []simpool.WorkerSpec
+	for i := 0; i < 2; i++ {
+		inner := simpool.NewWorker(simpool.WorkerOptions{Sim: (&gatedSim{}).sim()}).Handler()
+		ws := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if down.Load() {
-				return 0, boom
+				http.Error(w, "worker down", http.StatusServiceUnavailable)
+				return
 			}
-			return -float64(cfg[0]), nil
-		},
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ws.Close)
+		specs = append(specs, simpool.WorkerSpec{URL: ws.URL})
 	}
-	br := breaker.Wrap(sim, breaker.Options{
-		Window: 8, MinSamples: 2, Threshold: 0.5, Cooldown: 30 * time.Millisecond,
+	pool, err := simpool.NewPool(simpool.Options{
+		Workers:   specs,
+		Nv:        2,
+		RetryBase: time.Millisecond,
+		RetryMax:  5 * time.Millisecond,
+		ProbeBase: 5 * time.Millisecond,
+		ProbeMax:  50 * time.Millisecond,
 	})
-	ev, err := evaluator.New(br, evaluator.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := overloadServer(t, ev, Options{})
+	t.Cleanup(pool.Close)
+	_, ts := newTestServer(t, Options{Pool: pool}, pool)
 
-	for i := 0; i < 10 && !br.BreakerOpen(); i++ {
-		status, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate",
-			`{"config":[`+strconv.Itoa(i)+`]}`, nil)
-		if status == http.StatusOK {
-			t.Fatalf("outage request %d answered 200", i)
-		}
+	if status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", `{"config":[3,4]}`, nil); status != http.StatusOK {
+		t.Fatalf("healthy fleet status = %d (%v), want 200", status, body)
 	}
-	if !br.BreakerOpen() {
-		t.Fatal("breaker never opened under the outage")
+
+	down.Store(true)
+	status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", `{"config":[5,6]}`, nil)
+	if status != http.StatusBadGateway {
+		t.Fatalf("first outage status = %d (%v), want 502", status, body)
 	}
-	status, hdr, body := doHdr(t, http.MethodPost, ts.URL+"/v1/evaluate", `{"config":[9]}`, nil)
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "no live workers") {
+		t.Fatalf("first outage error %q does not name the typed cause", msg)
+	}
+	status, hdr, body := doHdr(t, http.MethodPost, ts.URL+"/v1/evaluate", `{"config":[7,8]}`, nil)
 	if status != http.StatusServiceUnavailable {
-		t.Fatalf("open-breaker status = %d (%v), want 503", status, body)
+		t.Fatalf("pool-down status = %d (%v), want 503", status, body)
 	}
 	retryAfterValue(t, hdr)
 
 	_, stats := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", "", nil)
-	if stats["breaker_open"] != true {
-		t.Errorf("stats breaker_open = %v, want true", stats["breaker_open"])
+	rows, _ := stats["sim_workers"].([]any)
+	if len(rows) != len(specs) {
+		t.Fatalf("sim_workers = %v, want %d rows", stats["sim_workers"], len(specs))
 	}
-	if got, _ := stats["nbreaker_open"].(float64); got < 1 {
-		t.Errorf("stats nbreaker_open = %v, want >= 1", stats["nbreaker_open"])
-	}
-	if got, _ := stats["nbreaker_rejected"].(float64); got < 1 {
-		t.Errorf("stats nbreaker_rejected = %v, want >= 1", stats["nbreaker_rejected"])
+	for _, r := range rows {
+		if row, _ := r.(map[string]any); row["quarantined"] != true {
+			t.Errorf("worker row %v not quarantined during the outage", row)
+		}
 	}
 
 	down.Store(false)
 	deadline := time.Now().Add(5 * time.Second)
 	recovered := false
 	for time.Now().Before(deadline) && !recovered {
-		status, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", `{"config":[7]}`, nil)
+		status, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", `{"config":[9,9]}`, nil)
 		recovered = status == http.StatusOK
 		if !recovered {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	if !recovered {
-		t.Fatal("service never recovered to 200 after the backend healed")
+		t.Fatal("service never recovered to 200 after the fleet revived")
+	}
+}
+
+// TestErrStatusTable pins the evaluation-error mapping, each error
+// wrapped the way the evaluator wraps a simulator failure: capacity
+// refusals are 503 with Retry-After, upstream failures 502, deadlines
+// 504.
+func TestErrStatusTable(t *testing.T) {
+	wrap := func(err error) error { return fmt.Errorf("evaluator: simulation of [1 2] failed: %w", err) }
+	cases := []struct {
+		name       string
+		err        error
+		status     int
+		retryAfter string
+	}{
+		{"overload", wrap(&evaluator.OverloadError{EstimatedWait: 1500 * time.Millisecond}), http.StatusServiceUnavailable, "2"},
+		{"pool down", wrap(&simpool.UnavailableError{RetryAfter: 40 * time.Millisecond}), http.StatusServiceUnavailable, "1"},
+		{"no workers", wrap(simpool.ErrNoWorkers), http.StatusBadGateway, ""},
+		{"simulation", wrap(simpool.ErrSimulation), http.StatusBadGateway, ""},
+		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			writeEvalError(rec, c.err)
+			if rec.Code != c.status {
+				t.Errorf("status = %d, want %d", rec.Code, c.status)
+			}
+			if got := rec.Header().Get("Retry-After"); got != c.retryAfter {
+				t.Errorf("Retry-After = %q, want %q", got, c.retryAfter)
+			}
+		})
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 )
 
 // API-level coverage of the remote simulator pool: a dead pool must
-// surface as a fast, typed 502 — never a hang — and a live pool's
-// scheduler counters and per-worker gauges must show up on /v1/stats.
+// surface as a typed 502 and then a fast 503 — never a hang — and a
+// live pool's scheduler counters and per-worker gauges must show up on
+// /v1/stats.
 
 // newPoolServer stands up a simd-style worker over the usual gatedSim,
 // a pool in front of it, and the API server wired for pool gauges.
@@ -60,6 +61,14 @@ func TestDeadPoolFailsFast(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("dead pool took %v to fail; must be a fast failure, not a hang", elapsed)
 	}
+
+	// The exhausted ladder latched the pool down: the next request is a
+	// fast 503 with a Retry-After, not another walk of the ladder.
+	status, hdr, body := doHdr(t, "POST", ts.URL+"/v1/evaluate", `{"config":[5,6]}`, nil)
+	if status != 503 {
+		t.Fatalf("latched pool status = %d (%v), want 503", status, body)
+	}
+	retryAfterValue(t, hdr)
 }
 
 func TestStatsReportsPool(t *testing.T) {

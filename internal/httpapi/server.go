@@ -71,8 +71,8 @@ type Options struct {
 	// slog.Default().
 	Logger *slog.Logger
 	// Pool, when non-nil, is the remote simulator pool the evaluator
-	// runs on; /v1/stats then carries its per-worker gauges and the
-	// request log lines its activity deltas. Purely observational — the
+	// runs on; /v1/stats then carries its counters and per-worker
+	// gauges, and the request log lines its activity deltas. Purely observational — the
 	// evaluator owns the pool's use and lifecycle.
 	Pool *simpool.Pool
 }

@@ -23,6 +23,24 @@
 //     quarantined, its in-flight configurations are requeued onto the
 //     survivors, and a background probe admits it back with backoff.
 //
+// Failure has one model, in four steps:
+//
+//  1. Quarantine: a worker that fails transport, answers 5xx or tears a
+//     response is taken out of rotation, and its in-flight configs are
+//     requeued onto the survivors.
+//  2. Ladder: a config with no healthy worker left backs off with
+//     jittered exponential delays, counting each round against
+//     MaxAttempts; when the attempts run out it fails with ErrNoWorkers.
+//  3. Latch: a config that exhausts its attempts while every worker is
+//     quarantined and at least one is still probed latches the pool
+//     down. Later configs that find no healthy worker fail at once with
+//     *UnavailableError, whose RetryAfterHint is the time until the
+//     next probe. A fleet pinned out by auth failures never latches: a
+//     wrong key is a configuration error that waiting cannot fix.
+//  4. Probe: a background /healthz probe, with its own backoff,
+//     readmits a recovered worker and clears the latch, so the same
+//     Pool recovers without a restart.
+//
 // Hedging and stealing are safe because simulation is deterministic per
 // configuration: the first response wins, duplicates merely burn spare
 // worker capacity (they are counted separately in Stats), and the

@@ -164,20 +164,17 @@ func TestTwinRunEquivalence(t *testing.T) {
 	}
 
 	// Accounting: NSim identical; hedged duplicates live only in the
-	// pool-side counters, and every remote counter stays zero on the
-	// in-process twin.
+	// pool's own counters.
 	if gotStats.NSim != wantStats.NSim || gotStats.NInterp != wantStats.NInterp {
 		t.Fatalf("remote stats (sim=%d interp=%d) != local (sim=%d interp=%d)",
 			gotStats.NSim, gotStats.NInterp, wantStats.NSim, wantStats.NInterp)
 	}
-	if wantStats.NRemoteSims != 0 || wantStats.NHedged != 0 {
-		t.Fatalf("in-process twin reports remote work: %+v", wantStats)
+	ps := pool.Stats()
+	if int(ps.NRemoteSims) < gotStats.NSim {
+		t.Fatalf("NRemoteSims = %d < NSim = %d: remote successes unaccounted", ps.NRemoteSims, gotStats.NSim)
 	}
-	if gotStats.NRemoteSims < gotStats.NSim {
-		t.Fatalf("NRemoteSims = %d < NSim = %d: remote successes unaccounted", gotStats.NRemoteSims, gotStats.NSim)
-	}
-	if extra := gotStats.NRemoteSims - gotStats.NSim; extra > 0 {
+	if extra := int(ps.NRemoteSims) - gotStats.NSim; extra > 0 {
 		t.Logf("hedge insurance: %d duplicate remote sims (NHedged=%d) beyond %d engine sims",
-			extra, gotStats.NHedged, gotStats.NSim)
+			extra, ps.NHedged, gotStats.NSim)
 	}
 }

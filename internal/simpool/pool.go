@@ -223,6 +223,12 @@ type Pool struct {
 	pending  []*task
 	inflight map[*task]struct{}
 	closed   bool
+	// down latches a dead fleet: a task ran out of attempts while every
+	// worker was quarantined and a readmission probe was scheduled. Until
+	// a probe readmits a worker, tasks that find no healthy worker fail
+	// at once with *UnavailableError instead of walking the backoff
+	// ladder again.
+	down bool
 
 	// budget, when non-nil, is the pool-wide retry/hedge token bucket
 	// (Options.RetryBudget); guarded by mu like the rest of the
@@ -328,8 +334,9 @@ func (p *Pool) Evaluate(cfg space.Config) (float64, error) {
 // scheduler dispatch/hedge/requeue, and return the first successful
 // response. The error is ctx.Err() if the caller's deadline fires
 // first, ErrSimulation if a worker ran the simulation and the simulator
-// failed (deterministic — retries cannot help), and ErrNoWorkers once
-// the retry budget exhausts against a dead pool.
+// failed (deterministic — retries cannot help), ErrNoWorkers once the
+// retry budget exhausts against a dead pool, and *UnavailableError
+// (which also matches ErrNoWorkers) while the pool is latched down.
 func (p *Pool) EvaluateContext(ctx context.Context, cfg space.Config) (float64, error) {
 	if len(cfg) != p.nv {
 		return 0, fmt.Errorf("simpool: config has %d variables, want %d", len(cfg), p.nv)
@@ -429,7 +436,8 @@ func (p *Pool) janitor() {
 // dispatchLocked moves ready pending tasks onto the least-loaded
 // healthy workers. When every worker is quarantined, each ready task
 // burns one attempt of its retry budget and parks on backoff — this is
-// the path that turns a fully-dead pool into a fast typed failure.
+// the path that turns a fully-dead pool into a typed failure — or, once
+// the pool is latched down, fails at once with *UnavailableError.
 func (p *Pool) dispatchLocked(now time.Time) {
 	keep := p.pending[:0]
 	for _, t := range p.pending {
@@ -452,9 +460,13 @@ func (p *Pool) dispatchLocked(now time.Time) {
 				keep = append(keep, t)
 				continue
 			}
+			if p.down {
+				p.resolveLocked(t, 0, &UnavailableError{RetryAfter: p.nextProbeLocked(now)})
+				continue
+			}
 			t.attempts++
 			if t.attempts >= p.maxAttempts {
-				p.resolveLocked(t, 0, fmt.Errorf(
+				p.giveUpLocked(t, fmt.Errorf(
 					"%w: config %v gave up after %d attempts with every worker quarantined",
 					ErrNoWorkers, t.cfg, t.attempts))
 				continue
@@ -559,6 +571,7 @@ func (p *Pool) probe(w *worker) {
 	if ok {
 		w.quarantined = false
 		w.probeDelay = 0
+		p.down = false
 		p.logger.Info("worker readmitted", "worker", w.url)
 	} else {
 		w.probeDelay = min(w.probeDelay*2, p.probeMax)
@@ -768,7 +781,7 @@ func (p *Pool) finishAttempt(t *task, w *worker, id int, lam float64, out outcom
 	}
 	t.attempts++
 	if t.attempts >= p.maxAttempts {
-		p.resolveLocked(t, 0, fmt.Errorf(
+		p.giveUpLocked(t, fmt.Errorf(
 			"%w: config %v exhausted %d attempts (last: %v)", ErrNoWorkers, t.cfg, t.attempts, err))
 		p.wake()
 		return
@@ -798,6 +811,37 @@ func (p *Pool) quarantineLocked(w *worker, authFailure bool, cause error) {
 	w.probeDelay = p.probeBase
 	w.probeAt = time.Now().Add(w.probeDelay)
 	p.logger.Warn("worker quarantined", "worker", w.url, "auth", authFailure, "cause", cause)
+}
+
+// giveUpLocked fails a task whose attempts are spent with err (an
+// ErrNoWorkers) and latches the pool down when no worker is healthy but
+// at least one is still probed for readmission. A fleet pinned out by
+// auth failures never latches: a wrong key is a configuration error
+// that no wait can fix, so it keeps failing as plain ErrNoWorkers.
+func (p *Pool) giveUpLocked(t *task, err error) {
+	if !p.down && !p.anyHealthyLocked() {
+		for _, w := range p.workers {
+			if !w.noProbe {
+				p.down = true
+				p.logger.Warn("pool down: every worker quarantined", "cause", err)
+				break
+			}
+		}
+	}
+	p.resolveLocked(t, 0, err)
+}
+
+// nextProbeLocked returns the wait until the earliest scheduled
+// readmission probe, in (0, ProbeMax]: the Retry-After of a latched
+// pool. A probe already in flight counts as imminent.
+func (p *Pool) nextProbeLocked(now time.Time) time.Duration {
+	wait := p.probeMax
+	for _, w := range p.workers {
+		if w.quarantined && !w.noProbe {
+			wait = min(wait, w.probeAt.Sub(now))
+		}
+	}
+	return max(wait, time.Millisecond)
 }
 
 // resolveLocked finishes a task exactly once: record the result, cancel
@@ -927,10 +971,9 @@ func (p *Pool) Stats() Stats {
 	return st
 }
 
-// RemoteSimCounts exposes the four scheduler counters through the
-// structural interface the evaluator sniffs for, so evaluator.Stats can
-// surface remote activity without this package importing it (or vice
-// versa creating a cycle).
+// RemoteSimCounts returns the four scheduler counters without building
+// the per-worker gauges Stats sorts; the request-log middleware reads
+// it twice per request.
 func (p *Pool) RemoteSimCounts() (nremote, nhedged, nretried, nrequeued uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -252,7 +252,10 @@ func TestPoolStealsForIdleWorker(t *testing.T) {
 }
 
 // TestPoolDeadPoolFailsTyped: every worker is unreachable; the query
-// must fail with ErrNoWorkers in bounded time — never hang.
+// must fail with ErrNoWorkers in bounded time — never hang. That walk
+// of the ladder latches the pool down, so the next query fails in
+// under 100ms with an UnavailableError that still matches ErrNoWorkers
+// and hints the wait until the next probe.
 func TestPoolDeadPoolFailsTyped(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // closed listener: connection refused
@@ -264,11 +267,27 @@ func TestPoolDeadPoolFailsTyped(t *testing.T) {
 
 	start := time.Now()
 	_, err := p.Evaluate(space.Config{2, 3, 4})
-	if !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v, want ErrNoWorkers", err)
+	var ue *UnavailableError
+	if !errors.Is(err, ErrNoWorkers) || errors.As(err, &ue) {
+		t.Fatalf("err = %v, want plain ErrNoWorkers", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("dead pool took %v to fail", elapsed)
+	}
+	if !latched(p) {
+		t.Fatal("exhausted ladder over a probed, fully quarantined fleet did not latch")
+	}
+
+	start = time.Now()
+	_, err = p.Evaluate(space.Config{3, 4, 5})
+	if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
+		t.Fatalf("latched pool took %v to fail, want < 100ms", elapsed)
+	}
+	if !errors.As(err, &ue) || !errors.Is(err, ErrNoWorkers) {
+		t.Fatalf("latched query: err = %v, want *UnavailableError matching ErrNoWorkers", err)
+	}
+	if hint := ue.RetryAfterHint(); hint <= 0 || hint > defaultProbeMax {
+		t.Fatalf("RetryAfterHint = %v, want in (0, %v]", hint, defaultProbeMax)
 	}
 }
 
@@ -325,6 +344,8 @@ func TestPoolAuthFailureRoutesAround(t *testing.T) {
 
 // TestPoolProbeReadmitsWorker: a worker that 500s is quarantined, then
 // readmitted by the health probe once it recovers, and serves again.
+// The readmission lands inside the config's ladder, so the pool never
+// latches down.
 func TestPoolProbeReadmitsWorker(t *testing.T) {
 	inner := NewWorker(WorkerOptions{Sim: &stubSim{}})
 	srv := httptest.NewServer(flake500(3, inner.Handler()))
@@ -349,6 +370,9 @@ func TestPoolProbeReadmitsWorker(t *testing.T) {
 	}
 	if _, _, nt, _ := p.RemoteSimCounts(); nt < 1 {
 		t.Fatalf("NRetried = %d, want >= 1", nt)
+	}
+	if latched(p) {
+		t.Fatal("a readmission inside the ladder latched the pool")
 	}
 }
 

@@ -3,6 +3,8 @@ package simpool
 import (
 	"context"
 	"errors"
+	"fmt"
+	"time"
 
 	"repro/internal/space"
 )
@@ -54,10 +56,10 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// Typed pool failures. Both are terminal for the query that observes
+// Typed pool failures. All are terminal for the query that observes
 // them; the evaluator wraps them (errors.Is-transparently) and evald's
 // error mapping surfaces them as 502 — an upstream failure, never a
-// hang.
+// hang — except *UnavailableError, a 503 with Retry-After.
 var (
 	// ErrNoWorkers reports that every worker in the pool is quarantined
 	// and the request's retry budget ran out before any probe brought
@@ -70,3 +72,24 @@ var (
 	// other worker can change.
 	ErrSimulation = errors.New("simpool: simulation failed on worker")
 )
+
+// UnavailableError is the fast failure of a pool latched down: a
+// request already exhausted its attempts against a fully quarantined
+// fleet, so later requests fail at once until a probe readmits a
+// worker. It satisfies errors.Is(err, ErrNoWorkers).
+type UnavailableError struct {
+	// RetryAfter is the time until the pool's next readmission probe.
+	RetryAfter time.Duration
+}
+
+// Error implements error.
+func (e *UnavailableError) Error() string {
+	return fmt.Sprintf("%v: pool is down, next probe in %v", ErrNoWorkers, e.RetryAfter)
+}
+
+// Is matches the ErrNoWorkers sentinel.
+func (e *UnavailableError) Is(target error) bool { return target == ErrNoWorkers }
+
+// RetryAfterHint returns the suggested client backoff; it marks the
+// error as a capacity refusal for the evaluator and the HTTP layer.
+func (e *UnavailableError) RetryAfterHint() time.Duration { return e.RetryAfter }

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Docs gate: every package path (internal/*, cmd/*, examples/*) that
 # docs/ARCHITECTURE.md or README.md references must exist in the tree,
-# so the architecture docs cannot silently rot as packages move.
+# so the architecture docs cannot silently rot as packages move, and
+# the environment variables in docs/DEPLOYMENT.md must match the ones
+# the code reads.
 #
 # Run from the repository root:  sh scripts/check_docs.sh
 set -eu
@@ -19,6 +21,27 @@ for doc in docs/ARCHITECTURE.md docs/DEPLOYMENT.md README.md; do
             fail=1
         fi
     done
+done
+
+# Every EVALD_*/SIMD_* variable the deployment guide documents must be
+# read by internal/config or cmd/simd, and every variable read there
+# must be documented, so a deleted knob cannot leave a stale row behind.
+envdoc=docs/DEPLOYMENT.md
+envsrc=$(ls internal/config/*.go cmd/simd/*.go | grep -v '_test\.go$')
+documented=$(grep -ohE '(EVALD|SIMD)_[A-Z0-9_]+' "$envdoc" | sort -u)
+# shellcheck disable=SC2086
+read_in_code=$(grep -ohE '"(EVALD|SIMD)_[A-Z0-9_]+"' $envsrc | tr -d '"' | sort -u)
+for v in $documented; do
+    if ! echo "$read_in_code" | grep -qx "$v"; then
+        echo "$envdoc documents $v, which internal/config and cmd/simd never read"
+        fail=1
+    fi
+done
+for v in $read_in_code; do
+    if ! echo "$documented" | grep -qx "$v"; then
+        echo "$v is read by internal/config or cmd/simd but not documented in $envdoc"
+        fail=1
+    fi
 done
 
 if [ "$fail" -eq 0 ]; then
