@@ -12,13 +12,8 @@ import (
 // BenchmarkInfillRound measures one sequential-infill round at a fixed
 // support size n: the store has grown by one freshly simulated point and
 // the min+1 competition predicts 4 sibling candidates on the n+1-point
-// support. In the "extend" arm the new point is appended after the
-// cached support (the store's natural insertion order), so the kriging
-// cache grows the factored system incrementally in O(n²); in the
-// "refactor" arm the new point leads the support, which breaks the
-// prefix match and forces the O(n³) from-scratch factorisation the
-// pre-incremental code always paid. Both arms share the cache-hit path
-// for the remaining 3 candidates.
+// support. The first candidate factorises that support from scratch (no
+// cached system matches it exactly); the remaining 3 hit the cache.
 func BenchmarkInfillRound(b *testing.B) {
 	model := &variogram.ExponentialModel{Sill: 40, Range: 6, Nugget: 0.1}
 	const pool = 256
@@ -50,46 +45,30 @@ func BenchmarkInfillRound(b *testing.B) {
 		for i := range cands {
 			cands[i] = []float64{r.Float64() * 30, r.Float64() * 30, r.Float64() * 30, r.Float64() * 30}
 		}
-		// Pre-build the per-round supports: base + one pool point, either
-		// appended (extendable) or leading (prefix-breaking).
+		// Pre-build the per-round supports: base + one appended pool point.
 		type round struct {
 			xs [][]float64
 			ys []float64
 		}
-		appended := make([]round, pool)
-		leading := make([]round, pool)
-		for i := 0; i < pool; i++ {
+		rounds := make([]round, pool)
+		for i := range rounds {
 			j := n + i
-			appended[i] = round{
+			rounds[i] = round{
 				xs: append(append(make([][]float64, 0, n+1), xs[:n]...), xs[j]),
 				ys: append(append(make([]float64, 0, n+1), ys[:n]...), ys[j]),
 			}
-			leading[i] = round{
-				xs: append(append(make([][]float64, 0, n+1), xs[j]), xs[:n]...),
-				ys: append(append(make([]float64, 0, n+1), ys[j]), ys[:n]...),
-			}
 		}
-		for _, arm := range []struct {
-			name   string
-			rounds []round
-		}{{"extend", appended}, {"refactor", leading}} {
-			b.Run(fmt.Sprintf("%s/n=%d", arm.name, n), func(b *testing.B) {
-				o := &kriging.Ordinary{Model: model, CacheSize: 8}
-				// Prime the base-support factor the extend arm grows from.
-				if _, err := o.Predict(xs[:n], ys[:n], cands[0]); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rd := arm.rounds[i%pool]
-					for _, q := range cands {
-						if _, err := o.Predict(rd.xs, rd.ys, q); err != nil {
-							b.Fatal(err)
-						}
+		b.Run(fmt.Sprintf("refactor/n=%d", n), func(b *testing.B) {
+			o := &kriging.Ordinary{Model: model}
+			for i := 0; i < b.N; i++ {
+				rd := rounds[i%pool]
+				for _, q := range cands {
+					if _, err := o.Predict(rd.xs, rd.ys, q); err != nil {
+						b.Fatal(err)
 					}
 				}
-			})
-		}
+			}
+		})
 		// Predict-fraction sub-measurement: the K=8 candidate predictions
 		// of one round against the warm cached factor, blocked vs a loop
 		// of Predict calls. Measured under a spherical
@@ -107,7 +86,7 @@ func BenchmarkInfillRound(b *testing.B) {
 		out := make([]float64, kWide)
 		for _, arm := range predictArms {
 			b.Run(fmt.Sprintf("predict/%s/n=%d", arm.name, n), func(b *testing.B) {
-				o := &kriging.Ordinary{Model: predictModel, CacheSize: 8}
+				o := &kriging.Ordinary{Model: predictModel}
 				if err := arm.predict(o, xs[:n], ys[:n], wide, out); err != nil {
 					b.Fatal(err)
 				}

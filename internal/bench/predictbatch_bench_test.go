@@ -82,7 +82,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 			out := make([]float64, k)
 			for _, arm := range predictArms {
 				b.Run(fmt.Sprintf("%s/n=%d/k=%d", arm.name, n, k), func(b *testing.B) {
-					o := &kriging.Ordinary{Model: model, CacheSize: 8}
+					o := &kriging.Ordinary{Model: model}
 					// Warm the factor cache; the rounds measure prediction,
 					// not factorisation.
 					if err := arm.predict(o, xs, ys, queries, out); err != nil {
@@ -113,7 +113,7 @@ func TestBatchPredictSpeedup(t *testing.T) {
 	model := &variogram.SphericalModel{Range: 40, Sill: 9, Nugget: 0.1}
 	xs, ys, queries := batchSupport(n, k, 1234)
 
-	o := &kriging.Ordinary{Model: model, CacheSize: 8}
+	o := &kriging.Ordinary{Model: model}
 	outB := make([]float64, k)
 	outS := make([]float64, k)
 	// Warm the factor cache so the measurement is the per-round predict

@@ -22,7 +22,7 @@ func skipUnderRace(t *testing.T) {
 
 // allocEvaluator builds an evaluator over a trivially fast simulator
 // with a warm support store and a fixed variogram model (the paper's
-// identify-once setup, which also enables incremental factor reuse).
+// identify-once setup).
 func allocEvaluator(t *testing.T) (*Evaluator, []space.Config) {
 	t.Helper()
 	sim := SimulatorFunc{NumVars: 4, Fn: func(cfg space.Config) (float64, error) {

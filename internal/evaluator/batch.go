@@ -24,12 +24,12 @@ import (
 // no query in the batch observes another batch member — neither as an
 // exact store hit nor as kriging support: every decision runs against an
 // immutable snapshot of the store taken on entry. (A configuration
-// duplicated inside the batch still costs one simulation when its
-// occurrences are claimed concurrently — the workers coalesce identical
-// in-flight simulations through the evaluator's single-flight table —
-// and is simulated once per occurrence only in the sequential
-// workers == 1 order.) Sequential issuing lets a later query krige from
-// an earlier query's freshly stored simulation (min+1 sibling candidates
+// duplicated inside the batch is answered once, by its first occurrence,
+// whatever the worker count; later occurrences return a copy of that
+// Result, with Coalesced set when it was simulated — counted in
+// Stats.NCoalesced like any coalesced follower — and the store gains one
+// entry for it.) Sequential issuing lets a later query krige from an
+// earlier query's freshly stored simulation (min+1 sibling candidates
 // sit at L1 distance 2 from each other, inside the usual radius), so a
 // batch can legitimately return different — equally valid —
 // interpolations than the one-at-a-time order. Both obey the paper's
@@ -79,7 +79,7 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 	// groups and simulations; the workers claim those items, groups
 	// first (each is microseconds of kriging, and a member the group
 	// cannot answer is simulated by the same worker right away).
-	groups, sims := e.batchPredictPrepass(ctx, snap, cfgs, results)
+	groups, sims, dups := e.batchPredictPrepass(ctx, snap, cfgs, results)
 	items := len(groups) + len(sims)
 	if workers > items {
 		workers = items
@@ -161,13 +161,25 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 			}
 		}
 	}
+	// Later occurrences of a configuration take their owner's answer,
+	// counted like it: a copy of a simulation is a coalesced follower, a
+	// copy of a kriged answer one more interpolation.
+	for _, d := range dups {
+		r := results[d[1]]
+		if simulated[d[1]] {
+			r.Coalesced = true
+			batchStats.nCoalesced.Add(1)
+		} else if r.Source == Interpolated {
+			batchStats.nInterp.Add(1)
+			batchStats.sumNeigh.Add(int64(r.Neighbors))
+		}
+		results[d[0]] = r
+	}
 	// Store updates happen once everything succeeded, in input order,
 	// keeping the store contents (and NearestK tie-breaking in later
 	// queries) deterministic. The whole commit goes through the bulk
 	// write path: one view publication per shard instead of one per
-	// simulation result. (NSim was already charged, once per coalesced
-	// flight, at simulation time; a duplicated configuration commits one
-	// entry per occurrence, which the store's overwrite path collapses.)
+	// simulation result, and one entry per distinct configuration.
 	commit := make([]store.Entry, 0, len(cfgs))
 	for idx := range cfgs {
 		if simulated[idx] {

@@ -181,19 +181,35 @@ func sameSupport(g *predictGroup, nb *store.Neighborhood) bool {
 // blocked solve; Stats.NBatchPredict counts the queries served that way
 // (the batch hit rate is NBatchPredict/NInterp).
 //
+// A configuration repeated inside the batch is classified once: its
+// first occurrence owns the answer, and every later occurrence is
+// returned in dups (as {position, owner position}) for EvaluateAll to
+// copy the owner's Result into once the workers finish — so a duplicate
+// costs no second simulation or kriging solve, whatever the worker
+// count. Exact hits need no owner: every occurrence reads the same
+// snapshot value.
+//
 // A dead ctx stops the classification early; the workers observe it
 // themselves and the batch is discarded.
-func (e *Evaluator) batchPredictPrepass(ctx context.Context, snap storeView, cfgs []space.Config, results []Result) (groups []predictGroup, sims []int) {
+func (e *Evaluator) batchPredictPrepass(ctx context.Context, snap storeView, cfgs []space.Config, results []Result) (groups []predictGroup, sims []int, dups [][2]int) {
 	qs := e.scratch.Get().(*queryScratch)
 	defer e.scratch.Put(qs)
 	sims = make([]int, 0, len(cfgs))
 	byKey := make(map[uint64][]int)
+	owners := make(map[uint64]int, len(cfgs))
 	for idx, cfg := range cfgs {
 		if ctx.Err() != nil {
-			return groups, sims
+			return groups, sims, dups
 		}
 		if lam, ok := snap.Lookup(cfg); ok {
 			results[idx] = Result{Lambda: lam, Source: Simulated}
+			continue
+		}
+		h := store.HashConfig(cfg)
+		if owner, ok := owners[h]; !ok {
+			owners[h] = idx
+		} else if cfgs[owner].Equal(cfg) {
+			dups = append(dups, [2]int{idx, owner})
 			continue
 		}
 		support, ok := e.gatherSupport(snap, cfg, qs)
@@ -223,7 +239,7 @@ func (e *Evaluator) batchPredictPrepass(ctx context.Context, snap storeView, cfg
 		g.idxs = append(g.idxs, idx)
 		g.qx = append(g.qx, cfgFloats(make([]float64, 0, len(cfg)), cfg))
 	}
-	return groups, sims
+	return groups, sims, dups
 }
 
 // cfgFloats appends cfg's word-lengths as floats to dst.

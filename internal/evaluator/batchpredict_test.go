@@ -39,7 +39,7 @@ func (p perQueryInterp) Name() string { return p.o.Name() }
 // twinInterp returns a fresh ordinary kriging interpolator, wrapped in
 // perQueryInterp for the per-query arm.
 func twinInterp(perQuery bool) kriging.Interpolator {
-	o := &kriging.Ordinary{CacheSize: 8}
+	o := &kriging.Ordinary{}
 	if perQuery {
 		return perQueryInterp{o}
 	}
@@ -100,8 +100,8 @@ func TestEvaluateAllBatchPredict(t *testing.T) {
 // interpolations and out-of-range simulations in one batch; the pre-pass
 // must classify all three correctly.
 func TestEvaluateAllBatchPredictMixed(t *testing.T) {
-	sim := newPlaneSim()
-	ev, err := New(sim, Options{D: 4, NnMin: 1, Interp: &kriging.Ordinary{CacheSize: 8}})
+	sim := &planeSim2{} // three workers: the simulator must be concurrency-safe
+	ev, err := New(sim, Options{D: 4, NnMin: 1, Interp: &kriging.Ordinary{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +129,8 @@ func TestEvaluateAllBatchPredictMixed(t *testing.T) {
 	if results[3].Lambda != 200 || results[4].Lambda != -150 {
 		t.Errorf("simulated λ = %v/%v, want 200/-150", results[3].Lambda, results[4].Lambda)
 	}
-	if sim.calls != 2 {
-		t.Errorf("simulator ran %d times, want 2", sim.calls)
+	if got := sim.calls.Load(); got != 2 {
+		t.Errorf("simulator ran %d times, want 2", got)
 	}
 	st := ev.Stats()
 	if st.NBatchPredict != 2 || st.NInterp != 2 || st.NSim != 2 {

@@ -141,3 +141,50 @@ func TestEvaluateAllDeterministicResults(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateAllDuplicatesAnsweredOnce pins the in-batch duplicate
+// rule at every worker count: a repeated configuration is simulated (or
+// kriged) once, by its first occurrence; later occurrences return that
+// Result — marked Coalesced and counted in NCoalesced when it was
+// simulated, counted in NInterp when it was kriged — and the store gains
+// one entry per distinct configuration.
+func TestEvaluateAllDuplicatesAnsweredOnce(t *testing.T) {
+	cfgs := []space.Config{{1, 8}, {5, 5}, {8, 1}, {1, 8}, {5, 5}, {1, 8}, {8, 1}}
+	owner := []int{0, 1, 2, 0, 1, 0, 2}
+	for _, workers := range []int{1, 4} {
+		sim := &planeSim2{}
+		ev, err := New(sim, Options{D: 3, NnMin: 1, MaxSupport: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// {5, 5} is kriged from these; {1, 8} and {8, 1} have no support.
+		ev.Store().Add(space.Config{4, 4}, 20)
+		ev.Store().Add(space.Config{6, 6}, 30)
+		res, err := ev.EvaluateAll(cfgs, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := sim.calls.Load(); got != 2 {
+			t.Errorf("workers=%d: %d simulations for 2 distinct unsupported configurations", workers, got)
+		}
+		for i, r := range res {
+			o := res[owner[i]]
+			if r.Lambda != o.Lambda || r.Source != o.Source || r.Neighbors != o.Neighbors {
+				t.Errorf("workers=%d cfg %d: %+v is not its first occurrence's %+v", workers, i, r, o)
+			}
+			if want := owner[i] != i && r.Source == Simulated; r.Coalesced != want {
+				t.Errorf("workers=%d cfg %d: Coalesced = %v, want %v", workers, i, r.Coalesced, want)
+			}
+		}
+		if res[1].Source != Interpolated {
+			t.Fatalf("workers=%d: {5, 5} was not kriged: %+v", workers, res[1])
+		}
+		st := ev.Stats()
+		if st.NSim != 2 || st.NCoalesced != 3 || st.NInterp != 2 {
+			t.Errorf("workers=%d: NSim=%d NCoalesced=%d NInterp=%d, want 2, 3, 2", workers, st.NSim, st.NCoalesced, st.NInterp)
+		}
+		if got := ev.Store().Len(); got != 4 {
+			t.Errorf("workers=%d: store holds %d entries, want 4", workers, got)
+		}
+	}
+}

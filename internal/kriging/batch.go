@@ -56,10 +56,9 @@ func batchDims(xs [][]float64, ys []float64, queries [][]float64, outs ...[]floa
 func (o *Ordinary) PredictBatch(xs [][]float64, ys []float64, queries [][]float64, out []float64) error {
 	s := predictPool.Get().(*predictScratch)
 	defer predictPool.Put(s)
-	// Variance sink; this frame's scratch only lends its pb field — the
-	// inner call draws its own scratch from the pool.
-	vv := growFloats(&s.pb, len(queries))
-	return o.PredictVarBatch(xs, ys, queries, out, vv)
+	// Variance sink; this frame's scratch only lends its vars field —
+	// the inner call draws its own scratch from the pool.
+	return o.PredictVarBatch(xs, ys, queries, out, growFloats(&s.vars, len(queries)))
 }
 
 // PredictVarBatch is PredictBatch returning the ordinary-kriging
@@ -78,10 +77,17 @@ func (o *Ordinary) PredictVarBatch(xs [][]float64, ys []float64, queries [][]flo
 		}
 		return nil
 	}
-	sys, err := o.system(xs, ys)
+	sys, err := o.cache.system(o, xs, ys)
 	if err != nil {
 		return err
 	}
+	return o.solveBatch(sys, xs, ys, queries, outVal, outVar)
+}
+
+// solveBatch answers the queries from the factored saddle system of the
+// support (xs, ys), which must hold at least two points.
+func (o *Ordinary) solveBatch(sys *factored, xs [][]float64, ys []float64, queries [][]float64, outVal, outVar []float64) error {
+	n, k := len(xs), len(queries)
 	dist := o.dist()
 	defaultDist := o.Dist == nil
 	s := predictPool.Get().(*predictScratch)
@@ -108,7 +114,7 @@ func (o *Ordinary) PredictVarBatch(xs [][]float64, ys []float64, queries [][]flo
 		col[n] = 1
 	}
 	w := growFloats(&s.w, m*k)
-	if err := sys.solveBatchInto(w, rhs, m, k, s); err != nil {
+	if err := sys.solveBatchInto(w, rhs, k); err != nil {
 		return fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
 	// Output sweep, four queries at a time: the value dots share the ys
@@ -190,7 +196,7 @@ func (s *Simple) PredictBatch(xs [][]float64, ys []float64, queries [][]float64,
 		}
 		return nil
 	}
-	sys, err := s.system(xs, ys)
+	sys, err := s.cache.system(s, xs, ys)
 	if err != nil {
 		return err
 	}
@@ -226,7 +232,7 @@ func (s *Simple) PredictBatch(xs [][]float64, ys []float64, queries [][]float64,
 		}
 	}
 	w := growFloats(&sc.w, n*k)
-	if err := sys.solveBatchInto(w, rhs, n, k, sc); err != nil {
+	if err := sys.solveBatchInto(w, rhs, k); err != nil {
 		return fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
 	for j := 0; j < k; j++ {
@@ -299,16 +305,20 @@ func (u *Universal) PredictBatch(xs [][]float64, ys []float64, queries [][]float
 			g.Set(n+1+i, j, xs[j][d])
 		}
 	}
+	sc := predictPool.Get().(*predictScratch)
+	defer predictPool.Put(sc)
 	f, err := linalg.Factorize(g)
 	if err != nil {
 		// A degenerate drift system (e.g. supports on a line queried
-		// diagonally) falls back to ordinary kriging rather than failing
-		// the evaluation. The throwaway interpolator runs uncached.
-		ord := &Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget, CacheSize: -1}
-		return ord.PredictBatch(xs, ys, queries, out)
+		// diagonally) falls back to ordinary kriging on the same model
+		// rather than failing the evaluation, factored once and uncached.
+		ord := Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget}
+		sys, err := ord.factor(xs, ys)
+		if err != nil {
+			return err
+		}
+		return ord.solveBatch(sys, xs, ys, queries, out, growFloats(&sc.vars, k))
 	}
-	sc := predictPool.Get().(*predictScratch)
-	defer predictPool.Put(sc)
 	rhs := growFloats(&sc.rhs, size*k)
 	defaultDist := u.Dist == nil
 	for j, q := range queries {

@@ -34,32 +34,13 @@ func bitEqual(a, b float64) bool {
 // query through the blocked batch solvers (Predict is their K=1 case),
 // so the property wall checks them against this independent oracle.
 
-// refSolve solves the factored system for one right-hand side (in
-// logical order), re-permuting through logicalIndex for incrementally
-// grown ordinary factors.
+// refSolve solves the factored system for one right-hand side through
+// the single-column solvers.
 func refSolve(sys *factored, dst, rhs []float64) error {
 	if sys.chol != nil {
 		return sys.chol.SolveInto(dst, rhs)
 	}
-	if sys.lu == nil {
-		return errNotExtendable
-	}
-	if sys.extended() == 0 {
-		return sys.lu.SolveInto(dst, rhs)
-	}
-	m := len(rhs)
-	pb := make([]float64, m)
-	for pos := 0; pos < m; pos++ {
-		pb[pos] = rhs[sys.logicalIndex(pos)]
-	}
-	sol := make([]float64, m)
-	if err := sys.lu.SolveInto(sol, pb); err != nil {
-		return err
-	}
-	for pos := 0; pos < m; pos++ {
-		dst[sys.logicalIndex(pos)] = sol[pos]
-	}
-	return nil
+	return sys.lu.SolveInto(dst, rhs)
 }
 
 // refOrdinaryPredictVar is the reference ordinary-kriging value and
@@ -75,7 +56,7 @@ func refOrdinaryPredictVar(o *Ordinary, xs [][]float64, ys []float64, x []float6
 	if n == 1 {
 		return ys[0], 0, nil
 	}
-	sys, err := o.system(xs, ys)
+	sys, err := o.cache.system(o, xs, ys)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -121,7 +102,7 @@ func refSimplePredict(s *Simple, xs [][]float64, ys []float64, x []float64) (flo
 	if n == 1 {
 		return ys[0], nil
 	}
-	sys, err := s.system(xs, ys)
+	sys, err := s.cache.system(s, xs, ys)
 	if err != nil {
 		return 0, err
 	}
@@ -208,7 +189,7 @@ func refUniversalPredict(u *Universal, xs [][]float64, ys []float64, x []float64
 	}
 	w, err := linalg.Solve(g, rhs)
 	if err != nil {
-		v, _, err := refOrdinaryPredictVar(&Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget, CacheSize: -1}, xs, ys, x)
+		v, _, err := refOrdinaryPredictVar(&Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget}, xs, ys, x)
 		return v, err
 	}
 	val := linalg.Dot(w[:n], ys)
@@ -252,8 +233,8 @@ func TestBatchMatchesSequentialPropertyWall(t *testing.T) {
 				batch func(queries [][]float64, out []float64) error
 				seq   func(q []float64) (float64, error)
 			}{}
-			o := &Ordinary{Model: model, CacheSize: 8}
-			s := &Simple{Model: model, CacheSize: 8}
+			o := &Ordinary{Model: model}
+			s := &Simple{Model: model}
 			u := &Universal{Model: model}
 			interps = append(interps,
 				struct {
@@ -320,56 +301,6 @@ func TestBatchMatchesSequentialPropertyWall(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequentialExtendedFactor pins the Lagrange-row
-// permutation path: a support served by an incrementally extended
-// ordinary factor stores its appended rows AFTER the Lagrange row, so
-// every solve re-permutes through factored.logicalIndex. The batch
-// solve must thread the same permutation per column.
-func TestBatchMatchesSequentialExtendedFactor(t *testing.T) {
-	r := rng.New(702)
-	for trial := 0; trial < 20; trial++ {
-		n := 8 + r.Intn(8)
-		xs, ys := drawSupport(r, n, 3)
-		for _, model := range batchModels() {
-			o := &Ordinary{Model: model, CacheSize: 8}
-			// Warm the cache on the prefix, then touch the full support
-			// once so the factor is grown through lu.Extend.
-			if _, err := o.Predict(xs[:n-2], ys[:n-2], xs[0]); err != nil {
-				t.Fatalf("trial %d: prefix warm: %v", trial, err)
-			}
-			if _, err := o.Predict(xs, ys, xs[0]); err != nil {
-				t.Fatalf("trial %d: extend warm: %v", trial, err)
-			}
-			if o.cache.incrementalHits.Load() == 0 {
-				t.Fatalf("trial %d: support growth did not take the incremental path", trial)
-			}
-			queries := make([][]float64, 7)
-			for j := range queries {
-				q := make([]float64, 3)
-				for i := range q {
-					q[i] = float64(r.IntRange(0, 14)) + r.NormScaled(0, 0.25)
-				}
-				queries[j] = q
-			}
-			outV := make([]float64, len(queries))
-			outVar := make([]float64, len(queries))
-			if err := o.PredictVarBatch(xs, ys, queries, outV, outVar); err != nil {
-				t.Fatalf("trial %d: batch: %v", trial, err)
-			}
-			for j, q := range queries {
-				wv, wvar, err := refOrdinaryPredictVar(o, xs, ys, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bitEqual(outV[j], wv) || !bitEqual(outVar[j], wvar) {
-					t.Fatalf("trial %d q%d: extended-factor batch (%v, %v) != reference (%v, %v)",
-						trial, j, outV[j], outVar[j], wv, wvar)
-				}
-			}
-		}
-	}
-}
-
 // TestBatchShapeAndEdgeCases covers the error surface: mismatched
 // output length, empty support with pending queries, zero queries,
 // single-point support.
@@ -426,44 +357,5 @@ func TestSimpleBatchFlatField(t *testing.T) {
 		if out[j] != 5 {
 			t.Fatalf("q%d: flat field predicted %v, want 5", j, out[j])
 		}
-	}
-}
-
-// TestAppendRowDuplicateAfterTransformFallsBack is the kriging-level
-// regression test for the AppendRow fail-open guard. A weighted-L1
-// anisotropy with an infinite axis scale maps two support points that
-// share that axis coordinate to a NaN separation (∞·0); the appended
-// covariance border is then NaN and the old guard accepted the
-// sqrt(NaN)-poisoned factor as a successful incremental extension,
-// caching it. With the fix AppendRow reports ErrSingular, the cache
-// falls back to refactorisation (no incremental hit is recorded), the
-// degenerate support surfaces as an error, and the previously cached
-// prefix system keeps serving healthy predictions.
-func TestAppendRowDuplicateAfterTransformFallsBack(t *testing.T) {
-	inf := math.Inf(1)
-	dist := WeightedL1([]float64{inf, 1})
-	model := &variogram.SphericalModel{Sill: 4, Range: 3, Nugget: 0.1}
-	s := &Simple{Dist: dist, Model: model, CacheSize: 8}
-	// Distinct axis-0 coordinates: every pairwise separation is +∞, the
-	// covariances clamp at zero, and the system is a healthy diagonal.
-	xs := [][]float64{{0, 0}, {1, 3}, {2, 1}, {3, 4}, {4, 2}}
-	ys := []float64{1, 2, 3, 4, 5}
-	q := []float64{9, 9}
-	if _, err := s.Predict(xs, ys, q); err != nil {
-		t.Fatalf("prefix support must predict cleanly: %v", err)
-	}
-	// Appended point duplicates xs[1] on the infinite axis (axis-0) after
-	// the transform, though it is a distinct lattice point.
-	ext := append(append([][]float64{}, xs...), []float64{1, 12})
-	extYs := append(append([]float64{}, ys...), 6)
-	if _, err := s.Predict(ext, extYs, q); err == nil {
-		t.Fatal("duplicate-after-transform support produced a prediction from a poisoned factor")
-	}
-	if hits := s.cache.incrementalHits.Load(); hits != 0 {
-		t.Fatalf("poisoned border recorded %d incremental hits; AppendRow must reject it", hits)
-	}
-	// The healthy prefix system must still serve.
-	if v, err := s.Predict(xs, ys, q); err != nil || math.IsNaN(v) {
-		t.Fatalf("prefix support corrupted after failed extension: v=%v err=%v", v, err)
 	}
 }

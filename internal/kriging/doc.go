@@ -5,28 +5,23 @@
 // inverse-distance and nearest-neighbour baselines used by the ablation
 // benches.
 //
-// # Factored-system caching and incremental growth
+// # Factored-system caching
 //
 // Building a kriging system for n support points costs O(n³): fit a
-// semivariogram, assemble the matrix, factorise. The interpolators cache
-// the factored system keyed by the exact support (coordinates and
-// values), so every further prediction over the same neighbourhood —
-// the min+1 competition's sibling candidates, leave-one-out cross
-// validation, batch evaluation — reuses the factors and pays only the
-// O(n²) right-hand-side assembly and triangular solves. Positive
-// definite covariance systems (simple kriging with a bounded model)
-// factor by Cholesky; the ordinary-kriging saddle matrix of Eq. 9 is
-// symmetric indefinite and takes pivoted LU. Cached and uncached
-// predictions are bit-identical; set CacheSize to -1 to disable.
-//
-// With a fixed Model (the paper's identify-once setup) the cache also
-// serves incremental hits: a requested support equal to a cached one
-// plus a few appended points — the sequential-infill shape — grows the
-// cached factor through the linalg bordered updates in O(n²) per point
-// instead of refactorising, falling back to the full factorisation when
-// a border fails its pivot health check. Extended factors match
-// from-scratch factorisation to well under 1e-9 relative error (see
-// the incremental property tests).
+// semivariogram, assemble the matrix, factorise. Every prediction solves
+// a system factored from scratch for exactly its support. The
+// interpolators keep the last DefaultCacheSize factored systems keyed by
+// the exact support (coordinates and values, verified on every hit), so
+// every further prediction over the same neighbourhood — the min+1
+// competition's sibling candidates, leave-one-out cross validation,
+// batch evaluation — reuses the factors and pays only the O(n²)
+// right-hand-side assembly and triangular solves. A support that differs
+// from a cached one in any point, however it was reached, is factored
+// afresh: a cached λ never depends on what the cache saw before.
+// Positive definite covariance systems (simple kriging with a bounded
+// model) factor by Cholesky; the ordinary-kriging saddle matrix of Eq. 9
+// is symmetric indefinite and takes pivoted LU. Cached and uncached
+// predictions are bit-identical.
 //
 // # Blocked batch prediction
 //
@@ -46,6 +41,5 @@
 // PredictBatch is allocation-free regardless of K.
 //
 // The interpolators are safe for concurrent use: the cache is the only
-// mutable state and it is mutex-guarded (factor extensions build new
-// systems rather than mutating cached ones).
+// mutable state, it is mutex-guarded, and cached systems are immutable.
 package kriging

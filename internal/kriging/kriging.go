@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/variogram"
@@ -57,6 +56,14 @@ func L2Distance(a, b []float64) float64 {
 // assembles the augmented matrix Γ of Eq. 9 and the vector γ_i of Eq. 8,
 // and returns λ̂(e_i) = γ_i · Γ⁻¹ · λ (Eq. 10), solved by LU rather than
 // an explicit inverse.
+//
+// Repeated predictions over the same support (the min+1 competition,
+// leave-one-out cross validation, batch evaluation) reuse the fitted
+// variogram and the LU factors of Γ from a cache of the last
+// DefaultCacheSize supports, dropping the per-query cost from O(n³) to
+// O(n²) with bit-identical results. The cache keys on the support alone,
+// so configuration fields must not be mutated after the first
+// prediction — build a fresh interpolator per configuration instead.
 type Ordinary struct {
 	// Dist is the separation measure; nil means L1 (the paper's).
 	Dist Distance
@@ -78,20 +85,8 @@ type Ordinary struct {
 	// regularise nearly-coincident supports. Zero selects a tiny
 	// scale-relative default.
 	Nugget float64
-	// CacheSize bounds the factored-system cache: repeated predictions
-	// over the same support (the min+1 competition, leave-one-out cross
-	// validation, batch evaluation) reuse the fitted variogram and the
-	// LU factors of Γ, dropping the per-query cost from O(n³) to O(n²).
-	// Zero selects DefaultCacheSize; a negative value disables caching.
-	// The cached results are bit-identical to the uncached path. The
-	// cache keys on the support alone, so configuration fields (Dist,
-	// Model, FitKind, PowerBeta, Nugget, CacheSize) must not be mutated
-	// after the first prediction — build a fresh interpolator per
-	// configuration instead.
-	CacheSize int
 
-	cacheOnce sync.Once
-	cache     *systemCache
+	cache systemCache
 }
 
 // Name implements Interpolator.
@@ -135,33 +130,11 @@ func (o *Ordinary) PredictVar(xs [][]float64, ys []float64, x []float64) (value,
 	return v[0], ve[0], err
 }
 
-// system returns the factored Eq. 9 saddle system for a support set,
-// reusing a cached factorisation when the same support was seen recently.
-// When the interpolator runs with a fixed Model and the requested support
-// is a cached support plus a few appended points — the sequential-infill
-// shape — the cached factor is grown by bordered updates in O(n²) per
-// point instead of refactorising in O(n³); a failed border health check
-// falls back to the full factorisation. (A nil Model is refitted per
-// support, which invalidates every matrix entry, so only fixed-model
-// systems are extendable.)
-func (o *Ordinary) system(xs [][]float64, ys []float64) (*factored, error) {
-	cache := resolveCache(&o.cacheOnce, &o.cache, o.CacheSize)
-	var key uint64
-	if cache != nil {
-		key = supportFingerprint(xs, ys)
-		if sys, ok := cache.get(key, xs, ys); ok {
-			return sys, nil
-		}
-		if o.Model != nil {
-			if base, m, ok := cache.getPrefix(xs, ys, maxIncrementalAppend); ok {
-				if sys, err := o.extendSystem(base, xs, m); err == nil {
-					cache.incrementalHits.Add(1)
-					cache.add(key, xs, ys, sys)
-					return sys, nil
-				}
-			}
-		}
-	}
+// factor fits (or takes) the variogram and factors the Eq. 9 saddle
+// system of exactly this support from scratch. Predictions reach it
+// through the cache; Universal's degenerate-drift fallback calls it
+// directly.
+func (o *Ordinary) factor(xs [][]float64, ys []float64) (*factored, error) {
 	model, err := o.model(xs, ys)
 	if err != nil {
 		return nil, err
@@ -200,59 +173,7 @@ func (o *Ordinary) system(xs [][]float64, ys []float64) (*factored, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
-	sys := &factored{model: model, lu: f, n: n, base: n, scale: scale}
-	if cache != nil {
-		cache.add(key, xs, ys, sys)
-	}
-	return sys, nil
-}
-
-// extendSystem grows the cached saddle factor of xs[:m] to cover all of
-// xs by appending one bordered row/column per new support point. The new
-// rows land after the Lagrange row in factor ordering (solves re-permute
-// through factored.logicalIndex), and each border passes the linalg
-// pivot health check or the whole extension is abandoned in favour of a
-// full refactorisation. The appended diagonals follow the same
-// jitter-from-scale rule as assembly; because the pre-existing diagonals
-// keep the jitter of THEIR assembly scale, an extended system tracks a
-// from-scratch factorisation to ~1e-12 relative in the matrix entries —
-// well inside the documented 1e-9 prediction tolerance (asserted by
-// TestIncrementalOrdinaryMatchesFull).
-func (o *Ordinary) extendSystem(base *factored, xs [][]float64, m int) (*factored, error) {
-	n := len(xs)
-	if base.lu == nil || base.extended()+(n-m) > maxExtendChain {
-		return nil, errNotExtendable
-	}
-	dist := o.dist()
-	scale := base.scale
-	lu := base.lu
-	bb := base.base
-	for j := m; j < n; j++ {
-		// The factor currently holds j support rows plus the Lagrange row.
-		col := make([]float64, j+1)
-		for pos := 0; pos <= j; pos++ {
-			if pos == bb {
-				col[pos] = 1 // Lagrange row: unbiasedness constraint
-				continue
-			}
-			si := pos
-			if pos > bb {
-				si = pos - 1
-			}
-			g := base.model.Gamma(dist(xs[j], xs[si]))
-			col[pos] = g
-			if g > scale {
-				scale = g
-			}
-		}
-		diag := o.Nugget + 1e-12*(scale+1)
-		next, err := lu.Extend(col, col, diag)
-		if err != nil {
-			return nil, err
-		}
-		lu = next
-	}
-	return &factored{model: base.model, lu: lu, n: n, base: bb, scale: scale}, nil
+	return &factored{model: model, lu: f}, nil
 }
 
 // Weights exposes the kriging weights μ_k (and the Lagrange multiplier as
@@ -266,7 +187,7 @@ func (o *Ordinary) Weights(xs [][]float64, ys []float64, x []float64) ([]float64
 	if n == 1 {
 		return []float64{1, 0}, nil
 	}
-	sys, err := o.system(xs, ys)
+	sys, err := o.cache.system(o, xs, ys)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +200,7 @@ func (o *Ordinary) Weights(xs [][]float64, ys []float64, x []float64) ([]float64
 	}
 	rhs[n] = 1
 	out := make([]float64, n+1)
-	if err := sys.solveBatchInto(out, rhs, n+1, 1, s); err != nil {
+	if err := sys.solveBatchInto(out, rhs, 1); err != nil {
 		return nil, err
 	}
 	return out, nil

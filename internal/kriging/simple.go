@@ -2,7 +2,6 @@ package kriging
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/variogram"
@@ -19,8 +18,10 @@ import (
 // the largest semivariance observed across the support separations as the
 // sill (query covariances below that ceiling are clamped at zero). The
 // support-only sill makes C a function of the support alone, so its
-// Cholesky factorisation is cached and reused across predictions that
-// share a neighbourhood.
+// Cholesky factorisation (with a pivoted-LU fallback for supports that
+// defeat the truncated-covariance model) is cached and reused across
+// predictions that share a neighbourhood, exactly as for Ordinary —
+// configuration fields must not be mutated after the first prediction.
 type Simple struct {
 	// Dist is the separation measure; nil means L1.
 	Dist Distance
@@ -35,18 +36,8 @@ type Simple struct {
 	KnownMean bool
 	// Nugget regularises the covariance diagonal.
 	Nugget float64
-	// CacheSize bounds the factored-system cache; zero selects
-	// DefaultCacheSize, negative disables caching. The covariance matrix
-	// is symmetric positive definite, so cached systems hold its
-	// Cholesky factor (linalg.FactorizeCholesky), with a pivoted-LU
-	// fallback for supports that defeat the truncated-covariance model.
-	// As with Ordinary, the cache keys on the support alone:
-	// configuration fields must not be mutated after the first
-	// prediction.
-	CacheSize int
 
-	cacheOnce sync.Once
-	cache     *systemCache
+	cache systemCache
 }
 
 // Name implements Interpolator.
@@ -67,38 +58,10 @@ func (s *Simple) Predict(xs [][]float64, ys []float64, x []float64) (float64, er
 	return v[0], err
 }
 
-// system returns the factored covariance system C = sill - Γ for a
-// support set, reusing a cached Cholesky (or fallback LU) factorisation
-// when the same support was seen recently. With a fixed bounded Model —
-// whose plateau sill does not depend on the support — a requested
-// support that extends a cached one by a few trailing points grows the
-// cached Cholesky factor via rank-1 updates in O(n²) per point instead
-// of refactorising; the assembled borders are exactly the rows a
-// from-scratch build would produce, so only factorisation rounding
-// differs (inside the 1e-9 tolerance, see
-// TestIncrementalSimpleMatchesFull). Unbounded models take the sill from
-// the support separations, which appending changes, so they always
-// refactorise.
-func (s *Simple) system(xs [][]float64, ys []float64) (*factored, error) {
-	cache := resolveCache(&s.cacheOnce, &s.cache, s.CacheSize)
-	var key uint64
-	if cache != nil {
-		key = supportFingerprint(xs, ys)
-		if sys, ok := cache.get(key, xs, ys); ok {
-			return sys, nil
-		}
-		if s.Model != nil {
-			if _, bounded := modelPlateau(s.Model); bounded {
-				if base, m, ok := cache.getPrefix(xs, ys, maxIncrementalAppend); ok {
-					if sys, err := s.extendSystem(base, xs, m); err == nil {
-						cache.incrementalHits.Add(1)
-						cache.add(key, xs, ys, sys)
-						return sys, nil
-					}
-				}
-			}
-		}
-	}
+// factor builds and factors the covariance system C = sill - Γ of
+// exactly this support from scratch; predictions reach it through the
+// cache.
+func (s *Simple) factor(xs [][]float64, ys []float64) (*factored, error) {
 	dist := s.dist()
 	model := s.Model
 	if model == nil {
@@ -125,12 +88,9 @@ func (s *Simple) system(xs [][]float64, ys []float64) (*factored, error) {
 			}
 		}
 	}
-	sys := &factored{model: model, sill: sill, n: n, base: n}
+	sys := &factored{model: model, sill: sill}
 	if sill == 0 {
 		// Flat field; Predict answers with the mean without solving.
-		if cache != nil {
-			cache.add(key, xs, ys, sys)
-		}
 		return sys, nil
 	}
 	c := linalg.NewMatrix(n, n)
@@ -148,7 +108,6 @@ func (s *Simple) system(xs [][]float64, ys []float64) (*factored, error) {
 	// (symmetric indefinite) system.
 	if chol, err := linalg.FactorizeCholesky(c); err == nil {
 		sys.chol = chol
-		sys.cholesky = true
 	} else {
 		f, err := linalg.Factorize(c)
 		if err != nil {
@@ -156,39 +115,7 @@ func (s *Simple) system(xs [][]float64, ys []float64) (*factored, error) {
 		}
 		sys.lu = f
 	}
-	if cache != nil {
-		cache.add(key, xs, ys, sys)
-	}
 	return sys, nil
-}
-
-// extendSystem grows the cached covariance factor of xs[:m] to cover all
-// of xs by appending one covariance border per new support point through
-// Cholesky rank-1 updates. Only Cholesky-factored systems extend (the LU
-// fallback marks a support that already defeated positive definiteness,
-// and flat systems have no factor); a border that fails the linalg
-// health check abandons the extension.
-func (s *Simple) extendSystem(base *factored, xs [][]float64, m int) (*factored, error) {
-	n := len(xs)
-	if base.chol == nil || base.extended()+(n-m) > maxExtendChain {
-		return nil, errNotExtendable
-	}
-	dist := s.dist()
-	sill := base.sill
-	chol := base.chol
-	for j := m; j < n; j++ {
-		row := make([]float64, j)
-		for k := 0; k < j; k++ {
-			row[k] = sill - base.model.Gamma(dist(xs[j], xs[k]))
-		}
-		diag := sill - base.model.Gamma(0) + 1e-12*sill + s.Nugget
-		next, err := chol.AppendRow(row, diag)
-		if err != nil {
-			return nil, err
-		}
-		chol = next
-	}
-	return &factored{model: base.model, sill: sill, cholesky: true, chol: chol, n: n, base: base.base}, nil
 }
 
 // modelPlateau returns the total plateau (sill + nugget) of a bounded

@@ -75,66 +75,6 @@ func (c *Cholesky) SolveInto(dst, b []float64) error {
 // Size returns the dimension of the factored matrix.
 func (c *Cholesky) Size() int { return c.n }
 
-// cholAppendTol is the health threshold of AppendRow: the squared new
-// diagonal pivot must retain at least this fraction of the magnitudes it
-// was computed from, or the update is rejected as numerically unsafe
-// (catastrophic cancellation would poison every later solve). Callers
-// fall back to a full refactorisation on rejection.
-const cholAppendTol = 1e-8
-
-// AppendRow extends the factorisation of the n×n matrix A to the
-// bordered (n+1)×(n+1) matrix
-//
-//	A' = ⎡A     row⎤
-//	     ⎣rowᵀ diag⎦
-//
-// in O(n²): one triangular solve for the new off-diagonal row of L plus
-// a square root for the new diagonal. The receiver is not modified; the
-// returned factor shares no state with it, so cached factors can keep
-// serving concurrent solves while extensions are built.
-//
-// It returns ErrSingular when A' is not (safely) positive definite —
-// the new diagonal pivot is non-positive or has lost nearly all its
-// precision to cancellation — in which case the caller should
-// refactorise from scratch.
-func (c *Cholesky) AppendRow(row []float64, diag float64) (*Cholesky, error) {
-	if len(row) != c.n {
-		return nil, fmt.Errorf("%w: appended row length %d, want %d", ErrShape, len(row), c.n)
-	}
-	n := c.n
-	m := n + 1
-	l := NewMatrix(m, m)
-	for i := 0; i < n; i++ {
-		copy(l.Data[i*m:i*m+i+1], c.l.Data[i*n:i*n+i+1])
-	}
-	// New off-diagonal row v: L·v = row (forward substitution), read from
-	// the old factor, written into the new last row.
-	last := l.Data[n*m : n*m+m]
-	var sq float64
-	for i := 0; i < n; i++ {
-		ri := c.l.Data[i*n : i*n+i+1]
-		s := row[i]
-		for k := 0; k < i; k++ {
-			s -= ri[k] * last[k]
-		}
-		v := s / ri[i]
-		last[i] = v
-		sq += v * v
-	}
-	// New diagonal: l² = diag - v·v, guarded against cancellation. The
-	// guard must fail CLOSED on non-finite pivots: a NaN d2 (duplicate
-	// support points pushed through a degenerate anisotropy transform
-	// yield NaN distances, hence NaN rows) compares false against every
-	// threshold, and the old `d2 <= 0 || d2 < tol·(...)` form let
-	// sqrt(NaN) poison the factor while reporting success.
-	d2 := diag - sq
-	if !(d2 > 0) || math.IsInf(d2, 0) || d2 < cholAppendTol*(math.Abs(diag)+sq) {
-		return nil, fmt.Errorf("%w: appended diagonal pivot %g below health threshold", ErrSingular, d2)
-	}
-	last[n] = math.Sqrt(d2)
-	return &Cholesky{l: l, n: m}, nil
-}
-
 // L returns a copy of the lower-triangular factor.
 func (c *Cholesky) L() *Matrix { return c.l.Clone() }
 

@@ -178,3 +178,43 @@ func TestPropertyCholeskyMatchesLU(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCholeskySolveInto pins the in-place solve against Solve, including
+// the documented dst==b aliasing mode.
+func TestCholeskySolveInto(t *testing.T) {
+	r := rng.New(45)
+	a := randomSPD(r, 9)
+	c, err := FactorizeCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, 9)
+	for i := range b {
+		b[i] = r.NormScaled(0, 2)
+	}
+	want, err := c.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 9)
+	if err := c.SolveInto(dst, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("SolveInto[%d] = %v, want %v", i, dst[i], want[i])
+		}
+	}
+	alias := append([]float64(nil), b...)
+	if err := c.SolveInto(alias, alias); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if alias[i] != want[i] {
+			t.Fatalf("aliased SolveInto[%d] = %v, want %v", i, alias[i], want[i])
+		}
+	}
+	if err := c.SolveInto(dst[:3], b); !errors.Is(err, ErrShape) {
+		t.Fatalf("short dst accepted: %v", err)
+	}
+}

@@ -16,26 +16,6 @@
 // takes this path. [FactorizeCholesky] covers symmetric positive
 // definite systems — the covariance form of simple kriging.
 //
-// # Incremental updates
-//
-// Sequential infill grows a kriging support one point per round, so both
-// factor types support growing an existing factorisation in O(n²)
-// instead of refactorising in O(n³):
-//
-//   - [Cholesky.AppendRow] extends A = L·Lᵀ to the bordered matrix with
-//     one new symmetric row/column.
-//   - [LU.Extend] extends P·A = L·U to the bordered matrix, freezing the
-//     pivot order of the existing rows and placing the new row last.
-//
-// Updates never mutate the receiver — they return a fresh factor, so a
-// factor shared by concurrent readers (the kriging system cache) stays
-// valid. Both growth updates apply a pivot/diagonal health check and
-// return [ErrSingular] when the new pivot is negligible against the
-// factor scale; callers are expected to fall back to a full
-// refactorisation in that case. Within that health margin an updated
-// factor solves the same system as a from-scratch factorisation to well
-// under 1e-9 relative error (asserted by the kriging property tests).
-//
 // # Blocked multi-RHS solves
 //
 // A batch of k right-hand sides against one factor solves as a

@@ -105,75 +105,6 @@ func (f *LU) SolveInto(dst, b []float64) error {
 // Size returns the dimension of the factored matrix.
 func (f *LU) Size() int { return f.n }
 
-// luExtendTol is the health threshold of Extend: the new diagonal pivot
-// (the Schur complement of the border, which gets no row exchange) must
-// not be negligible against the existing pivot scale, or later solves
-// would amplify rounding error unboundedly. Callers fall back to a full
-// (re-pivoted) factorisation on rejection.
-const luExtendTol = 1e-10
-
-// Extend grows the factorisation of the n×n matrix A to the bordered
-// (n+1)×(n+1) matrix
-//
-//	A' = ⎡A    col⎤
-//	     ⎣rowᵀ corner⎦
-//
-// in O(n²): two triangular solves for the new column of U and row of L
-// plus the Schur-complement corner pivot. The existing pivot order is
-// frozen and the new row stays last, so no re-pivoting occurs — Extend
-// returns ErrSingular when the unpivoted corner fails the health check,
-// and the caller should refactorise from scratch. The receiver is not
-// modified; the returned factor shares no state with it.
-func (f *LU) Extend(col, row []float64, corner float64) (*LU, error) {
-	if len(col) != f.n || len(row) != f.n {
-		return nil, fmt.Errorf("%w: border lengths %d/%d, want %d", ErrShape, len(col), len(row), f.n)
-	}
-	n := f.n
-	m := n + 1
-	lu := NewMatrix(m, m)
-	for i := 0; i < n; i++ {
-		copy(lu.Data[i*m:i*m+n], f.lu.Data[i*n:(i+1)*n])
-	}
-	// New last column of U: L·u = P·col (forward substitution with the
-	// unit lower triangle).
-	for i := 0; i < n; i++ {
-		ri := f.lu.Data[i*n : (i+1)*n]
-		s := col[f.piv[i]]
-		for k := 0; k < i; k++ {
-			s -= ri[k] * lu.Data[k*m+n]
-		}
-		lu.Data[i*m+n] = s
-	}
-	// New last row of L: lᵀ·U = rowᵀ (forward substitution through Uᵀ).
-	last := lu.Data[n*m : m*m]
-	for j := 0; j < n; j++ {
-		s := row[j]
-		for k := 0; k < j; k++ {
-			s -= last[k] * f.lu.Data[k*n+j]
-		}
-		last[j] = s / f.lu.Data[j*n+j]
-	}
-	// Corner pivot: the Schur complement corner - lᵀ·u.
-	s := corner
-	var scale float64
-	for k := 0; k < n; k++ {
-		s -= last[k] * lu.Data[k*m+n]
-		if d := math.Abs(f.lu.Data[k*n+k]); d > scale {
-			scale = d
-		}
-	}
-	// Written so a NaN corner (non-finite border input) fails the check
-	// and rejects the extension instead of poisoning the factor.
-	if !(math.Abs(s) >= luExtendTol*(scale+1)) || math.IsInf(s, 0) {
-		return nil, fmt.Errorf("%w: extended corner pivot %g below health threshold", ErrSingular, s)
-	}
-	last[n] = s
-	piv := make([]int, m)
-	copy(piv, f.piv)
-	piv[n] = n
-	return &LU{lu: lu, piv: piv, sign: f.sign, n: m}, nil
-}
-
 // Det returns the determinant of the factorised matrix.
 func (f *LU) Det() float64 {
 	d := f.sign

@@ -204,3 +204,74 @@ func TestPropertyDetProductRule(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLUSolveInto pins the in-place solve against Solve.
+func TestLUSolveInto(t *testing.T) {
+	r := rng.New(47)
+	a := randomMatrix(r, 7)
+	for i := 0; i < 7; i++ {
+		a.Set(i, i, a.At(i, i)+7)
+	}
+	f, err := Factorize(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, 7)
+	for i := range b {
+		b[i] = r.NormScaled(0, 2)
+	}
+	want, err := f.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 7)
+	if err := f.SolveInto(dst, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("SolveInto[%d] = %v, want %v", i, dst[i], want[i])
+		}
+	}
+	if err := f.SolveInto(dst, b[:2]); !errors.Is(err, ErrShape) {
+		t.Fatalf("short rhs accepted: %v", err)
+	}
+}
+
+// TestSolveIntoAllocs proves repeated solves against warm factors are
+// allocation-free — the contract the kriging predict scratch relies on.
+func TestSolveIntoAllocs(t *testing.T) {
+	r := rng.New(48)
+	spd := randomSPD(r, 12)
+	c, err := FactorizeCholesky(spd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := randomMatrix(r, 12)
+	for i := 0; i < 12; i++ {
+		gen.Set(i, i, gen.At(i, i)+12)
+	}
+	f, err := Factorize(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, 12)
+	for i := range b {
+		b[i] = r.Float64()
+	}
+	dst := make([]float64, 12)
+	if got := testing.AllocsPerRun(200, func() {
+		if err := c.SolveInto(dst, b); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 0 {
+		t.Errorf("Cholesky.SolveInto allocates %.1f per run, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if err := f.SolveInto(dst, b); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 0 {
+		t.Errorf("LU.SolveInto allocates %.1f per run, want 0", got)
+	}
+}

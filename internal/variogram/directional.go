@@ -63,8 +63,8 @@ func Directional(xs [][]float64, ys []float64, nv int) ([]DirectionalBin, error)
 // steepest and shallowest per-axis short-range slopes (γ at the smallest
 // binned distance divided by that distance). Axes with no pairs are
 // skipped; a ratio of 1 means the field looks isotropic, large ratios
-// mean per-axis distance scaling (kriging.WeightedL1) will pay off. The
-// boolean reports whether at least two axes had data.
+// mean per-axis distance scaling would pay off. The boolean reports
+// whether at least two axes had data.
 func AnisotropyRatio(dirs []DirectionalBin) (float64, bool) {
 	minSlope := math.Inf(1)
 	maxSlope := math.Inf(-1)
