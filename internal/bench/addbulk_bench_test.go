@@ -31,13 +31,13 @@ func BenchmarkAddBulk(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := store.NewWithOptions(space.MetricL1, store.Options{RadiusHint: scalingD})
+				s := store.New(space.MetricL1)
 				s.AddBatch(entries)
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/perAdd", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := store.NewWithOptions(space.MetricL1, store.Options{RadiusHint: scalingD})
+				s := store.New(space.MetricL1)
 				for _, e := range entries {
 					s.Add(e.Config, e.Lambda)
 				}
@@ -64,7 +64,7 @@ func BenchmarkAddBulkRestore(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := store.NewWithOptions(space.MetricL1, store.Options{RadiusHint: scalingD})
+		s := store.New(space.MetricL1)
 		s.AddBatch(entries)
 	}
 }

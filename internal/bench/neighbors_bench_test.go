@@ -10,8 +10,8 @@ import (
 	"repro/internal/store"
 )
 
-// The neighbour-scaling benchmarks measure the lattice-bucket spatial
-// index against the paper's linear scan on stores of increasing size:
+// The neighbour-scaling benchmarks measure the store's radius scan on
+// stores of increasing size:
 //
 //	go test ./internal/bench -run '^$' -bench NeighborsScaling
 //
@@ -44,18 +44,14 @@ func scalingQueries(seed uint64, n int) []space.Config {
 // scalingStores caches prefilled stores across sub-benchmarks so the
 // query benchmarks measure queries, not setup (the bulk load itself is
 // measured by BenchmarkAddBulk).
-var scalingStores = map[string]*store.Store{}
+var scalingStores = map[int]*store.Store{}
 
-func scalingStore(n int, mode store.IndexMode) *store.Store {
-	key := fmt.Sprintf("%d/%v", n, mode)
-	if s, ok := scalingStores[key]; ok {
+func scalingStore(n int) *store.Store {
+	if s, ok := scalingStores[n]; ok {
 		return s
 	}
 	r := rng.New(uint64(n))
-	s := store.NewWithOptions(space.MetricL1, store.Options{
-		Index:      mode,
-		RadiusHint: scalingD,
-	})
+	s := store.New(space.MetricL1)
 	for s.Len() < n {
 		batch := make([]store.Entry, n-s.Len())
 		for i := range batch {
@@ -63,33 +59,31 @@ func scalingStore(n int, mode store.IndexMode) *store.Store {
 		}
 		s.AddBatch(batch)
 	}
-	scalingStores[key] = s
+	scalingStores[n] = s
 	return s
 }
 
 // BenchmarkNeighborsScaling reports the per-query cost of the raw store
-// radius scan at 1k/10k/100k entries, indexed (lattice buckets) versus
-// linear (full scan). ns/op is one Neighbors call at d = 3.
+// radius scan at 1k/10k/100k entries. ns/op is one Neighbors call at
+// d = 3.
 func BenchmarkNeighborsScaling(b *testing.B) {
 	queries := scalingQueries(99, 512)
 	for _, n := range []int{1000, 10000, 100000} {
-		for _, mode := range []store.IndexMode{store.IndexLattice, store.IndexLinear} {
-			b.Run(fmt.Sprintf("n=%d/%v", n, mode), func(b *testing.B) {
-				s := scalingStore(n, mode)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Neighbors(queries[i%len(queries)], scalingD)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := scalingStore(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Neighbors(queries[i%len(queries)], scalingD)
+			}
+		})
 	}
 }
 
 // BenchmarkNeighborsScalingEvaluate is the end-to-end view of the same
-// win: one full evaluator query (exact-hit lookup, neighbourhood
-// collection, kriging or simulation) against a 50k-entry support store,
-// indexed versus linear. The simulator is free, so ns/op isolates the
-// evaluation pipeline itself, which the radius scan dominates at scale.
+// scan: one full evaluator query (exact-hit lookup, neighbourhood
+// collection, kriging or simulation) against a 50k-entry support store.
+// The simulator is free, so ns/op isolates the evaluation pipeline
+// itself, which the radius scan dominates at scale.
 func BenchmarkNeighborsScalingEvaluate(b *testing.B) {
 	const prefill = 50000
 	sim := evaluator.SimulatorFunc{
@@ -102,27 +96,21 @@ func BenchmarkNeighborsScalingEvaluate(b *testing.B) {
 			return float64(s), nil
 		},
 	}
-	for _, mode := range []store.IndexMode{store.IndexAuto, store.IndexLinear} {
-		b.Run(fmt.Sprintf("n=%d/%v", prefill, mode), func(b *testing.B) {
-			ev, err := evaluator.New(sim, evaluator.Options{
-				D:          scalingD,
-				MaxSupport: 10,
-				StoreIndex: mode,
-			})
-			if err != nil {
+	b.Run(fmt.Sprintf("n=%d", prefill), func(b *testing.B) {
+		ev, err := evaluator.New(sim, evaluator.Options{D: scalingD, MaxSupport: 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(prefill)
+		for ev.Store().Len() < prefill {
+			ev.Store().Add(scalingConfig(r), r.Float64())
+		}
+		queries := scalingQueries(7, 4096)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ev.Evaluate(queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
-			r := rng.New(prefill)
-			for ev.Store().Len() < prefill {
-				ev.Store().Add(scalingConfig(r), r.Float64())
-			}
-			queries := scalingQueries(7, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ev.Evaluate(queries[i%len(queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

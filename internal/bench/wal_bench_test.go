@@ -38,7 +38,6 @@ func BenchmarkAddBulkWAL(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s, err := store.Open(space.MetricL1, store.Options{
-					RadiusHint: scalingD,
 					Durability: &store.DurabilityOptions{Dir: b.TempDir()},
 				})
 				if err != nil {
@@ -71,7 +70,6 @@ func BenchmarkRecovery(b *testing.B) {
 		entries := walEntries(n)
 		dir := b.TempDir()
 		s, err := store.Open(space.MetricL1, store.Options{
-			RadiusHint: scalingD,
 			Durability: &store.DurabilityOptions{Dir: dir},
 		})
 		if err != nil {
@@ -95,7 +93,6 @@ func BenchmarkRecovery(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, err := store.Open(space.MetricL1, store.Options{
-					RadiusHint: scalingD,
 					Durability: &store.DurabilityOptions{Dir: dir},
 				})
 				if err != nil {

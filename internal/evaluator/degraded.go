@@ -20,7 +20,7 @@ type RequestOptions struct {
 
 // degradedAnswer serves the brownout fallback for one query: a kriging
 // prediction over whatever support the live store holds, with the
-// admission gates relaxed — any non-empty neighbourhood within D..DMax
+// admission gates relaxed — any non-empty neighbourhood within D
 // qualifies (the NnMin threshold and the variance gate are waived,
 // because the alternative is no answer at all). The prediction runs the
 // exact normal pipeline (same neighbour search, same krige step in its
@@ -43,12 +43,7 @@ func (e *Evaluator) degradedAnswer(cfg space.Config) (Result, bool) {
 	if e.opts.D <= 0 {
 		return Result{}, false
 	}
-	k := e.opts.MaxSupport
-	nb := &qs.nb
-	e.store.NearestKInto(nb, cfg, e.opts.D, k)
-	for d := e.opts.D + 1; nb.Len() == 0 && d <= e.opts.DMax; d++ {
-		e.store.NearestKInto(nb, cfg, d, k)
-	}
+	nb := e.store.NearestKInto(&qs.nb, cfg, e.opts.D, e.opts.MaxSupport)
 	if nb.Len() == 0 {
 		return Result{}, false
 	}

@@ -110,13 +110,6 @@ type Options struct {
 	// simulation. This trades some of the saved simulations for
 	// confidence in the kriged values.
 	MaxVariance float64
-	// DMax, when greater than D, turns on the adaptive neighbourhood:
-	// a query with too few supports at radius D retries with the radius
-	// grown in unit steps up to DMax before falling back to simulation.
-	// The paper fixes d per run; adaptive growth recovers part of the
-	// interpolated share at tight base distances without paying the
-	// error of a uniformly large d.
-	DMax float64
 	// Interp is the interpolator; nil selects ordinary kriging with the
 	// Numerical Recipes power variogram over L1 distances, the paper's
 	// setup. A custom Interp must be safe for concurrent use if the
@@ -127,16 +120,6 @@ type Options struct {
 	// StoreShards overrides the shard count of the support store; zero
 	// selects store.DefaultShardCount.
 	StoreShards int
-	// StoreIndex selects the support store's spatial-index mode. The
-	// zero value (store.IndexAuto) buckets configurations on a lattice
-	// grid sized from the query radius (D, or DMax when adaptive growth
-	// is on), so radius queries visit only candidate cells instead of
-	// scanning the whole store; store.IndexLinear restores the paper's
-	// plain linear scan. Results are identical either way.
-	StoreIndex store.IndexMode
-	// StoreCellSize overrides the lattice cell edge of the spatial
-	// index; zero derives it from D/DMax.
-	StoreCellSize int
 	// Transform, when non-nil, maps λ into the space in which kriging
 	// is performed, and Untransform maps predictions back. The paper
 	// kriges λ = -P directly (identity); the log-domain ablation uses a
@@ -182,14 +165,8 @@ func (o *Options) validate() error {
 	if o.MaxVariance < 0 {
 		return fmt.Errorf("%w: negative MaxVariance %v", ErrBadOptions, o.MaxVariance)
 	}
-	if o.DMax != 0 && o.DMax < o.D {
-		return fmt.Errorf("%w: DMax %v below D %v", ErrBadOptions, o.DMax, o.D)
-	}
 	if o.StoreShards < 0 {
 		return fmt.Errorf("%w: negative StoreShards %d", ErrBadOptions, o.StoreShards)
-	}
-	if o.StoreCellSize < 0 {
-		return fmt.Errorf("%w: negative StoreCellSize %d", ErrBadOptions, o.StoreCellSize)
 	}
 	if (o.Transform == nil) != (o.Untransform == nil) {
 		return fmt.Errorf("%w: Transform and Untransform must be set together", ErrBadOptions)
@@ -278,18 +255,7 @@ func New(sim Simulator, opts Options) (*Evaluator, error) {
 	if opts.Interp == nil {
 		opts.Interp = &kriging.Ordinary{} // L1 + power variogram defaults
 	}
-	// The query radius regime sizes the index cells: with cell ≈ D the
-	// candidate ring around a query is one cell per axis.
-	hint := opts.D
-	if opts.DMax > hint {
-		hint = opts.DMax
-	}
-	sopts := store.Options{
-		Shards:     opts.StoreShards,
-		Index:      opts.StoreIndex,
-		CellSize:   opts.StoreCellSize,
-		RadiusHint: hint,
-	}
+	sopts := store.Options{Shards: opts.StoreShards}
 	if opts.StateDir != "" {
 		sopts.Durability = &store.DurabilityOptions{Dir: opts.StateDir}
 	}
@@ -470,21 +436,15 @@ func (e *Evaluator) gatherSupport(view storeView, cfg space.Config, qs *queryScr
 	// With a support cap above the decision threshold — every practical
 	// configuration — the radius query is capped at the k nearest too:
 	// min(count, k) > NnMin decides exactly like the full count (k >
-	// NnMin), the shell-pruned search stops early on dense stores, and
-	// the resulting support is bit-identical to NearestK of the full
-	// neighbourhood. The k <= NnMin corner keeps the uncapped query so
-	// the decision still sees the true count.
+	// NnMin), and the resulting support is bit-identical to NearestK of
+	// the full neighbourhood. The k <= NnMin corner keeps the uncapped
+	// query so the decision still sees the true count.
 	k := e.opts.MaxSupport
 	if k <= e.opts.NnMin {
 		k = 0
 	}
 	nb := &qs.nb
 	view.NearestKInto(nb, cfg, e.opts.D, k)
-	// Adaptive neighbourhood: grow the radius in unit steps until the
-	// support suffices or DMax is reached.
-	for d := e.opts.D + 1; nb.Len() <= e.opts.NnMin && d <= e.opts.DMax; d++ {
-		view.NearestKInto(nb, cfg, d, k)
-	}
 	if nb.Len() <= e.opts.NnMin {
 		return nil, false
 	}

@@ -117,16 +117,6 @@ type ReplayRow struct {
 	KrigFailures int // degenerate systems that fell back to simulation
 }
 
-// newReplayStore builds a support store for replay passes, sizing the
-// spatial-index cells from the replay's query radius.
-func newReplayStore(opts Options) *store.Store {
-	hint := opts.D
-	if opts.DMax > hint {
-		hint = opts.DMax
-	}
-	return store.NewWithOptions(opts.Metric, store.Options{RadiusHint: hint})
-}
-
 // Replay feeds a recorded trajectory through the kriging decision rule
 // and measures the interpolation error of every kriged point against the
 // recorded truth. No simulator runs: "simulated" points take their value
@@ -162,7 +152,7 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 	// Algorithms 1-2: a point is interpolated when strictly more than
 	// Nn,min already-simulated points lie within d; interpolated points
 	// never enter the support store.
-	st := newReplayStore(opts)
+	st := store.New(opts.Metric)
 	interp := make([]bool, len(pts))
 	for i, tp := range pts {
 		if opts.D > 0 && st.Neighbors(tp.Config, opts.D).Len() > opts.NnMin {
@@ -177,7 +167,7 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 	// Pass 2 — value computation and error measurement. The support
 	// stores of this pass hold whole recorded sets, so they go through
 	// the amortized bulk-write path rather than per-Add publication.
-	all := newReplayStore(opts)
+	all := store.New(opts.Metric)
 	if mode == ModePaper {
 		all.AddBatch(pts.Entries())
 	}
@@ -207,7 +197,7 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 					past = append(past, store.Entry{Config: pts[j].Config, Lambda: pts[j].Lambda})
 				}
 			}
-			live := newReplayStore(opts)
+			live := store.New(opts.Metric)
 			live.AddBatch(past)
 			nb = live.Neighbors(tp.Config, opts.D)
 		default:

@@ -83,48 +83,6 @@ func TestVarianceOptionValidation(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRadiusGrowsToDMax(t *testing.T) {
-	sim := newPlaneSim()
-	ev, err := New(sim, Options{D: 1, DMax: 6, NnMin: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Supports at distance 4 from the query: invisible at D=1, found by
-	// the adaptive growth.
-	ev.Store().Add(space.Config{3, 3}, 15)
-	ev.Store().Add(space.Config{7, 7}, 35)
-	res, err := ev.Evaluate(space.Config{5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Source != Interpolated {
-		t.Error("adaptive radius did not reach the supports")
-	}
-}
-
-func TestAdaptiveRadiusRespectsDMax(t *testing.T) {
-	sim := newPlaneSim()
-	ev, err := New(sim, Options{D: 1, DMax: 2, NnMin: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.Store().Add(space.Config{0, 0}, 0)
-	ev.Store().Add(space.Config{10, 10}, 50)
-	res, err := ev.Evaluate(space.Config{5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Source != Simulated {
-		t.Error("adaptive radius overshot DMax")
-	}
-}
-
-func TestAdaptiveRadiusValidation(t *testing.T) {
-	if _, err := New(newPlaneSim(), Options{D: 5, DMax: 2}); err == nil {
-		t.Error("DMax below D accepted")
-	}
-}
-
 func TestStatsTimeAccountingAndSpeedup(t *testing.T) {
 	sim := newPlaneSim()
 	ev, err := New(sim, Options{D: 3, NnMin: 1})

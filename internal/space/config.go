@@ -70,9 +70,9 @@ func (c Config) With(i, v int) Config {
 }
 
 // The distance kernels below are unrolled four-wide with paired
-// accumulators: the lattice index evaluates them against every candidate
-// in a shell sweep (store NeighborsInto/NearestKInto), so they are among
-// the hottest scalar loops in the system. Integer sums are exact under
+// accumulators: the store's radius scan evaluates them against every
+// stored entry (store NeighborsInto/NearestKInto), so they are among the
+// hottest scalar loops in the system. Integer sums are exact under
 // reordering, and the float accumulators pair up the same way in every
 // call, so results are deterministic and identical across call sites.
 

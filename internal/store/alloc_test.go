@@ -19,9 +19,9 @@ func skipUnderRace(t *testing.T) {
 }
 
 // allocStore builds a populated store for the allocation gates.
-func allocStore(mode IndexMode, n int) (*Store, []space.Config) {
+func allocStore(n int) (*Store, []space.Config) {
 	r := rng.New(77)
-	s := NewWithOptions(space.MetricL1, Options{Index: mode, RadiusHint: 3})
+	s := New(space.MetricL1)
 	for s.Len() < n {
 		s.Add(randConfig(r, 4, 0, 25), r.Float64())
 	}
@@ -33,39 +33,37 @@ func allocStore(mode IndexMode, n int) (*Store, []space.Config) {
 }
 
 // TestAllocsNeighborsInto is the zero-allocation gate of the radius
-// query: once the buffer is warm, NeighborsInto must not touch the heap
-// on either the lattice or the linear path, live store or snapshot.
+// query: once the buffer is warm, NeighborsInto must not touch the heap,
+// live store or snapshot.
 func TestAllocsNeighborsInto(t *testing.T) {
 	skipUnderRace(t)
-	for _, mode := range []IndexMode{IndexLattice, IndexLinear} {
-		s, queries := allocStore(mode, 2000)
-		snap := s.Snapshot()
-		var buf Neighborhood
-		i := 0
-		// Warm the buffer across the query mix first.
-		for _, w := range queries {
-			s.NeighborsInto(&buf, w, 3)
-		}
-		if got := testing.AllocsPerRun(200, func() {
-			s.NeighborsInto(&buf, queries[i%len(queries)], 3)
-			i++
-		}); got > 0 {
-			t.Errorf("%v: warm NeighborsInto allocates %.2f per run, want 0", mode, got)
-		}
-		if got := testing.AllocsPerRun(200, func() {
-			snap.NeighborsInto(&buf, queries[i%len(queries)], 3)
-			i++
-		}); got > 0 {
-			t.Errorf("%v: warm Snapshot.NeighborsInto allocates %.2f per run, want 0", mode, got)
-		}
+	s, queries := allocStore(2000)
+	snap := s.Snapshot()
+	var buf Neighborhood
+	i := 0
+	// Warm the buffer across the query mix first.
+	for _, w := range queries {
+		s.NeighborsInto(&buf, w, 3)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		s.NeighborsInto(&buf, queries[i%len(queries)], 3)
+		i++
+	}); got > 0 {
+		t.Errorf("warm NeighborsInto allocates %.2f per run, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		snap.NeighborsInto(&buf, queries[i%len(queries)], 3)
+		i++
+	}); got > 0 {
+		t.Errorf("warm Snapshot.NeighborsInto allocates %.2f per run, want 0", got)
 	}
 }
 
-// TestAllocsNearestKInto extends the gate to the shell-pruned k-nearest
-// query, early exit and ambiguity fallback included.
+// TestAllocsNearestKInto extends the gate to the k-nearest query, both
+// truncated (more than k in range) and not.
 func TestAllocsNearestKInto(t *testing.T) {
 	skipUnderRace(t)
-	s, queries := allocStore(IndexLattice, 2000)
+	s, queries := allocStore(2000)
 	var buf Neighborhood
 	i := 0
 	for _, w := range queries {
@@ -85,7 +83,7 @@ func TestAllocsNearestKInto(t *testing.T) {
 // zero snapshots, k beyond the in-range count, and the k<=0 radius
 // degradation.
 func TestNearestKIntoEdgeCases(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Index: IndexLattice, CellSize: 2})
+	s := New(space.MetricL1)
 	var buf Neighborhood
 	if nb := s.NearestKInto(&buf, space.Config{0, 0}, 3, 4); nb.Len() != 0 {
 		t.Fatalf("empty store returned %d entries", nb.Len())
@@ -114,13 +112,11 @@ func TestNearestKIntoEdgeCases(t *testing.T) {
 	}
 }
 
-// TestNearestKIntoTieAmbiguity pins the exhaustive fallback: when the
-// early exit leaves exactly k collected hits, the ordering contract
-// still depends on whether MORE in-range points exist, which only an
-// exhaustive pass can decide.
+// TestNearestKIntoTieAmbiguity pins the ordering contract's dependence
+// on the in-range total: with more than k points in range the k nearest
+// come back by distance, with exactly k they keep insertion order.
 func TestNearestKIntoTieAmbiguity(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Index: IndexLattice, CellSize: 1})
-	lin := NewWithOptions(space.MetricL1, Options{Index: IndexLinear})
+	s := New(space.MetricL1)
 	// Two near points (insertion order 2, 1 by distance) and one far
 	// point still inside the radius.
 	for _, e := range []struct {
@@ -132,15 +128,18 @@ func TestNearestKIntoTieAmbiguity(t *testing.T) {
 		{space.Config{4, 4}, 3}, // dist 8
 	} {
 		s.Add(e.c, e.lam)
-		lin.Add(e.c, e.lam)
 	}
 	w := space.Config{0, 0}
-	want := lin.Neighbors(w, 8).NearestK(2)
 	got := s.NearestK(w, 8, 2)
-	assertSameNeighborhood(t, "k=2 with far straggler", got, want)
+	assertSameNeighborhood(t, "k=2 with far straggler", got, s.Neighbors(w, 8).NearestK(2))
+	if got.Values[0] != 2 || got.Values[1] != 1 {
+		t.Errorf("k=2 with far straggler: Values = %v, want [2 1] (by distance)", got.Values)
+	}
 	// And with the radius shrunk so the total is exactly k: insertion
 	// order must come back.
-	want = lin.Neighbors(w, 1).NearestK(2)
 	got = s.NearestK(w, 1, 2)
-	assertSameNeighborhood(t, "total == k", got, want)
+	assertSameNeighborhood(t, "total == k", got, s.Neighbors(w, 1).NearestK(2))
+	if got.Values[0] != 1 || got.Values[1] != 2 {
+		t.Errorf("total == k: Values = %v, want [1 2] (insertion order)", got.Values)
+	}
 }

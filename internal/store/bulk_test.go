@@ -66,51 +66,45 @@ func TestAddBatchClonesConfigs(t *testing.T) {
 	}
 }
 
-// TestAddBatchEquivalence is the bulk-path twin of the index equivalence
-// property: a store bulk-loaded in one AddBatch must be bit-identical —
-// entries, neighbourhoods (values, distances, tie order) and snapshots —
-// to a store fed the same input through per-call Add, under every index
-// mode. The input deliberately contains duplicates so the overwrite path
-// is exercised in both stores.
+// TestAddBatchEquivalence is the bulk-path equivalence property: a store
+// bulk-loaded in one AddBatch must be bit-identical — entries,
+// neighbourhoods (values, distances, tie order) and snapshots — to a
+// store fed the same input through per-call Add. The input deliberately
+// contains duplicates so the overwrite path is exercised in both stores.
 func TestAddBatchEquivalence(t *testing.T) {
-	for _, mode := range []IndexMode{IndexAuto, IndexLattice, IndexLinear} {
-		t.Run(mode.String(), func(t *testing.T) {
-			r := rng.NewNamed(21, mode.String())
-			const n = 3000
-			entries := make([]Entry, n)
-			for i := range entries {
-				entries[i] = Entry{Config: randConfig(r, 3, -5, 15), Lambda: r.Float64()}
-			}
-			opt := Options{Index: mode, RadiusHint: 3}
-			bulk := NewWithOptions(space.MetricL1, opt)
-			loop := NewWithOptions(space.MetricL1, opt)
-			bulkAdded := bulk.AddBatch(entries)
-			loopAdded := 0
-			for _, e := range entries {
-				if loop.Add(e.Config, e.Lambda) {
-					loopAdded++
-				}
-			}
-			if bulkAdded != loopAdded || bulk.Len() != loop.Len() {
-				t.Fatalf("added %d (Len %d) via batch, %d (Len %d) via loop",
-					bulkAdded, bulk.Len(), loopAdded, loop.Len())
-			}
-			be, le := bulk.Entries(), loop.Entries()
-			for i := range le {
-				if !be[i].Config.Equal(le[i].Config) || be[i].Lambda != le[i].Lambda {
-					t.Fatalf("Entries[%d] = %+v, want %+v", i, be[i], le[i])
-				}
-			}
-			snapB, snapL := bulk.Snapshot(), loop.Snapshot()
-			for q := 0; q < 30; q++ {
-				w := randConfig(r, 3, -7, 17)
-				for d := 1.0; d <= 5; d++ {
-					ctx := fmt.Sprintf("w=%v d=%v", w, d)
-					assertSameNeighborhood(t, ctx, bulk.Neighbors(w, d), loop.Neighbors(w, d))
-					assertSameNeighborhood(t, "snapshot "+ctx, snapB.Neighbors(w, d), snapL.Neighbors(w, d))
-				}
-			}
-		})
+	r := rng.New(21)
+	const n = 3000
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Config: randConfig(r, 3, -5, 15), Lambda: r.Float64()}
+	}
+	bulk := New(space.MetricL1)
+	loop := New(space.MetricL1)
+	bulkAdded := bulk.AddBatch(entries)
+	loopAdded := 0
+	for _, e := range entries {
+		if loop.Add(e.Config, e.Lambda) {
+			loopAdded++
+		}
+	}
+	if bulkAdded != loopAdded || bulk.Len() != loop.Len() {
+		t.Fatalf("added %d (Len %d) via batch, %d (Len %d) via loop",
+			bulkAdded, bulk.Len(), loopAdded, loop.Len())
+	}
+	be, le := bulk.Entries(), loop.Entries()
+	for i := range le {
+		if !be[i].Config.Equal(le[i].Config) || be[i].Lambda != le[i].Lambda {
+			t.Fatalf("Entries[%d] = %+v, want %+v", i, be[i], le[i])
+		}
+	}
+	snapB, snapL := bulk.Snapshot(), loop.Snapshot()
+	for q := 0; q < 30; q++ {
+		w := randConfig(r, 3, -7, 17)
+		for d := 1.0; d <= 5; d++ {
+			ctx := fmt.Sprintf("w=%v d=%v", w, d)
+			assertSameNeighborhood(t, ctx, bulk.Neighbors(w, d), loop.Neighbors(w, d))
+			assertSameNeighborhood(t, "snapshot "+ctx, snapB.Neighbors(w, d), snapL.Neighbors(w, d))
+		}
 	}
 }
 
@@ -148,7 +142,7 @@ func TestOverwriteInvisibleToSnapshot(t *testing.T) {
 // shard. The old copy-on-write path allocated the whole entries slice
 // and key map per overwrite.
 func TestOverwriteConstantCost(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{RadiusHint: 3})
+	s := New(space.MetricL1)
 	r := rng.New(3)
 	for s.Len() < 10000 {
 		s.Add(randConfig(r, 3, 0, 30), r.Float64())
@@ -195,7 +189,7 @@ func TestConcurrentReadersDuringBulkLoad(t *testing.T) {
 		dedup[c.Key()] = true
 		entries = append(entries, Entry{Config: c, Lambda: float64(len(entries))})
 	}
-	s := NewWithOptions(space.MetricL1, Options{RadiusHint: 3})
+	s := New(space.MetricL1)
 	// Final ground truth: global rank per config and the per-shard
 	// insertion sequences the prefix property is checked against.
 	rank := make(map[string]int, total)

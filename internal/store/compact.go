@@ -70,7 +70,7 @@ func (s *Store) compactMem() (dropped int) {
 			if e.replacedBy.Load() != 0 {
 				continue // superseded: a newer version of e.cfg follows
 			}
-			nb.insert(e.hash, e.cfg, e.lambda, e.seq, s.ic)
+			nb.insert(e.hash, e.cfg, e.lambda, e.seq)
 		}
 		dropped += len(old) - len(nb.entries)
 		sh.b = nb

@@ -13,7 +13,7 @@ import (
 // lookups, neighbourhoods, insertion order — is unchanged, and that
 // snapshots taken before the compaction keep their epoch.
 func TestCompactDropsSupersededVersions(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Shards: 4, RadiusHint: 3})
+	s := NewWithOptions(space.MetricL1, Options{Shards: 4})
 	var cfgs []space.Config
 	for x := 0; x < 10; x++ {
 		for y := 0; y < 10; y++ {

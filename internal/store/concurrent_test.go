@@ -46,16 +46,14 @@ func TestConcurrentAddLookup(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexedNeighbors hammers the lattice-bucket query paths
-// while writers grow the index, with a linear-scan twin store as the
-// online oracle: every neighbourhood read from the indexed store must be
-// a plausible prefix-consistent answer, and the final states must agree
-// exactly. Run with -race to validate the copy-on-write bucket
-// publication.
-func TestConcurrentIndexedNeighbors(t *testing.T) {
+// TestConcurrentNeighbors hammers the radius query while writers grow
+// the store, then checks the quiesced store against a single-shard twin
+// built from its own entries: the final neighbourhoods must agree
+// exactly. Run with -race to validate the view publication.
+func TestConcurrentNeighbors(t *testing.T) {
 	const goroutines = 8
 	const perG = 150
-	indexed := NewWithOptions(space.MetricL1, Options{Index: IndexLattice, CellSize: 2})
+	s := New(space.MetricL1)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -63,28 +61,24 @@ func TestConcurrentIndexedNeighbors(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				c := space.Config{g, i % 12, i / 12}
-				indexed.Add(c, float64(g*perG+i))
-				// Small radius exercises the candidate ring, large the
-				// bucket sweep.
-				indexed.Neighbors(c, 2)
-				indexed.Neighbors(c, 40)
+				s.Add(c, float64(g*perG+i))
+				s.Neighbors(c, 2)
+				s.Neighbors(c, 40)
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Quiesced: the indexed store must agree exactly with a linear twin
-	// built from its own entries.
-	linear := NewWithOptions(space.MetricL1, Options{Index: IndexLinear})
-	for _, e := range indexed.Entries() {
-		linear.Add(e.Config, e.Lambda)
+	twin := NewSharded(space.MetricL1, 1)
+	for _, e := range s.Entries() {
+		twin.Add(e.Config, e.Lambda)
 	}
-	if indexed.Len() != goroutines*perG || linear.Len() != indexed.Len() {
-		t.Fatalf("Len = %d (twin %d), want %d", indexed.Len(), linear.Len(), goroutines*perG)
+	if s.Len() != goroutines*perG || twin.Len() != s.Len() {
+		t.Fatalf("Len = %d (twin %d), want %d", s.Len(), twin.Len(), goroutines*perG)
 	}
 	for g := 0; g < goroutines; g++ {
 		w := space.Config{g, 5, 5}
 		for _, d := range []float64{1, 3, 7} {
-			assertSameNeighborhood(t, "quiesced", indexed.Neighbors(w, d), linear.Neighbors(w, d))
+			assertSameNeighborhood(t, "quiesced", s.Neighbors(w, d), twin.Neighbors(w, d))
 		}
 	}
 }

@@ -31,42 +31,25 @@
 // the pre-batch or the post-batch view — a consistent prefix, never a
 // torn intermediate.
 //
-// # Radius queries: lattice-bucket index
+// # Radius queries: the linear scan
 //
-// Radius queries are served by a lattice-bucket spatial index rather
-// than a full scan: configurations live on an integer lattice, so each
-// shard chains its entries per coarse grid cell, with the cell table
-// holding each occupied cell's newest entry (cell edge sized from
-// Options.CellSize, or derived from Options.RadiusHint — the evaluator
-// passes its D — defaulting to 4). Neighbors(w, d) visits only the
-// ⌈d/cell⌉-ring of candidate cells around w in low dimension, and in
-// high dimension — where that ring outgrows the number of occupied
-// cells — sweeps the occupied cells with conservative cell-level
-// distance pruning. Because every candidate is verified against the
-// exact metric and hits are re-sorted by the global sequence, indexed
-// neighbourhoods are bit-identical to the linear scan (values,
-// distances and oldest-first tie order) for all supported metrics (L1,
-// L2, L∞: each bounds the per-dimension coordinate difference by the
-// distance, which makes both the ring bound and the cell pruning
-// conservative). Fallback rules: stores smaller than
-// Options.MinIndexedSize (default 64) and unrecognised metrics use the
-// linear scan; IndexLinear disables bucketing entirely; IndexLattice
-// forces the indexed paths.
-//
-// NearestK(w, d, k) answers the capped-support query without
-// materialising the full radius neighbourhood: the lattice path expands
-// candidate cells shell by shell and stops once the k-th best distance
-// bounds everything farther out, with results exactly equal to
-// Neighbors(w, d).NearestK(k). The *Into variants (NeighborsInto,
-// NearestKInto) refill a caller-owned Neighborhood buffer — result
-// slices and collection scratch included — so warm steady-state queries
-// allocate nothing; the plain forms are thin allocating wrappers.
+// Neighbors(w, d) is the pseudo-code's scan: every live entry of every
+// shard view is measured against w, the in-range hits are sorted by the
+// global sequence, and the neighbourhood comes back oldest-first.
+// NearestK(w, d, k) runs the same scan and, when more than k entries are
+// in range, orders the hits by (distance, sequence) and keeps the first
+// k — exactly Neighbors(w, d).NearestK(k). The paper's stores hold at
+// most a few thousand entries, where a full scan is cheap.
+// The *Into variants (NeighborsInto, NearestKInto) refill a caller-owned
+// Neighborhood buffer — result slices and collection scratch included —
+// so warm steady-state queries allocate nothing; the plain forms are
+// thin allocating wrappers.
 //
 // Snapshot freezes the current contents in O(shards): the batch
 // evaluator uses it to make all interpolation decisions of one batch
 // against the store as it stood on entry, regardless of concurrent
-// writers. Snapshots inherit the originating store's index policy and
-// are immune to later overwrites of the entries they contain.
+// writers. Snapshots are immune to later overwrites of the entries they
+// contain.
 //
 // # Persistence: Open and the write-ahead log
 //

@@ -19,21 +19,17 @@ type Neighborhood struct {
 	// Dists holds the distance of each support point to the query.
 	Dists []float64
 
-	// q is the per-buffer query scratch: candidate hits, odometer cursor
-	// and heap state live here between queries so repeated *Into calls
-	// on one buffer are allocation-free.
+	// q is the per-buffer query scratch: candidate hits and the
+	// shard-state capture live here between queries so repeated *Into
+	// calls on one buffer are allocation-free.
 	q queryScratch
 }
 
 // queryScratch is the reusable per-query state of the radius and
-// k-nearest collectors.
+// k-nearest queries.
 type queryScratch struct {
 	sorter hitSorter     // candidate hits + final ordering mode
 	states []*shardState // Store.*Into shard-state capture
-	qc     []int         // query cell coordinates
-	off    []int         // odometer digits of the candidate ring cursor
-	cc     []int         // candidate cell coordinates
-	kd     []float64     // max-heap of the k best distances seen
 }
 
 // hitSorter orders collected hits either by global insertion sequence
@@ -53,6 +49,47 @@ func (s *hitSorter) Less(a, b int) bool {
 		return s.hits[a].dist < s.hits[b].dist
 	}
 	return s.hits[a].e.seq < s.hits[b].e.seq
+}
+
+// hit is one in-range entry collected during a radius query, carried with
+// its distance until the global seq sort restores insertion order.
+type hit struct {
+	e    *shardEntry
+	dist float64
+}
+
+// finishHitsInto sorts the collected hits into global insertion order
+// (sequence numbers are unique within a view, so the order is total) and
+// packs them into the caller's buffer, allocation-free once the buffer
+// is warm.
+func finishHitsInto(buf *Neighborhood) *Neighborhood {
+	buf.q.sorter.byDist = false
+	sort.Sort(&buf.q.sorter)
+	buf.reset()
+	for _, h := range buf.q.sorter.hits {
+		buf.appendHit(h)
+	}
+	return buf
+}
+
+// finishNearestKInto packs the k nearest collected hits into the
+// caller's buffer with exactly Neighborhood.NearestK's contract: when
+// every hit fits (<= k), insertion order is preserved; otherwise hits
+// are ordered by (distance, sequence) — what a stable-by-distance sort
+// of an insertion-ordered neighbourhood yields — and truncated to k.
+func finishNearestKInto(buf *Neighborhood, k int) *Neighborhood {
+	hits := buf.q.sorter.hits
+	if len(hits) <= k {
+		return finishHitsInto(buf)
+	}
+	buf.q.sorter.byDist = true
+	sort.Sort(&buf.q.sorter)
+	hits = buf.q.sorter.hits[:k]
+	buf.reset()
+	for _, h := range hits {
+		buf.appendHit(h)
+	}
+	return buf
 }
 
 // Len returns the number of support points (Nn).
@@ -81,9 +118,8 @@ func (nb *Neighborhood) releaseScratch() { nb.q = queryScratch{} }
 // order), or the whole neighbourhood when k <= 0 or k >= Len. Capping the
 // kriging support at the nearest points is the standard way to keep the
 // Γ system small and well conditioned (Numerical Recipes recommends
-// "order 20 or fewer" supports). For an allocation-free alternative that
-// also prunes the underlying search, see Store.NearestKInto and
-// Snapshot.NearestKInto.
+// "order 20 or fewer" supports). For an allocation-free alternative, see
+// Store.NearestKInto and Snapshot.NearestKInto.
 func (nb *Neighborhood) NearestK(k int) *Neighborhood {
 	if k <= 0 || k >= nb.Len() {
 		return nb

@@ -36,10 +36,6 @@ type shardEntry struct {
 	// seq). Readers whose view predates this version walk the chain back
 	// to the version that was current at their epoch.
 	prevVersion *shardEntry
-	// prevInCell links to the previously inserted entry of the same
-	// lattice cell; the cell table always holds the newest entry of each
-	// cell, so a bucket is the chain hanging off that head.
-	prevInCell *shardEntry
 	// replacedBy holds pos+1 of the entry that overwrote this one (0 =
 	// still current). A view of n entries treats the entry as live unless
 	// its replacement is itself inside the view (replacedBy <= n).
@@ -57,15 +53,13 @@ func (e *shardEntry) live(n int) bool {
 // after every write (once per shard per AddBatch). The entries slice is a
 // prefix of the builder's append-only backing array: later appends write
 // beyond its length, never inside it, so the view stays frozen at zero
-// copying cost. The hash tables are shared with newer views — their slots
+// copying cost. The key table is shared with newer views — its slots
 // only ever gain entries, which readers filter out by position — so a
 // view is pinned entirely by its entries length (its epoch).
 type shardState struct {
 	entries []*shardEntry // visible prefix, append order
 	keys    *table        // config -> newest version
-	cells   *table        // lattice cell -> newest entry (nil: no buckets)
 	live    int           // distinct configurations in this view
-	nCells  int           // occupied lattice cells at publication
 }
 
 var emptyShardState = &shardState{}
@@ -107,22 +101,19 @@ type shard struct {
 
 // shardBuilder is the private mutable state of one shard, guarded by the
 // shard mutex. It appends entries with capacity doubling and updates the
-// key and cell tables incrementally, so an insert is amortized O(1); the
-// immutable views it publishes share all of that structure.
+// key table incrementally, so an insert is amortized O(1); the immutable
+// views it publishes share all of that structure.
 type shardBuilder struct {
 	entries []*shardEntry
 	keys    *table
-	cells   *table
 	live    int
-	nCells  int
-	cellBuf []int // scratch cell coordinates, reused across inserts
 }
 
 // reserve pre-sizes the builder for n further inserts: the entry backing
-// array and both hash tables grow once, up front, instead of stepwise
+// array and the key table grow once, up front, instead of stepwise
 // inside the batch loop. Published views are unaffected — they pin their
 // own (old) backing arrays, exactly as with append-driven growth.
-func (b *shardBuilder) reserve(n int, ic indexConfig) {
+func (b *shardBuilder) reserve(n int) {
 	if need := len(b.entries) + n; cap(b.entries) < need {
 		grown := make([]*shardEntry, len(b.entries), need)
 		copy(grown, b.entries)
@@ -131,15 +122,7 @@ func (b *shardBuilder) reserve(n int, ic indexConfig) {
 	if b.keys == nil {
 		b.keys = newTable(tableSizeFor(b.live + n))
 	} else if b.keys.overloaded(b.live + n) {
-		b.keys = b.keys.regrowTo(tableSizeFor(b.live+n), func(o *shardEntry) uint64 { return o.hash })
-	}
-	if ic.bucketing() {
-		// Worst case every insert opens a new cell.
-		if b.cells == nil {
-			b.cells = newTable(tableSizeFor(b.nCells + n))
-		} else if b.cells.overloaded(b.nCells + n) {
-			b.cells = b.cells.regrowTo(tableSizeFor(b.nCells+n), func(o *shardEntry) uint64 { return hashCellOf(o.cfg, ic.cell) })
-		}
+		b.keys = b.keys.regrowTo(tableSizeFor(b.live + n))
 	}
 }
 
@@ -147,22 +130,22 @@ func (b *shardBuilder) reserve(n int, ic indexConfig) {
 // configuration consumes seq; re-adding an existing one appends a
 // replacement version that keeps the original sequence stamp (so the
 // global insertion order is stable) and reports added=false.
-func (b *shardBuilder) insert(hash uint64, cfg space.Config, lambda float64, seq uint64, ic indexConfig) (added bool) {
+func (b *shardBuilder) insert(hash uint64, cfg space.Config, lambda float64, seq uint64) (added bool) {
 	c := cfg.Clone()
 	return b.insertEntry(&shardEntry{
 		cfg:    c,
 		coords: c.Floats(),
 		lambda: lambda,
 		hash:   hash,
-	}, seq, ic)
+	}, seq)
 }
 
 // insertEntry is insert for a caller-allocated entry whose cfg, coords,
 // lambda and hash are already set (cfg and coords owned by the store
 // from here on) — the bulk path carves entries out of per-batch slabs
 // instead of allocating three objects per result. Position, sequence and
-// chain links are filled here.
-func (b *shardBuilder) insertEntry(e *shardEntry, seq uint64, ic indexConfig) (added bool) {
+// the version link are filled here.
+func (b *shardBuilder) insertEntry(e *shardEntry, seq uint64) (added bool) {
 	if b.keys == nil {
 		b.keys = newTable(minTableSize)
 	}
@@ -174,17 +157,13 @@ func (b *shardBuilder) insertEntry(e *shardEntry, seq uint64, ic indexConfig) (a
 	} else {
 		e.seq = seq
 		if b.keys.overloaded(b.live + 1) {
-			b.keys = b.keys.regrow(func(o *shardEntry) uint64 { return o.hash })
+			b.keys = b.keys.regrow()
 		}
 		b.live++
 	}
 	// Publication order matters for lock-free readers: every plain field
-	// of e (including its chain links) must be complete before the first
-	// atomic slot store makes it reachable — the cell-table store inside
-	// bucket() below, then the key-table store.
-	if ic.bucketing() {
-		b.bucket(e, ic.cell)
-	}
+	// of e (including its version link) must be complete before the
+	// key-table store makes it reachable.
 	b.entries = append(b.entries, e)
 	b.keys.storeConfig(e.hash, e)
 	if prev != nil {
@@ -196,33 +175,12 @@ func (b *shardBuilder) insertEntry(e *shardEntry, seq uint64, ic indexConfig) (a
 	return prev == nil
 }
 
-// bucket threads e onto its lattice cell's chain and makes it the cell's
-// table head.
-func (b *shardBuilder) bucket(e *shardEntry, edge int) {
-	if b.cells == nil {
-		b.cells = newTable(minTableSize)
-	}
-	b.cellBuf = cellOfInto(b.cellBuf, e.cfg, edge)
-	h := hashCellCoords(b.cellBuf)
-	head := b.cells.findCell(h, b.cellBuf, edge)
-	if head == nil {
-		if b.cells.overloaded(b.nCells + 1) {
-			b.cells = b.cells.regrow(func(o *shardEntry) uint64 { return hashCellOf(o.cfg, edge) })
-		}
-		b.nCells++
-	}
-	e.prevInCell = head
-	b.cells.storeCell(h, b.cellBuf, edge, e)
-}
-
 // publish captures the builder as an immutable view.
 func (b *shardBuilder) publish() *shardState {
 	return &shardState{
 		entries: b.entries,
 		keys:    b.keys,
-		cells:   b.cells,
 		live:    b.live,
-		nCells:  b.nCells,
 	}
 }
 
@@ -239,65 +197,40 @@ func hashConfig(c space.Config) uint64 {
 // neighborsStates collects every entry within distance <= d of w from a
 // frozen set of shard states, ordered by global insertion sequence — the
 // allocating wrapper over neighborsStatesInto.
-func neighborsStates(states []*shardState, metric space.Metric, ic indexConfig, w space.Config, d float64) *Neighborhood {
-	nb := neighborsStatesInto(new(Neighborhood), states, metric, ic, w, d)
+func neighborsStates(states []*shardState, metric space.Metric, w space.Config, d float64) *Neighborhood {
+	nb := neighborsStatesInto(new(Neighborhood), states, metric, w, d)
 	nb.releaseScratch()
 	return nb
 }
 
 // neighborsStatesInto answers the radius query into the caller's buffer,
 // reusing its slices and collection scratch (allocation-free once warm).
-// It dispatches between the lattice-bucket index and the reference linear
-// scan; both produce bit-identical neighbourhoods (the sequence sort
-// restores the global insertion order so downstream tie-breaking —
-// NearestK keeps ties oldest-first — is independent of sharding and of
-// cell iteration order).
-func neighborsStatesInto(buf *Neighborhood, states []*shardState, metric space.Metric, ic indexConfig, w space.Config, d float64) *Neighborhood {
-	buf.q.sorter.hits = buf.q.sorter.hits[:0]
-	if useIndex(states, metric, ic, d) {
-		neighborsIndexed(buf, states, metric, ic, w, d)
-	} else {
-		collectLinear(buf, states, metric, w, d)
-	}
+// The sequence sort restores the global insertion order, so downstream
+// tie-breaking — NearestK keeps ties oldest-first — is independent of
+// sharding.
+func neighborsStatesInto(buf *Neighborhood, states []*shardState, metric space.Metric, w space.Config, d float64) *Neighborhood {
+	collectLinear(buf, states, metric, w, d)
 	return finishHitsInto(buf)
 }
 
 // nearestKStatesInto collects the k nearest entries within distance d
 // into the caller's buffer — exactly Neighbors(w, d).NearestK(k),
 // ordering contract included (insertion order when everything fits,
-// (distance, sequence) with ties oldest-first when truncated) — but
-// without materialising the full radius neighbourhood: the lattice path
-// expands candidate-cell shells outward and stops as soon as the k-th
-// best distance bounds every remaining shell, and the whole query runs
-// on the buffer's scratch. k <= 0 degrades to the plain radius query.
-func nearestKStatesInto(buf *Neighborhood, states []*shardState, metric space.Metric, ic indexConfig, w space.Config, d float64, k int) *Neighborhood {
+// (distance, sequence) with ties oldest-first when truncated) — on the
+// buffer's scratch. k <= 0 degrades to the plain radius query.
+func nearestKStatesInto(buf *Neighborhood, states []*shardState, metric space.Metric, w space.Config, d float64, k int) *Neighborhood {
 	if k <= 0 {
-		return neighborsStatesInto(buf, states, metric, ic, w, d)
+		return neighborsStatesInto(buf, states, metric, w, d)
 	}
-	buf.q.sorter.hits = buf.q.sorter.hits[:0]
-	if useIndex(states, metric, ic, d) {
-		ok, pruned := nearestKIndexed(buf, states, metric, ic, w, d, k)
-		if !ok || (pruned && len(buf.q.sorter.hits) <= k) {
-			// Either the candidate shells outgrew the occupied cells, or
-			// the k-bound pruning makes it ambiguous whether the in-range
-			// total exceeds k (which decides NearestK's ordering
-			// contract): restart as an exhaustive radius-bounded sweep of
-			// the occupied buckets. More than k collected hits already
-			// proves the total exceeds k, so the common dense case keeps
-			// its early exit.
-			buf.q.sorter.hits = buf.q.sorter.hits[:0]
-			collectSweep(buf, states, metric, ic, w, d)
-		}
-	} else {
-		collectLinear(buf, states, metric, w, d)
-	}
+	collectLinear(buf, states, metric, w, d)
 	return finishNearestKInto(buf, k)
 }
 
-// collectLinear is the reference collection: a full scan of every live
-// entry, exactly as in the paper's pseudo-code.
+// collectLinear gathers the in-range hits into the buffer's scratch: a
+// full scan of every live entry, exactly as in the paper's pseudo-code.
 func collectLinear(buf *Neighborhood, states []*shardState, metric space.Metric, w space.Config, d float64) {
 	q := &buf.q
+	q.sorter.hits = q.sorter.hits[:0]
 	for _, st := range states {
 		n := len(st.entries)
 		for _, e := range st.entries {

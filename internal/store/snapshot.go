@@ -13,7 +13,6 @@ type Snapshot struct {
 	states []*shardState
 	mask   uint64
 	metric space.Metric
-	ic     indexConfig
 }
 
 // Len returns the number of configurations visible in the snapshot.
@@ -39,23 +38,21 @@ func (sn Snapshot) Lookup(c space.Config) (float64, bool) {
 }
 
 // Neighbors collects every configuration within distance <= d of w as of
-// snapshot time, oldest-first. It uses the originating store's spatial
-// index under the same policy (and with identical results) as
-// Store.Neighbors.
+// snapshot time, oldest-first, by the same scan as Store.Neighbors.
 func (sn Snapshot) Neighbors(w space.Config, d float64) *Neighborhood {
-	return neighborsStates(sn.states, sn.metric, sn.ic, w, d)
+	return neighborsStates(sn.states, sn.metric, w, d)
 }
 
 // NeighborsInto is Neighbors into a caller-owned buffer, reusing its
 // slices and query scratch — allocation-free once the buffer is warm.
 // buf must not be used by concurrent queries.
 func (sn Snapshot) NeighborsInto(buf *Neighborhood, w space.Config, d float64) *Neighborhood {
-	return neighborsStatesInto(buf, sn.states, sn.metric, sn.ic, w, d)
+	return neighborsStatesInto(buf, sn.states, sn.metric, w, d)
 }
 
 // NearestK returns the k closest configurations within distance d as of
 // snapshot time — identical to Neighbors(w, d).NearestK(k), with the
-// same shell-pruned lattice search as Store.NearestK.
+// same contract as Store.NearestK.
 func (sn Snapshot) NearestK(w space.Config, d float64, k int) *Neighborhood {
 	nb := sn.NearestKInto(new(Neighborhood), w, d, k)
 	nb.releaseScratch()
@@ -65,7 +62,7 @@ func (sn Snapshot) NearestK(w space.Config, d float64, k int) *Neighborhood {
 // NearestKInto is NearestK into a caller-owned buffer, allocation-free
 // once the buffer is warm.
 func (sn Snapshot) NearestKInto(buf *Neighborhood, w space.Config, d float64, k int) *Neighborhood {
-	return nearestKStatesInto(buf, sn.states, sn.metric, sn.ic, w, d, k)
+	return nearestKStatesInto(buf, sn.states, sn.metric, w, d, k)
 }
 
 // Entries returns the snapshot contents in insertion order.

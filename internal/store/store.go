@@ -24,7 +24,6 @@ type Store struct {
 	shards []shard
 	mask   uint64 // len(shards)-1; len is a power of two
 	metric space.Metric
-	ic     indexConfig   // frozen spatial-index policy
 	seq    atomic.Uint64 // global insertion stamp
 	count  atomic.Int64  // live entry count (Len)
 
@@ -40,28 +39,13 @@ type Store struct {
 }
 
 // Options configures a Store beyond its distance metric. The zero value
-// selects the defaults: DefaultShardCount shards and an automatic
-// lattice-bucket index.
+// selects the defaults: DefaultShardCount shards, in memory.
 type Options struct {
 	// Shards is the number of shards (rounded up to a power of two;
 	// values below 1 select DefaultShardCount). More shards reduce writer
 	// contention under heavy parallel simulation at a small fixed cost
 	// per radius query.
 	Shards int
-	// Index selects the Neighbors strategy; the zero value IndexAuto
-	// keeps lattice buckets and uses them once the store outgrows
-	// MinIndexedSize.
-	Index IndexMode
-	// CellSize is the lattice cell edge of the spatial index. Zero
-	// derives it from RadiusHint (or defaults to 4): a cell edge near the
-	// typical query radius keeps the candidate ring at one cell per axis.
-	CellSize int
-	// RadiusHint is the typical Neighbors radius the store will serve
-	// (the evaluator passes its D). Only consulted when CellSize is zero.
-	RadiusHint float64
-	// MinIndexedSize is the store size below which IndexAuto falls back
-	// to the linear scan; zero selects a small default (64).
-	MinIndexedSize int
 	// Durability, when non-nil, backs the store with a write-ahead
 	// segment log so its contents survive restarts. Durable stores must
 	// be created with Open (recovery can fail); NewWithOptions panics if
@@ -85,9 +69,9 @@ func NewSharded(metric space.Metric, nShards int) *Store {
 }
 
 // NewWithOptions creates an empty in-memory store with explicit
-// sharding and spatial-index policy. Durable stores are created with
-// Open; NewWithOptions panics if opt.Durability is set, because
-// recovery has failure modes a panic-free constructor cannot report.
+// sharding. Durable stores are created with Open; NewWithOptions panics
+// if opt.Durability is set, because recovery has failure modes a
+// panic-free constructor cannot report.
 func NewWithOptions(metric space.Metric, opt Options) *Store {
 	if opt.Durability != nil {
 		panic("store: NewWithOptions cannot open a durable store; use store.Open")
@@ -105,7 +89,6 @@ func newMem(metric space.Metric, opt Options) *Store {
 		shards: make([]shard, n),
 		mask:   uint64(n - 1),
 		metric: metric,
-		ic:     resolveIndexConfig(opt),
 	}
 	for i := range s.shards {
 		s.shards[i].state.Store(emptyShardState)
@@ -125,18 +108,11 @@ func HashConfig(c space.Config) uint64 { return hashConfig(c) }
 // Metric returns the store's distance metric.
 func (s *Store) Metric() space.Metric { return s.metric }
 
-// IndexInfo reports the resolved spatial-index policy: the mode and the
-// lattice cell edge buckets are built on (meaningful unless the mode is
-// IndexLinear).
-func (s *Store) IndexInfo() (mode IndexMode, cellSize int) {
-	return s.ic.mode, s.ic.cell
-}
-
 // Add records a simulated configuration and its metric value. Re-adding
 // an existing configuration overwrites its value and reports false.
 //
 // Inserts are amortized O(1): the shard's writer mutates its private
-// builder (append-only entries, incremental key/cell tables) under the
+// builder (append-only entries, incremental key table) under the
 // shard lock and publishes a fresh immutable view, instead of copying
 // the shard. Lock-free readers keep whatever view they loaded.
 //
@@ -154,7 +130,7 @@ func (s *Store) addMem(c space.Config, lambda float64) (added bool) {
 	hash := hashConfig(c)
 	sh := &s.shards[hash&s.mask]
 	sh.mu.Lock()
-	added = sh.b.insert(hash, c, lambda, s.seq.Add(1), s.ic)
+	added = sh.b.insert(hash, c, lambda, s.seq.Add(1))
 	sh.state.Store(sh.b.publish())
 	sh.mu.Unlock()
 	if added {
@@ -235,7 +211,7 @@ func (s *Store) addBatchMem(entries []Entry) (added int) {
 		}
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		sh.b.reserve(len(seg), s.ic)
+		sh.b.reserve(len(seg))
 		for _, p := range seg {
 			src := entries[p.idx]
 			nv := len(src.Config)
@@ -252,7 +228,7 @@ func (s *Store) addBatchMem(entries []Entry) (added int) {
 			e.coords = coords
 			e.lambda = src.Lambda
 			e.hash = p.hash
-			if sh.b.insertEntry(e, p.seq, s.ic) {
+			if sh.b.insertEntry(e, p.seq) {
 				added++
 			}
 		}
@@ -284,12 +260,10 @@ func (s *Store) Entries() []Entry {
 }
 
 // Neighbors collects every simulated configuration within distance <= d of
-// w (lines 7-16 of Algorithms 1-2), oldest-first. Under the default index
-// policy the query visits only the lattice cells that can intersect the
-// radius — O(candidates) rather than O(N) — and produces exactly the
-// neighbourhood of the pseudo-code's linear scan; it reads the shard
-// states lock-free, so it never blocks concurrent writers (or vice versa).
-// It is the allocating wrapper over NeighborsInto.
+// w (lines 7-16 of Algorithms 1-2), oldest-first, by the pseudo-code's
+// linear scan over every stored entry. It reads the shard states
+// lock-free, so it never blocks concurrent writers (or vice versa). It is
+// the allocating wrapper over NeighborsInto.
 func (s *Store) Neighbors(w space.Config, d float64) *Neighborhood {
 	nb := s.NeighborsInto(new(Neighborhood), w, d)
 	nb.releaseScratch()
@@ -297,20 +271,19 @@ func (s *Store) Neighbors(w space.Config, d float64) *Neighborhood {
 }
 
 // NeighborsInto is Neighbors into a caller-owned buffer: the result
-// slices and the query's internal scratch (candidate hits, cell cursor,
-// shard-state capture) reuse buf's backing arrays, so a warm buffer
+// slices and the query's internal scratch (candidate hits, shard-state
+// capture) reuse buf's backing arrays, so a warm buffer
 // answers radius queries without heap allocations. buf must not be used
 // by concurrent queries; the returned pointer is buf.
 func (s *Store) NeighborsInto(buf *Neighborhood, w space.Config, d float64) *Neighborhood {
-	return neighborsStatesInto(buf, s.loadStatesInto(buf), s.metric, s.ic, w, d)
+	return neighborsStatesInto(buf, s.loadStatesInto(buf), s.metric, w, d)
 }
 
 // NearestK returns the k closest simulated configurations within
 // distance d of w, ordered by (distance, insertion sequence) with ties
-// oldest-first — identical to Neighbors(w, d).NearestK(k), but the
-// lattice path stops expanding candidate-cell shells as soon as the k-th
-// best distance bounds everything farther out, instead of materialising
-// and sorting the full radius neighbourhood. k <= 0 means no cap.
+// oldest-first — identical to Neighbors(w, d).NearestK(k). When more
+// than k entries are in range, the same scan sorts its hits by distance
+// and keeps the first k. k <= 0 means no cap.
 func (s *Store) NearestK(w space.Config, d float64, k int) *Neighborhood {
 	nb := s.NearestKInto(new(Neighborhood), w, d, k)
 	nb.releaseScratch()
@@ -320,7 +293,7 @@ func (s *Store) NearestK(w space.Config, d float64, k int) *Neighborhood {
 // NearestKInto is NearestK into a caller-owned buffer, allocation-free
 // once the buffer is warm.
 func (s *Store) NearestKInto(buf *Neighborhood, w space.Config, d float64, k int) *Neighborhood {
-	return nearestKStatesInto(buf, s.loadStatesInto(buf), s.metric, s.ic, w, d, k)
+	return nearestKStatesInto(buf, s.loadStatesInto(buf), s.metric, w, d, k)
 }
 
 // loadStatesInto captures the current shard states into the buffer's
@@ -357,7 +330,7 @@ func (s *Store) AllSamples() *Neighborhood {
 // Adds to the store — including overwrites of configurations it contains —
 // are invisible to it, at zero copying cost.
 func (s *Store) Snapshot() Snapshot {
-	return Snapshot{states: s.loadStates(), mask: s.mask, metric: s.metric, ic: s.ic}
+	return Snapshot{states: s.loadStates(), mask: s.mask, metric: s.metric}
 }
 
 // Reset empties the store. Concurrent readers observe either the old or

@@ -3,8 +3,10 @@
 # docs/ARCHITECTURE.md or README.md references must exist in the tree,
 # so the architecture docs cannot silently rot as packages move; every
 # Test*, Benchmark* and Fuzz* name cited in README.md or docs/*.md must
-# be defined in some _test.go file; and the environment variables in
-# docs/DEPLOYMENT.md must match the ones the code reads.
+# be defined in some _test.go file; every package-qualified exported
+# identifier cited there must resolve through go doc; and the
+# environment variables in docs/DEPLOYMENT.md must match the ones the
+# code reads.
 #
 # Run from the repository root:  sh scripts/check_docs.sh
 set -eu
@@ -33,6 +35,31 @@ for doc in README.md docs/*.md; do
     for name in $(grep -oE '\b(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
         if ! echo "$defined" | grep -qx "$name"; then
             echo "$doc cites $name, which no _test.go file defines"
+            fail=1
+        fi
+    done
+done
+
+# Every package-qualified exported identifier the docs cite
+# (store.Options.Shards, simpool.UnavailableError, ...) must resolve
+# through go doc, which finds types, fields, functions and methods
+# offline, so a deleted name cannot leave a stale reference behind. The
+# qualifiers are the base names of the packages under internal/.
+pkgdirs=$(find internal -name '*.go' -not -name '*_test.go' | sed 's|/[^/]*$||' | sort -u)
+pkgnames=$(for d in $pkgdirs; do basename "$d"; done | sort -u | paste -sd'|' -)
+for doc in README.md docs/*.md; do
+    for ref in $(grep -oE "\b($pkgnames)\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)?" "$doc" | sort -u); do
+        pkg=${ref%%.*}
+        sym=${ref#*.}
+        found=0
+        for d in $pkgdirs; do
+            if [ "$(basename "$d")" = "$pkg" ] && go doc "./$d" "$sym" >/dev/null 2>&1; then
+                found=1
+                break
+            fi
+        done
+        if [ "$found" -eq 0 ]; then
+            echo "$doc cites $ref, which go doc cannot resolve"
             fail=1
         fi
     done
