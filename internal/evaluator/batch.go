@@ -47,6 +47,10 @@ import (
 // Simulator must be safe for concurrent use. On failure the batch stops
 // claiming further queries, the earliest (by input order) observed error
 // is reported, and the store is left untouched.
+//
+// Batch simulations do not enter the single-flight table: a batch
+// coalesces repeats within itself only, never with live queries or
+// other batches.
 func (e *Evaluator) EvaluateAll(cfgs []space.Config, workers int) ([]Result, error) {
 	return e.EvaluateAllContext(context.Background(), cfgs, workers)
 }
@@ -59,11 +63,22 @@ func (e *Evaluator) EvaluateAll(cfgs []space.Config, workers int) ([]Result, err
 // discarded whole, exactly like a failed one: no store insert, no
 // counter movement — even the simulator time its workers burnt is
 // discarded with the batch accumulator, so the evaluator state is as if
-// the batch had never been issued. (One caveat: a live caller that
-// coalesced onto one of the discarded batch's simulations keeps the
-// value it was served and backs it into the store, Preload-style —
-// store-backed but counter-free.)
+// the batch had never been issued. It is Engine.EvaluateAll on the
+// evaluator's unbounded engine.
 func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config, workers int) ([]Result, error) {
+	return e.eng.EvaluateAll(ctx, cfgs, workers)
+}
+
+// EvaluateAll answers a batch with the snapshot semantics of
+// Evaluator.EvaluateAll under ctx (see EvaluateAllContext), admitting
+// every member simulation through the engine: workers bounds the batch's
+// own parallelism, and the engine's bound caps the simulations running
+// at once across the batch and every other caller. A member the shedder
+// refuses fails the whole batch with its *OverloadError; the admission
+// counters (NShed, NQueueExpired) keep such refusals even though the
+// batch's other counters are discarded with it.
+func (g *Engine) EvaluateAll(ctx context.Context, cfgs []space.Config, workers int) ([]Result, error) {
+	e := g.ev
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -96,18 +111,21 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 		// them.
 		batchStats counters
 	)
-	// simulateMember simulates cfgs[idx], coalesced through the
-	// evaluator-wide single-flight table (identical misses inside the
-	// batch, in sibling batches, or in live sessions share one run); the
-	// store insert is deferred to the batch commit below.
+	// simulateMember simulates cfgs[idx] inside the engine's admission
+	// bound; the store insert is deferred to the batch commit below.
 	simulateMember := func(idx int) {
-		lam, coalesced, err := e.simulateShared(ctx, cfgs[idx], &batchStats, nil, false)
+		var lam float64
+		err := g.admit(ctx)
+		if err == nil {
+			lam, err = e.rawSimulate(ctx, cfgs[idx], &batchStats)
+			g.release()
+		}
 		if err != nil {
 			errs[idx] = err
 			failed.Store(true)
 			return
 		}
-		results[idx] = Result{Lambda: lam, Source: Simulated, Coalesced: coalesced}
+		results[idx] = Result{Lambda: lam, Source: Simulated}
 		simulated[idx] = true
 	}
 	for w := 0; w < workers; w++ {

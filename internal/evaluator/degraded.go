@@ -2,8 +2,8 @@ package evaluator
 
 import "repro/internal/space"
 
-// RequestOptions carries per-request evaluation policy through the
-// Engine's session API. The zero value is the strict default: no
+// RequestOptions carries per-request evaluation policy through
+// Engine.EvaluateWith. The zero value is the strict default: no
 // degraded answers, exactly the semantics of Engine.Evaluate.
 type RequestOptions struct {
 	// AllowDegraded opts this request into brownout serving: when the

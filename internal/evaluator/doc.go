@@ -17,36 +17,38 @@
 // when the simulator implements ContextSimulator (plain Simulators
 // finish their current run first, so cancellation costs at most one
 // simulation latency). A cancelled batch is discarded whole — no store
-// insert, no counter movement — leaving the evaluator exactly as if the
-// batch had never been issued. The context-free Evaluate/EvaluateAll
+// insert, no counter movement beyond the engine's admission counters —
+// leaving the evaluator as if the batch had never been issued. The context-free Evaluate/EvaluateAll
 // remain as thin background-context wrappers.
 //
 // # Single-flight coalescing
 //
 // Simulations are the expensive resource, so the evaluator never runs
-// two of them for the same configuration at the same time: concurrent
-// identical misses — from Evaluate callers, EvaluateAll workers, Engine
-// sessions, or any mix — coalesce onto one in-flight "flight" (keyed by
-// the store's config hash). The first caller simulates; the rest block
+// two live simulations of the same configuration at the same time:
+// concurrent identical misses from Evaluate callers and Engine users
+// coalesce onto one in-flight "flight" (keyed by the store's config
+// hash). The first caller simulates and stores the value; the rest block
 // on its result. Exactly one Stats.NSim increment and one store insert
-// happen per flight (a batch-owned flight defers its insert to the
-// batch's deterministic commit; a live follower backs the value into
-// the store itself if it needs it sooner), a follower whose own context
-// dies stops waiting immediately, and a follower whose OWNER is
-// cancelled retries instead of inheriting the cancellation.
-// Options.DisableCoalescing restores
-// the fire-and-simulate reference behaviour; sequential callers are
-// bit-identical either way.
+// happen per flight, a follower whose own context dies stops waiting
+// immediately, and a follower whose OWNER is cancelled retries instead
+// of inheriting the cancellation. A batch coalesces only within itself:
+// EvaluateAll answers a repeated configuration once and commits its
+// simulations after the whole batch has succeeded, outside the flight
+// table. Options.DisableCoalescing restores the fire-and-simulate
+// reference behaviour; sequential callers are bit-identical either way.
 //
-// # Sessions: the Engine API
+// # One request path: the Engine
 //
-// Engine is the request-oriented surface for serving many tenants from
-// one evaluator: Submit(ctx, cfg) returns a Future, Wait collects the
-// Result, and an optional admission bound caps simulations in flight
-// across all sessions (coalesced followers never hold a slot). K
-// optimiser instances sharing one engine — the multi-tenant scenario in
-// internal/bench — pay one simulation per distinct configuration no
-// matter how their trajectories collide.
+// Every simulation goes through an Engine, which admits it under an
+// optional bound on the simulations in flight. New gives each evaluator
+// an unbounded engine that Evaluate, EvaluateAll and Oracle delegate
+// to; Evaluator.Engine builds a bounded one for serving many tenants.
+// Its Evaluate and EvaluateAll admit live queries and batch members
+// through the same bound (coalesced followers never hold a slot), and
+// its Oracle adapts it for the optimisers. K optimiser instances sharing
+// one engine — the multi-tenant scenario in internal/bench — pay one
+// simulation per distinct configuration no matter how their
+// trajectories collide.
 //
 // # Concurrency
 //

@@ -10,37 +10,35 @@ import (
 	"repro/internal/store"
 )
 
-// flight is one in-flight simulation in the single-flight table. The
-// owner (the goroutine that registered it) runs the simulator, fills lam/
-// err, and closes done; followers block on done and share the outcome
-// without running the simulator, consuming a worker slot, or touching
-// the activity counters.
+// flight is one in-flight live simulation in the single-flight table.
+// The owner (the goroutine that registered it) runs the simulator,
+// stores the value, fills lam/err, and closes done; followers block on
+// done and share the outcome without running the simulator, consuming an
+// admission slot, or touching the activity counters.
 //
 // The steady-state miss path registers and retires a flight without a
 // single follower, so the contended pieces are lazy: the done channel is
 // created by the first follower (under the table lock), and cfg
 // REFERENCES the caller's slice rather than cloning it — safe because a
-// flight only lives while its owner is inside simulateShared, during
-// which the owner's caller must keep cfg unchanged anyway (and
-// Engine.Submit already clones for its detached goroutine).
+// flight only lives while its owner is inside simulateLive, during which
+// the owner's caller must keep cfg unchanged anyway.
 type flight struct {
 	cfg  space.Config
 	done chan struct{} // created by the first follower, under the table lock
 	next *flight       // hash-bucket chain (collisions share a bucket, never a result)
 	lam  float64
 	err  error
-	// stored reports whether the value was in the live store by the time
-	// the flight resolved (set before done closes). Batch-owned flights
-	// defer their insert to the batch commit, so live followers use this
-	// to back-fill the store themselves.
-	stored bool
 }
 
 // inflight is the single-flight table: at most one live simulation per
 // configuration. It is keyed by the store's config hash (the same
 // hashing that routes shard inserts and exact lookups), with chained
 // equality checks so hash collisions merely share a bucket, never a
-// result.
+// result. Batch members never enter it: EvaluateAll's pre-pass answers a
+// repeat inside one batch once, and a batch commits its simulations only
+// after the whole batch has succeeded, so a batch flight could not
+// resolve with a stored value (and resolving it at commit time would let
+// two batches that share configurations wait on each other forever).
 type inflight struct {
 	enabled bool
 	mu      sync.Mutex
@@ -83,7 +81,7 @@ func (t *inflight) acquire(hash uint64, cfg space.Config) (f *flight, owner bool
 	}
 	if recycled, ok := t.pool.Get().(*flight); ok {
 		f = recycled
-		f.lam, f.err, f.stored = 0, nil, false
+		f.lam, f.err = 0, nil
 	} else {
 		f = &flight{}
 	}
@@ -134,18 +132,85 @@ func (t *inflight) resolve(hash uint64, f *flight, lam float64, err error) {
 	}
 }
 
-// simulateShared is the simulation step shared by every request path —
-// EvaluateContext, Engine sessions, and EvaluateAll workers. Concurrent
-// identical misses coalesce onto one flight: the owner simulates (inside
-// sem's admission bound when non-nil), charges exactly one simulation to
-// stats, optionally inserts the result into the live store, and resolves
-// the flight; followers block on the flight and share the value.
+// Engine is the admission-controlled request path of an Evaluator. Every
+// simulation the evaluator runs claims one of the engine's slots first —
+// live queries through Evaluate/EvaluateWith and batch members through
+// EvaluateAll alike — so at most maxSims simulations run at once however
+// many callers share the engine. Live misses also coalesce through the
+// evaluator's single-flight table: identical concurrent misses cost one
+// simulation, and followers of a coalesced flight never hold a slot.
 //
-// insertNow selects the live-path contract (the owner stores the result
-// before any follower wakes, so a simulated answer is always backed by
-// the store); the batch path passes false and commits through AddBatch
-// after the whole batch has succeeded, preserving its deterministic
-// input-order insertion.
+// New gives every evaluator an unbounded engine, which its Evaluate,
+// EvaluateAll and Oracle delegate to; Evaluator.Engine builds bounded
+// ones. An Engine is safe for concurrent use; create one per evaluator
+// and share it between tenants.
+type Engine struct {
+	ev  *Evaluator
+	sem chan struct{} // nil when unbounded
+	// shed enables deadline-aware load shedding on the admission path
+	// (on by default for bounded engines; Options.DisableShedding turns
+	// it off for ablation).
+	shed bool
+	// waiting gauges the requests currently parked on the admission
+	// semaphore — the live queue depth the shedder prices waits with.
+	waiting atomic.Int64
+}
+
+// Engine builds an engine over the evaluator. maxSims bounds the
+// simulations in flight across all its callers, live and batch; zero or
+// negative means unbounded (the callers' own parallelism is the only
+// limit).
+func (e *Evaluator) Engine(maxSims int) *Engine {
+	var sem chan struct{}
+	if maxSims > 0 {
+		sem = make(chan struct{}, maxSims)
+	}
+	return &Engine{ev: e, sem: sem, shed: maxSims > 0 && !e.opts.DisableShedding}
+}
+
+// Evaluate answers one query against the live store: exact hit,
+// interpolation, or a coalesced, admission-bounded simulation that is
+// stored before any caller observes it. It never serves degraded answers
+// (RequestOptions zero value), so optimisers driving the engine through
+// it — and through Oracle — only ever see store-backed truth.
+func (g *Engine) Evaluate(ctx context.Context, cfg space.Config) (Result, error) {
+	return g.EvaluateWith(ctx, cfg, RequestOptions{})
+}
+
+// EvaluateWith is Evaluate under an explicit per-request policy; the
+// service front end uses it to grant brownout opt-in
+// (RequestOptions.AllowDegraded) to tenants that asked for it. When the
+// simulation tier refuses the request on capacity grounds and ro opts
+// in, a degraded surrogate-only answer replaces the error.
+func (g *Engine) EvaluateWith(ctx context.Context, cfg space.Config, ro RequestOptions) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	e := g.ev
+	qs := e.scratch.Get().(*queryScratch)
+	res, ok := e.answerFromStore(cfg, qs)
+	e.scratch.Put(qs)
+	if ok {
+		return res, nil
+	}
+	lam, coalesced, err := g.simulateLive(ctx, cfg)
+	if err != nil {
+		// Degraded serving may paper over a capacity refusal, never a
+		// simulator or store failure: a wrong answer must not hide a bug.
+		if _, refused := RetryAfter(err); refused && ro.AllowDegraded {
+			if res, ok := e.degradedAnswer(cfg); ok {
+				return res, nil
+			}
+		}
+		return Result{}, err
+	}
+	return Result{Lambda: lam, Source: Simulated, Coalesced: coalesced}, nil
+}
+
+// simulateLive is the simulation step of a live query. Concurrent
+// identical misses coalesce onto one flight: the owner simulates (see
+// simulateOwned) and resolves the flight with a value that is already in
+// the store; followers block on the flight and share the value.
 //
 // A follower woken by an owner that was cancelled does not inherit the
 // cancellation: if its own context is still live it retries, typically
@@ -154,16 +219,18 @@ func (t *inflight) resolve(hash uint64, f *flight, lam float64, err error) {
 // for the remaining waiters.
 // The second return value reports whether this caller was a coalesced
 // follower — served by another request's simulation instead of its own.
-func (e *Evaluator) simulateShared(ctx context.Context, cfg space.Config, stats *counters, eng *Engine, insertNow bool) (float64, bool, error) {
+func (g *Engine) simulateLive(ctx context.Context, cfg space.Config) (float64, bool, error) {
+	e := g.ev
 	if !e.flights.enabled {
-		lam, err := e.simulateOwned(ctx, cfg, stats, eng, insertNow, 0, nil)
+		lam, err := g.simulateOwned(ctx, cfg)
 		return lam, false, err
 	}
 	hash := store.HashConfig(cfg)
 	for {
 		f, owner := e.flights.acquire(hash, cfg)
 		if owner {
-			lam, err := e.simulateOwned(ctx, cfg, stats, eng, insertNow, hash, f)
+			lam, err := g.simulateOwned(ctx, cfg)
+			e.flights.resolve(hash, f, lam, err)
 			return lam, false, err
 		}
 		select {
@@ -174,22 +241,7 @@ func (e *Evaluator) simulateShared(ctx context.Context, cfg space.Config, stats 
 				}
 				return 0, false, f.err
 			}
-			if insertNow && !f.stored {
-				// The owner was a batch worker whose store insert is
-				// deferred to its batch commit (and discarded with a
-				// failed batch). A live caller must hand out store-backed
-				// values, so back-fill unless the commit already landed.
-				if _, ok := e.store.Lookup(cfg); !ok {
-					e.store.Add(cfg, f.lam)
-					if serr := e.store.Err(); serr != nil {
-						// Durable store gone fail-stop: the value exists but
-						// can no longer be backed by the store, so do not
-						// hand it out as if it were.
-						return 0, false, serr
-					}
-				}
-			}
-			stats.nCoalesced.Add(1)
+			e.stats.nCoalesced.Add(1)
 			return f.lam, true, nil
 		case <-ctx.Done():
 			return 0, false, ctx.Err()
@@ -197,87 +249,34 @@ func (e *Evaluator) simulateShared(ctx context.Context, cfg space.Config, stats 
 	}
 }
 
-// simulateOwned runs the simulation as the flight owner (f may be nil
-// when coalescing is disabled): admission through the engine (bounded
-// semaphore with deadline-aware shedding), one stats charge, the
-// optional store insert, then flight resolution.
-func (e *Evaluator) simulateOwned(ctx context.Context, cfg space.Config, stats *counters, eng *Engine, insertNow bool, hash uint64, f *flight) (float64, error) {
-	if eng != nil && eng.sem != nil {
-		if err := eng.admit(ctx, stats); err != nil {
-			if f != nil {
-				e.flights.resolve(hash, f, 0, err)
-			}
-			return 0, err
-		}
-		defer eng.release()
+// simulateOwned runs a live miss's simulation inside the admission bound
+// (with deadline-aware shedding unless disabled), charges it to the
+// evaluator's stats and stores the result before returning.
+func (g *Engine) simulateOwned(ctx context.Context, cfg space.Config) (float64, error) {
+	if err := g.admit(ctx); err != nil {
+		return 0, err
 	}
+	defer g.release()
+	e := g.ev
 	// Between the caller's store miss and this flight's registration (or
 	// while this request queued for a simulation slot) the configuration
-	// may have been simulated, stored and retired by another flight;
-	// re-checking here keeps the live path at one simulation per
-	// configuration. (Skipped in DisableCoalescing mode — the no-dedup
-	// reference behaviour — and on the batch path, whose decisions are
-	// pinned to the entry snapshot.)
-	if insertNow && e.flights.enabled {
+	// may have been simulated and stored by another request; re-checking
+	// here keeps the live path at one simulation per configuration.
+	// (Skipped in DisableCoalescing mode, the no-dedup reference
+	// behaviour.)
+	if e.flights.enabled {
 		if lam, ok := e.store.Lookup(cfg); ok {
-			if f != nil {
-				f.stored = true
-				e.flights.resolve(hash, f, lam, nil)
-			}
 			return lam, nil
 		}
 	}
-	lam, err := e.rawSimulate(ctx, cfg, stats)
-	if err == nil {
-		stats.nSim.Add(1)
-		if insertNow {
-			e.store.Add(cfg, lam)
-			if serr := e.store.Err(); serr != nil {
-				// On a durable store an unpersisted result must not be
-				// acknowledged: fail the query (and the flight) with the
-				// sticky durability error.
-				err = serr
-			}
-		}
+	lam, err := e.rawSimulate(ctx, cfg, &e.stats)
+	if err != nil {
+		return 0, err
 	}
-	if f != nil {
-		f.stored = insertNow && err == nil
-		e.flights.resolve(hash, f, lam, err)
-	}
-	return lam, err
-}
-
-// Engine is the request-oriented session API over an Evaluator: Submit
-// enqueues one configuration query and returns a Future; Wait collects
-// the Result. Requests from every session sharing the evaluator flow
-// through the same single-flight table, so identical concurrent misses
-// cost one simulation, and through the engine's admission semaphore, so
-// at most maxSims simulations run at once no matter how many sessions
-// submit (followers of a coalesced flight never hold a slot).
-//
-// An Engine is safe for concurrent use; create one per evaluator and
-// share it between tenants.
-type Engine struct {
-	ev  *Evaluator
-	sem chan struct{}
-	// shed enables deadline-aware load shedding on the admission path
-	// (on by default for bounded engines; Options.DisableShedding turns
-	// it off for ablation).
-	shed bool
-	// waiting gauges the requests currently parked on the admission
-	// semaphore — the live queue depth the shedder prices waits with.
-	waiting atomic.Int64
-}
-
-// Engine builds a session engine over the evaluator. maxSims bounds the
-// simulations in flight across all sessions; zero or negative means
-// unbounded (the callers' own parallelism is the only limit).
-func (e *Evaluator) Engine(maxSims int) *Engine {
-	var sem chan struct{}
-	if maxSims > 0 {
-		sem = make(chan struct{}, maxSims)
-	}
-	return &Engine{ev: e, sem: sem, shed: sem != nil && !e.opts.DisableShedding}
+	e.store.Add(cfg, lam)
+	// On a durable store an unpersisted result must not be acknowledged:
+	// the sticky durability error fails the query (and the flight).
+	return lam, e.store.Err()
 }
 
 // admit claims one admission slot for a flight owner, blocking until a
@@ -305,7 +304,15 @@ func (e *Evaluator) Engine(maxSims int) *Engine {
 //     by construction, not by luck.
 //  4. A request that parks and dies waiting anyway (no deadline, or
 //     shedding disabled) is counted in NQueueExpired.
-func (g *Engine) admit(ctx context.Context, stats *counters) error {
+//
+// An unbounded engine (nil semaphore) admits at once. Refusals are
+// charged to the evaluator's stats as they happen, even when the refused
+// member's batch is then discarded.
+func (g *Engine) admit(ctx context.Context) error {
+	if g.sem == nil {
+		return nil
+	}
+	stats := &g.ev.stats
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -362,7 +369,11 @@ func (g *Engine) admit(ctx context.Context, stats *counters) error {
 }
 
 // release returns an admission slot claimed by admit.
-func (g *Engine) release() { <-g.sem }
+func (g *Engine) release() {
+	if g.sem != nil {
+		<-g.sem
+	}
+}
 
 // waitEstimate prices what a request at queue position pos (1-based,
 // counting itself) would wait before its simulation completes: the
@@ -372,7 +383,7 @@ func (g *Engine) release() { <-g.sem }
 // the queue is slow).
 func (g *Engine) waitEstimate(pos int64) time.Duration {
 	ewma := g.ev.simEWMA.Load()
-	if ewma == 0 || g.sem == nil {
+	if ewma == 0 || cap(g.sem) == 0 {
 		return 0
 	}
 	return time.Duration(pos*ewma/int64(cap(g.sem)) + ewma)
@@ -393,85 +404,11 @@ func (g *Engine) EstimatedWait() time.Duration { return g.estimatedWait() }
 // point-in-time gauge for service monitoring.
 func (g *Engine) QueuedSims() int { return int(g.waiting.Load()) }
 
-// Evaluator returns the engine's underlying evaluator.
-func (g *Engine) Evaluator() *Evaluator { return g.ev }
-
 // MaxSims returns the admission bound the engine was built with; zero
 // means unbounded.
 func (g *Engine) MaxSims() int { return cap(g.sem) }
 
 // ActiveSims returns the number of admission slots currently held by
-// simulating flight owners (always zero on an unbounded engine). It is a
+// running simulations (always zero on an unbounded engine). It is a
 // point-in-time gauge for service monitoring, not a synchronised count.
 func (g *Engine) ActiveSims() int { return len(g.sem) }
-
-// Future is the pending result of one submitted query.
-type Future struct {
-	done chan struct{}
-	res  Result
-	err  error
-}
-
-// Submit starts one query — exact hit, interpolation, or (coalesced,
-// admission-bounded) simulation — and returns immediately. The query
-// runs under ctx: cancelling it abandons the request (a simulation
-// already shared with other sessions keeps running for them).
-func (g *Engine) Submit(ctx context.Context, cfg space.Config) *Future {
-	f := &Future{done: make(chan struct{})}
-	cfg = cfg.Clone() // the caller may reuse its slice after Submit
-	go func() {
-		defer close(f.done)
-		f.res, f.err = g.ev.evaluateLive(ctx, cfg, g, RequestOptions{})
-	}()
-	return f
-}
-
-// Evaluate is the synchronous form of Submit+Wait, without the
-// per-query goroutine and Future — the oracle hot path. It never
-// serves degraded answers (RequestOptions zero value), so optimisers
-// driving the engine through it — and through Oracle() — only ever see
-// store-backed truth.
-func (g *Engine) Evaluate(ctx context.Context, cfg space.Config) (Result, error) {
-	return g.ev.evaluateLive(ctx, cfg, g, RequestOptions{})
-}
-
-// EvaluateWith is Evaluate under an explicit per-request policy; the
-// service front end uses it to grant brownout opt-in
-// (RequestOptions.AllowDegraded) to tenants that asked for it.
-func (g *Engine) EvaluateWith(ctx context.Context, cfg space.Config, ro RequestOptions) (Result, error) {
-	return g.ev.evaluateLive(ctx, cfg, g, ro)
-}
-
-// Wait blocks until the query resolves or ctx is done, whichever comes
-// first. Abandoning a Future with a dead ctx does not cancel the
-// underlying request — that is governed by the context it was submitted
-// under.
-func (f *Future) Wait(ctx context.Context) (Result, error) {
-	select {
-	case <-f.done:
-		return f.res, f.err
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	}
-}
-
-// Done exposes the completion channel for select loops.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// EngineOracle adapts an Engine to the optimisers' context-aware Oracle
-// interface: each Evaluate is one submitted session request, so K
-// optimiser instances sharing one engine coalesce their colliding
-// queries and respect the engine's simulation bound.
-type EngineOracle struct{ g *Engine }
-
-// Oracle adapts the engine to optim.Oracle.
-func (g *Engine) Oracle() *EngineOracle { return &EngineOracle{g: g} }
-
-// Evaluate answers one query through the session engine.
-func (o *EngineOracle) Evaluate(ctx context.Context, cfg space.Config) (float64, error) {
-	res, err := o.g.Evaluate(ctx, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return res.Lambda, nil
-}

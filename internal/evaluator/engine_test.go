@@ -235,9 +235,10 @@ func TestCoalescingDisabled(t *testing.T) {
 	}
 }
 
-// TestEngineSubmitCoalesces drives the session API directly: futures for
-// identical configurations share one simulation, futures for distinct
-// configurations respect the admission bound.
+// TestEngineSubmitCoalesces drives the engine directly: concurrent
+// requests for identical configurations share one simulation, requests
+// for distinct configurations respect the admission bound, and so do
+// the members of a batch run on more workers than the bound.
 func TestEngineSubmitCoalesces(t *testing.T) {
 	var calls atomic.Int64
 	var peak, cur atomic.Int64
@@ -262,41 +263,75 @@ func TestEngineSubmitCoalesces(t *testing.T) {
 	}
 	g := ev.Engine(2)
 	ctx := context.Background()
-
-	// 8 identical submissions: one simulation.
-	futs := make([]*Future, 8)
-	for i := range futs {
-		futs[i] = g.Submit(ctx, space.Config{42})
-	}
-	for i, f := range futs {
-		res, err := f.Wait(ctx)
-		if err != nil {
-			t.Fatalf("future %d: %v", i, err)
+	// evaluateAll issues one concurrent Engine.Evaluate per config.
+	evaluateAll := func(cfgs []space.Config) ([]Result, []error) {
+		res := make([]Result, len(cfgs))
+		errs := make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for i, c := range cfgs {
+			wg.Add(1)
+			go func(i int, c space.Config) {
+				defer wg.Done()
+				res[i], errs[i] = g.Evaluate(ctx, c)
+			}(i, c)
 		}
-		if res.Lambda != -42 {
-			t.Errorf("future %d lambda = %v", i, res.Lambda)
+		wg.Wait()
+		return res, errs
+	}
+
+	// 8 identical requests: one simulation.
+	same := make([]space.Config, 8)
+	for i := range same {
+		same[i] = space.Config{42}
+	}
+	res, errs := evaluateAll(same)
+	for i := range same {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if res[i].Lambda != -42 {
+			t.Errorf("request %d lambda = %v", i, res[i].Lambda)
 		}
 	}
 	if c := calls.Load(); c != 1 {
-		t.Errorf("identical submissions ran %d simulations, want 1", c)
+		t.Errorf("identical requests ran %d simulations, want 1", c)
 	}
 
-	// 12 distinct submissions: all simulate, never more than 2 at once.
+	// 12 distinct requests: all simulate, never more than 2 at once.
 	calls.Store(0)
-	futs = futs[:0]
+	var distinct []space.Config
 	for i := 0; i < 12; i++ {
-		futs = append(futs, g.Submit(ctx, space.Config{i}))
+		distinct = append(distinct, space.Config{i})
 	}
-	for i, f := range futs {
-		if _, err := f.Wait(ctx); err != nil {
-			t.Fatalf("future %d: %v", i, err)
+	_, errs = evaluateAll(distinct)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
 	}
 	if c := calls.Load(); c != 12 {
-		t.Errorf("distinct submissions ran %d simulations, want 12", c)
+		t.Errorf("distinct requests ran %d simulations, want 12", c)
 	}
 	if p := peak.Load(); p > 2 {
 		t.Errorf("peak concurrent simulations %d exceeds admission bound 2", p)
+	}
+
+	// A 12-member batch on 6 workers: every member simulates, and the
+	// engine's bound still holds.
+	calls.Store(0)
+	peak.Store(0)
+	var batch []space.Config
+	for i := 100; i < 112; i++ {
+		batch = append(batch, space.Config{i})
+	}
+	if _, err := g.EvaluateAll(ctx, batch, 6); err != nil {
+		t.Fatal(err)
+	}
+	if c := calls.Load(); c != 12 {
+		t.Errorf("batch ran %d simulations, want 12", c)
+	}
+	if p := peak.Load(); p > 2 {
+		t.Errorf("batch peak concurrent simulations %d exceeds admission bound 2", p)
 	}
 }
 

@@ -132,11 +132,11 @@ type Options struct {
 	// an operator escape hatch (EVALD_DISABLE_SHED).
 	DisableShedding bool
 	// DisableCoalescing turns off single-flight simulation coalescing:
-	// by default concurrent identical cache misses (several goroutines —
-	// optimiser instances, engine sessions, batch workers — asking for
-	// the same not-yet-simulated configuration at the same time) share
-	// ONE simulation; the first caller runs the simulator and the rest
-	// block on its result. Sequential callers are unaffected either way.
+	// by default concurrent identical live misses (several goroutines —
+	// optimiser instances, service requests — asking for the same
+	// not-yet-simulated configuration at the same time) share ONE
+	// simulation; the first caller runs the simulator and the rest block
+	// on its result. Sequential callers are unaffected either way.
 	DisableCoalescing bool
 	// StateDir, when non-empty, makes the support store durable: every
 	// simulated result is written to a checksummed write-ahead log in
@@ -214,16 +214,18 @@ type Result struct {
 }
 
 // Evaluator is the kriging-accelerated metric evaluator. It is safe for
-// concurrent use by multiple goroutines; concurrent identical misses are
-// deduplicated through a single-flight table (see Options.
-// DisableCoalescing) shared by Evaluate, EvaluateAll and every Engine
-// session.
+// concurrent use by multiple goroutines; concurrent identical live misses
+// are deduplicated through a single-flight table (see Options.
+// DisableCoalescing) shared by Evaluate and every Engine.
 type Evaluator struct {
 	sim     Simulator
 	opts    Options
 	store   *store.Store
 	stats   counters
 	flights inflight
+	// eng is the unbounded engine Evaluate, EvaluateAll and Oracle
+	// delegate to.
+	eng *Engine
 	// simEWMA is the smoothed wall time of one simulation in
 	// nanoseconds (see observeSimLatency); the engine's deadline-aware
 	// shedder prices queue waits with it. Zero until the first
@@ -263,13 +265,15 @@ func New(sim Simulator, opts Options) (*Evaluator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("evaluator: opening state: %w", err)
 	}
-	return &Evaluator{
+	e := &Evaluator{
 		sim:     sim,
 		opts:    opts,
 		store:   st,
 		flights: newInflight(!opts.DisableCoalescing),
 		scratch: sync.Pool{New: func() any { return new(queryScratch) }},
-	}, nil
+	}
+	e.eng = e.Engine(0)
+	return e, nil
 }
 
 // Close flushes and closes the durable state (Options.StateDir). The
@@ -337,65 +341,32 @@ func (e *Evaluator) Evaluate(cfg space.Config) (Result, error) {
 // it when the simulator implements ContextSimulator — and surfaces ctx's
 // error. A query abandoned this way leaves the store and the activity
 // counters untouched (except for the simulator time already spent, which
-// stays in SimTime so the Eq. 2 model keeps measuring real cost).
+// stays in SimTime so the Eq. 2 model keeps measuring real cost). It is
+// Engine.Evaluate on the evaluator's unbounded engine.
 func (e *Evaluator) EvaluateContext(ctx context.Context, cfg space.Config) (Result, error) {
-	return e.evaluateLive(ctx, cfg, nil, RequestOptions{})
-}
-
-// evaluateLive answers one query against the live store: exact hit,
-// interpolation, or a coalesced simulation that is inserted into the
-// store before any sharing caller observes it. eng, when non-nil,
-// bounds concurrent simulations through the Engine's admission control
-// (with deadline-aware shedding unless disabled); only flight owners
-// hold a slot, so coalesced followers never consume capacity. When the
-// simulation tier refuses the request on capacity grounds and ro opts
-// in, the brownout fallback serves a degraded surrogate-only answer
-// instead of the error.
-func (e *Evaluator) evaluateLive(ctx context.Context, cfg space.Config, eng *Engine, ro RequestOptions) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	qs := e.scratch.Get().(*queryScratch)
-	res, ok := e.answerFromStore(cfg, qs)
-	e.scratch.Put(qs)
-	if ok {
-		return res, nil
-	}
-	lam, coalesced, err := e.simulateShared(ctx, cfg, &e.stats, eng, true)
-	if err != nil {
-		// Degraded serving may paper over a capacity refusal, never a
-		// simulator or store failure: a wrong answer must not hide a bug.
-		if _, refused := RetryAfter(err); refused && ro.AllowDegraded {
-			if res, ok := e.degradedAnswer(cfg); ok {
-				return res, nil
-			}
-		}
-		return Result{}, err
-	}
-	return Result{Lambda: lam, Source: Simulated, Coalesced: coalesced}, nil
+	return e.eng.Evaluate(ctx, cfg)
 }
 
 // rawSimulate runs one (uncoalesced) simulation, charging the wall time
-// to stats and wrapping simulator failures; cancellations pass through
-// unwrapped so callers and coalesced followers can recognise them.
+// and, on success, one NSim to stats. It wraps simulator failures;
+// cancellations pass through unwrapped so callers and coalesced
+// followers can recognise them.
 func (e *Evaluator) rawSimulate(ctx context.Context, cfg space.Config, stats *counters) (float64, error) {
 	start := time.Now()
 	lam, err := simulate(ctx, e.sim, cfg)
 	elapsed := time.Since(start)
 	stats.simTime.Add(int64(elapsed))
-	if err == nil {
-		// Only completed simulations feed the shedder's latency
-		// estimate: failures (pool-down refusals, dead workers) return
-		// in microseconds and would talk the EWMA down exactly when
-		// capacity is scarcest.
-		e.observeSimLatency(elapsed)
-	}
 	if err != nil {
 		if isContextError(err) {
 			return 0, err
 		}
 		return 0, fmt.Errorf("evaluator: simulation of %v failed: %w", cfg, err)
 	}
+	// Only completed simulations feed the shedder's latency estimate:
+	// failures (pool-down refusals, dead workers) return in microseconds
+	// and would talk the EWMA down exactly when capacity is scarcest.
+	e.observeSimLatency(elapsed)
+	stats.nSim.Add(1)
 	return lam, nil
 }
 

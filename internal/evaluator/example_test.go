@@ -3,6 +3,7 @@ package evaluator_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/evaluator"
@@ -53,11 +54,11 @@ func ExampleEvaluator_EvaluateAll() {
 	// simulations: 4
 }
 
-// ExampleEngine_Submit serves concurrent sessions through the engine:
-// eight futures for the same configuration coalesce onto one
+// ExampleEngine serves concurrent sessions through the engine: eight
+// concurrent requests for the same configuration coalesce onto one
 // simulation, and the admission bound caps how many simulations the
 // engine lets fly at once.
-func ExampleEngine_Submit() {
+func ExampleEngine() {
 	var sims atomic.Int64
 	sim := evaluator.SimulatorFunc{
 		NumVars: 2,
@@ -72,15 +73,21 @@ func ExampleEngine_Submit() {
 	}
 	eng := ev.Engine(4) // at most 4 simulations in flight
 	ctx := context.Background()
-	var futures []*evaluator.Future
-	for i := 0; i < 8; i++ {
-		futures = append(futures, eng.Submit(ctx, space.Config{8, 12}))
+	results := make([]evaluator.Result, 8)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := eng.Evaluate(ctx, space.Config{8, 12})
+			if err != nil {
+				panic(err)
+			}
+			results[i] = res
+		}(i)
 	}
-	for i, f := range futures {
-		res, err := f.Wait(ctx)
-		if err != nil {
-			panic(err)
-		}
+	wg.Wait()
+	for i, res := range results {
 		if i > 0 {
 			fmt.Print(" ")
 		}

@@ -164,9 +164,12 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 		row.NSim++
 	}
 
-	// Pass 2 — value computation and error measurement. The support
-	// stores of this pass hold whole recorded sets, so they go through
-	// the amortized bulk-write path rather than per-Add publication.
+	// Pass 2 — value computation and error measurement, each point
+	// kriged like a live query with the gates waived. The support stores
+	// of this pass hold whole recorded sets, so they go through the
+	// amortized bulk-write path rather than per-Add publication.
+	ev := &Evaluator{opts: opts} // krigeOne reads only the options
+	var qs queryScratch
 	all := store.New(opts.Metric)
 	if mode == ModePaper {
 		all.AddBatch(pts.Entries())
@@ -203,24 +206,13 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 		default:
 			return ReplayRow{}, fmt.Errorf("evaluator: unknown replay mode %d", mode)
 		}
-		nb = nb.NearestK(opts.MaxSupport)
-		ys := nb.Values
-		if opts.Transform != nil {
-			ys = make([]float64, len(nb.Values))
-			for k, v := range nb.Values {
-				ys[k] = opts.Transform(v)
-			}
-		}
-		pred, err := opts.Interp.Predict(nb.Coords, ys, tp.Config.Floats())
-		if err != nil {
+		res := ev.krigeOne(nb.NearestK(opts.MaxSupport), tp.Config, nil, &qs)
+		if res.Source != Interpolated {
 			row.KrigFailures++
 			continue
 		}
-		if opts.Untransform != nil {
-			pred = opts.Untransform(pred)
-		}
-		sumNeigh += nb.Len()
-		eps.Add(epsilon(kind, pred, tp.Lambda))
+		sumNeigh += res.Neighbors
+		eps.Add(epsilon(kind, res.Lambda, tp.Lambda))
 	}
 	if row.N > 0 {
 		row.Percent = 100 * float64(row.NInterp) / float64(row.N)

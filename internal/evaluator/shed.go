@@ -70,9 +70,3 @@ func (e *Evaluator) observeSimLatency(d time.Duration) {
 	}
 	e.simEWMA.Store(old + (int64(d)-old)>>ewmaShift)
 }
-
-// SimLatencyEstimate returns the EWMA of recent simulation wall times —
-// zero until the first simulation completes.
-func (e *Evaluator) SimLatencyEstimate() time.Duration {
-	return time.Duration(e.simEWMA.Load())
-}

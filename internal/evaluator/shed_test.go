@@ -73,7 +73,8 @@ func TestAdmitRejectsExpiredContext(t *testing.T) {
 // TestShedDoomedRequest fills the admission slots, primes the latency
 // estimate, and checks that a request whose deadline cannot cover the
 // estimated wait is refused with the typed overload error — immediately,
-// with a usable Retry-After hint, and with exact NShed accounting.
+// with a usable Retry-After hint, and with exact NShed accounting — and
+// that a batch under such a deadline fails whole the same way.
 func TestShedDoomedRequest(t *testing.T) {
 	sim := &holdSim{nv: 1, release: make(chan struct{})}
 	ev, err := New(sim, Options{})
@@ -117,6 +118,21 @@ func TestShedDoomedRequest(t *testing.T) {
 	}
 	if st := ev.Stats(); st.NShed != 1 || st.NQueueExpired != 0 {
 		t.Errorf("NShed = %d, NQueueExpired = %d; want 1, 0", st.NShed, st.NQueueExpired)
+	}
+
+	// A batch under the same deadline is refused through the same
+	// admission path: it fails whole with the typed error and commits
+	// nothing.
+	bctx, bcancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer bcancel()
+	if _, err := engine.EvaluateAll(bctx, []space.Config{{3}, {4}}, 2); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("batch err = %v, want ErrOverloaded", err)
+	}
+	if n := ev.Store().Len(); n != 0 {
+		t.Errorf("refused batch grew the store to %d entries", n)
+	}
+	if st := ev.Stats(); st.NShed < 2 {
+		t.Errorf("NShed = %d after the refused batch, want >= 2", st.NShed)
 	}
 
 	close(sim.release)
@@ -194,15 +210,15 @@ func TestSimLatencyEWMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.SimLatencyEstimate(); got != 0 {
+	if got := time.Duration(ev.simEWMA.Load()); got != 0 {
 		t.Fatalf("cold estimate = %v, want 0", got)
 	}
 	ev.observeSimLatency(80 * time.Millisecond)
-	if got := ev.SimLatencyEstimate(); got != 80*time.Millisecond {
+	if got := time.Duration(ev.simEWMA.Load()); got != 80*time.Millisecond {
 		t.Fatalf("seeded estimate = %v, want 80ms", got)
 	}
 	ev.observeSimLatency(160 * time.Millisecond)
-	if got := ev.SimLatencyEstimate(); got != 90*time.Millisecond {
+	if got := time.Duration(ev.simEWMA.Load()); got != 90*time.Millisecond {
 		t.Fatalf("estimate after 160ms sample = %v, want 90ms (80 + 80/8)", got)
 	}
 }

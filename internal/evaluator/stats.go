@@ -18,11 +18,13 @@ type Stats struct {
 	// EvaluateAll's blocked shared-support batch path (always <=
 	// NInterp); NBatchPredict/NInterp is the batch-predict hit rate.
 	NBatchPredict int
-	// NCoalesced counts queries served as coalesced followers of another
-	// request's in-flight simulation: answers that would each have cost a
-	// full simulation without the single-flight table. Followers are not
-	// counted in NSim (the owner's one simulation is), so the total work
-	// avoided by coalescing is exactly NCoalesced simulations.
+	// NCoalesced counts queries answered by a simulation they did not
+	// run: live followers of another request's in-flight simulation, and
+	// repeats of a configuration simulated earlier in the same batch.
+	// Either would have cost a full simulation without coalescing.
+	// Followers are not counted in NSim (the owner's one simulation is),
+	// so the total work avoided by coalescing is exactly NCoalesced
+	// simulations.
 	NCoalesced int
 	// SimTime and InterpTime accumulate the per-call durations spent in
 	// the simulator and in kriging respectively. Under EvaluateAll the

@@ -229,7 +229,7 @@ func toResponse(res evaluator.Result) evaluateResponse {
 }
 
 // handleEvaluate answers POST /v1/evaluate: one configuration through
-// the session engine — exact hit, kriged interpolation, or a coalesced,
+// the engine — exact hit, kriged interpolation, or a coalesced,
 // admission-bounded simulation.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req evaluateRequest
@@ -261,10 +261,11 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, toResponse(res))
 }
 
-// handleBatch answers POST /v1/batch with EvaluateAllContext semantics:
+// handleBatch answers POST /v1/batch with Engine.EvaluateAll semantics:
 // the whole batch runs on the server's worker pool against one store
-// snapshot, succeeds or fails as a unit, and returns results in input
-// order.
+// snapshot, its simulations admitted through the engine like
+// any other request's, succeeds or fails as a unit, and returns results
+// in input order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !decode(w, r, &req) {
@@ -293,7 +294,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// decisions (optimiser rounds), which must only see store-backed
 	// truth. Against a pool that is down a batch therefore fails typed
 	// rather than degrading.
-	results, err := s.ev.EvaluateAllContext(ctx, cfgs, s.workers)
+	results, err := s.engine.EvaluateAll(ctx, cfgs, s.workers)
 	if err != nil {
 		writeEvalError(w, err)
 		return

@@ -167,6 +167,48 @@ func TestOverloadShedsTo503WithRetryAfter(t *testing.T) {
 	}
 }
 
+// TestBatchRespectsMaxSims pins that /v1/batch simulations go through
+// the engine's admission bound like /v1/evaluate ones: a batch of 8 on 4
+// workers against a one-slot engine never runs two simulations at once.
+func TestBatchRespectsMaxSims(t *testing.T) {
+	var cur, peak atomic.Int64
+	sim := evaluator.SimulatorFunc{
+		NumVars: 1,
+		Fn: func(cfg space.Config) (float64, error) {
+			c := cur.Add(1)
+			for {
+				p := peak.Load()
+				if c <= p || peak.CompareAndSwap(p, c) {
+					break
+				}
+			}
+			time.Sleep(5 * time.Millisecond)
+			cur.Add(-1)
+			return -float64(cfg[0]), nil
+		},
+	}
+	ev, err := evaluator.New(sim, evaluator.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := overloadServer(t, ev, Options{Engine: ev.Engine(1), Workers: 4})
+
+	status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/batch",
+		`{"configs":[[1],[2],[3],[4],[5],[6],[7],[8]]}`, nil)
+	if status != http.StatusOK {
+		t.Fatalf("batch status = %d (%v)", status, body)
+	}
+	if results, _ := body["results"].([]any); len(results) != 8 {
+		t.Fatalf("batch returned %d results, want 8", len(results))
+	}
+	if n := ev.Stats().NSim; n != 8 {
+		t.Errorf("NSim = %d, want 8", n)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Errorf("peak concurrent simulations = %d, want 1 (EVALD_MAX_SIMS bounds /v1/batch too)", p)
+	}
+}
+
 // TestDegradedServingPolicy covers the brownout opt-ins over HTTP: a
 // tenant with the degraded policy gets a degraded:true answer when the
 // simulation tier refuses work, a strict tenant gets the 503 (with the

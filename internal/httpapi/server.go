@@ -3,7 +3,7 @@
 // Evaluator/Engine pair from internal/evaluator as a small REST surface —
 //
 //	POST /v1/evaluate   one configuration query (request-scoped deadline)
-//	POST /v1/batch      EvaluateAllContext semantics, input-ordered results
+//	POST /v1/batch      Engine.EvaluateAll semantics, input-ordered results
 //	GET  /v1/stats      activity counters + coalescing/admission gauges
 //	GET  /healthz       process liveness (always 200 while serving)
 //	GET  /readyz        readiness (503 while draining or after a sticky
@@ -49,8 +49,8 @@ type Tenant struct {
 type Options struct {
 	// Evaluator answers the queries. Required.
 	Evaluator *evaluator.Evaluator
-	// Engine is the admission-bounded session face of the evaluator;
-	// nil builds an unbounded engine.
+	// Engine admits every simulation the service runs, for
+	// /v1/evaluate and /v1/batch alike; nil builds an unbounded engine.
 	Engine *evaluator.Engine
 	// Workers bounds the per-request worker pool of /v1/batch; zero
 	// selects GOMAXPROCS.

@@ -97,13 +97,14 @@ func Replay(trace Trace, opts EvaluatorOptions, kind evaluator.ErrorKind) (evalu
 	return evaluator.Replay(trace, opts, kind)
 }
 
-// Engine is the request-oriented session API over an Evaluator: Submit /
-// Wait futures, single-flight coalescing of identical concurrent misses,
-// and bounded simulation admission (see evaluator.Engine).
+// Engine is the admission-controlled request path of an Evaluator:
+// single-flight coalescing of identical concurrent misses, and one
+// simulation bound over live queries and batches alike (see
+// evaluator.Engine).
 type Engine = evaluator.Engine
 
-// NewEngine builds a session engine over an evaluator; maxSims bounds
-// the simulations in flight across all sessions (0: unbounded).
+// NewEngine builds an engine over an evaluator; maxSims bounds the
+// simulations in flight across all its callers (0: unbounded).
 func NewEngine(ev *Evaluator, maxSims int) *Engine {
 	return ev.Engine(maxSims)
 }
@@ -135,14 +136,8 @@ func NoiseBudgetContext(ctx context.Context, oracle optim.Oracle, opts optim.Noi
 }
 
 // OracleFromEvaluator adapts an Evaluator to the optimisers' Oracle
-// interface, discarding the provenance information. Queries run under
-// the optimiser's request context.
+// interface, discarding the provenance information. Queries run one at a
+// time under the optimiser's request context.
 func OracleFromEvaluator(ev *Evaluator) optim.Oracle {
-	return optim.ContextOracleFunc(func(ctx context.Context, cfg space.Config) (float64, error) {
-		res, err := ev.EvaluateContext(ctx, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Lambda, nil
-	})
+	return ev.Oracle(1)
 }

@@ -4,9 +4,9 @@
 # so the architecture docs cannot silently rot as packages move; every
 # Test*, Benchmark* and Fuzz* name cited in README.md or docs/*.md must
 # be defined in some _test.go file; every package-qualified exported
-# identifier cited there must resolve through go doc; and the
-# environment variables in docs/DEPLOYMENT.md must match the ones the
-# code reads.
+# identifier cited there (repro.X for the root package) must resolve
+# through go doc; and the environment variables in docs/DEPLOYMENT.md
+# must match the ones the code reads.
 #
 # Run from the repository root:  sh scripts/check_docs.sh
 set -eu
@@ -59,6 +59,18 @@ for doc in README.md docs/*.md; do
             fi
         done
         if [ "$found" -eq 0 ]; then
+            echo "$doc cites $ref, which go doc cannot resolve"
+            fail=1
+        fi
+    done
+done
+
+# The same for the facade package at the repository root: repro.X
+# citations (repro.NewEngine, repro.EvaluatorOptions, ...) must resolve
+# through go doc on the root package.
+for doc in README.md docs/*.md; do
+    for ref in $(grep -oE "\brepro\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)?" "$doc" | sort -u); do
+        if ! go doc . "${ref#repro.}" >/dev/null 2>&1; then
             echo "$doc cites $ref, which go doc cannot resolve"
             fail=1
         fi
