@@ -23,15 +23,16 @@ func ExampleFormat_Quantize() {
 // optimisation variables.
 func ExampleDatapath() {
 	d := fixed.NewDatapath()
-	mul := d.AddNode("mult_out", 0)
-	acc := d.AddNode("add_out", 2)
-	// Apply a word-length configuration: 4 fractional bits at the
+	d.AddNode("mult_out", 0)
+	d.AddNode("add_out", 2)
+	// Compile a word-length configuration: 4 fractional bits at the
 	// multiplier, 6 at the accumulator.
-	if err := d.Apply([]int{4, 6}); err != nil {
+	q := make([]fixed.Quantizer, d.Nv())
+	if err := d.Compile(q, []int{4, 6}); err != nil {
 		panic(err)
 	}
-	p := mul.Q(0.7 * 0.3)
-	fmt.Println(p, acc.Q(1.0+p))
+	p := q[0].Quantize(0.7 * 0.3)
+	fmt.Println(p, q[1].Quantize(1.0+p))
 	// Output:
 	// 0.1875 1.1875
 }

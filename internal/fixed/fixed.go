@@ -10,6 +10,14 @@
 // float64 holding exact multiples of the quantisation step, which is exact
 // for the word-lengths used here (<= 32 bits total, well within float64's
 // 53-bit mantissa).
+//
+// A simulator quantises through Quantizers, formats compiled once per
+// evaluation: the step 2^-F, its reciprocal 2^F and the range ends are
+// exact powers of two built from their IEEE bits, so no node pays for
+// math.Exp2. Multiplying by the reciprocal is bit-identical to dividing
+// by the step: x·2^F and x/2^-F are the same real number, and IEEE
+// arithmetic rounds both operations correctly, so they return the same
+// float64 for every x, finite, infinite or subnormal.
 package fixed
 
 import (
@@ -86,16 +94,18 @@ func NewFormat(intBits, fracBits int) Format {
 func (f Format) WordLength() int { return 1 + f.IntBits + f.FracBits }
 
 // Step returns the quantisation step 2^-FracBits.
-func (f Format) Step() float64 { return math.Exp2(-float64(f.FracBits)) }
+func (f Format) Step() float64 { return pow2(-f.FracBits) }
 
 // Max returns the largest representable value, 2^IntBits - 2^-FracBits.
-func (f Format) Max() float64 {
-	return math.Exp2(float64(f.IntBits)) - f.Step()
-}
+func (f Format) Max() float64 { return pow2(f.IntBits) - f.Step() }
 
 // Min returns the smallest (most negative) representable value,
 // -2^IntBits.
-func (f Format) Min() float64 { return -math.Exp2(float64(f.IntBits)) }
+func (f Format) Min() float64 { return -pow2(f.IntBits) }
+
+// pow2 returns 2^k exactly, for the normal exponents -1022 <= k <= 1023,
+// by building its IEEE-754 bits.
+func pow2(k int) float64 { return math.Float64frombits(uint64(k+1023) << 52) }
 
 // Validate reports whether the format is usable by the emulation.
 func (f Format) Validate() error {
@@ -113,40 +123,64 @@ func (f Format) String() string {
 	return fmt.Sprintf("Q%d.%d(%s,%s)", f.IntBits, f.FracBits, f.Quant, f.Overflow)
 }
 
+// Quantizer is a Format compiled for repeated quantisation: its step,
+// reciprocal step and range ends are precomputed, so Quantize costs a
+// multiply, a rounding and two compares. Build one with Format.Compile.
+type Quantizer struct {
+	quant             QuantMode
+	overflow          OverflowMode
+	step, inv, lo, hi float64
+}
+
+// Compile precomputes the format's step, 1/step and range.
+func (f Format) Compile() Quantizer {
+	return Quantizer{quant: f.Quant, overflow: f.Overflow, step: f.Step(), inv: pow2(f.FracBits), lo: f.Min(), hi: f.Max()}
+}
+
 // Quantize maps x onto the format's grid, applying the quantisation and
 // overflow modes. NaN maps to 0 (a fixed-point datapath has no NaN).
 func (f Format) Quantize(x float64) float64 {
-	if math.IsNaN(x) {
+	q := f.Compile()
+	return q.Quantize(x)
+}
+
+// Quantize maps x onto the compiled format's grid, applying the
+// quantisation and overflow modes. NaN maps to 0.
+func (q *Quantizer) Quantize(x float64) float64 {
+	if x != x {
 		return 0
 	}
-	step := f.Step()
-	var q float64
-	switch f.Quant {
+	var v float64
+	switch q.quant {
 	case Truncate:
-		q = math.Floor(x/step) * step
+		v = math.Floor(x*q.inv) * q.step
 	case RoundNearest:
-		q = math.Round(x/step) * step
+		v = math.Round(x*q.inv) * q.step
 	default:
 		panic("fixed: unknown quantisation mode")
 	}
-	lo, hi := f.Min(), f.Max()
-	if q >= lo && q <= hi {
-		return q
+	if v >= q.lo && v <= q.hi {
+		return v
 	}
-	switch f.Overflow {
+	return q.overflowed(v)
+}
+
+// overflowed maps an on-grid v outside [lo, hi] back into the range.
+func (q *Quantizer) overflowed(v float64) float64 {
+	switch q.overflow {
 	case Saturate:
-		if q < lo {
-			return lo
+		if v < q.lo {
+			return q.lo
 		}
-		return hi
+		return q.hi
 	case Wrap:
 		// Two's-complement wrap over the range [lo, hi+step).
-		span := math.Exp2(float64(f.IntBits + 1)) // hi+step - lo
-		w := math.Mod(q-lo, span)
+		span := -2 * q.lo // hi+step - lo
+		w := math.Mod(v-q.lo, span)
 		if w < 0 {
 			w += span
 		}
-		return lo + w
+		return q.lo + w
 	default:
 		panic("fixed: unknown overflow mode")
 	}
@@ -158,18 +192,18 @@ func (f Format) QuantizeSlice(dst, xs []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(xs))
 	}
+	q := f.Compile()
 	for i, v := range xs {
-		dst[i] = f.Quantize(v)
+		dst[i] = q.Quantize(v)
 	}
 	return dst
 }
 
-// QuantizationNoisePowerTruncate returns the analytic noise power of
-// truncation to the format under the standard uniform-error model:
-// truncation error is uniform on [0, step), so P = step²/3 ... for
-// round-to-nearest the error is uniform on [-step/2, step/2) giving
-// step²/12. These closed forms anchor the unit tests of the simulated
-// datapaths.
+// QuantizationNoisePower returns the analytic noise power of quantising
+// to the format under the standard uniform-error model. Truncation error
+// is uniform on (-step, 0], so P = E[e²] = step²/3; round-to-nearest
+// error is uniform on [-step/2, step/2), so P = step²/12. These closed
+// forms anchor the unit tests of the simulated datapaths.
 func (f Format) QuantizationNoisePower() float64 {
 	s := f.Step()
 	switch f.Quant {
@@ -181,15 +215,3 @@ func (f Format) QuantizationNoisePower() float64 {
 		panic("fixed: unknown quantisation mode")
 	}
 }
-
-// Add quantises the exact sum a+b to the format, modelling an adder whose
-// output register has this format.
-func (f Format) Add(a, b float64) float64 { return f.Quantize(a + b) }
-
-// Mul quantises the exact product a·b to the format, modelling a
-// multiplier whose output register has this format.
-func (f Format) Mul(a, b float64) float64 { return f.Quantize(a * b) }
-
-// MAC quantises acc + a·b to the format, modelling a fused
-// multiply-accumulate whose output register has this format.
-func (f Format) MAC(acc, a, b float64) float64 { return f.Quantize(acc + a*b) }

@@ -152,15 +152,17 @@ func TestEmpiricalNoiseMatchesModel(t *testing.T) {
 	}
 }
 
+// TestOps models an adder, a multiplier and a multiply-accumulate whose
+// output registers have the format: each quantises its exact result.
 func TestOps(t *testing.T) {
-	f := NewFormat(3, 2)
-	if got := f.Add(0.3, 0.3); got != 0.5 {
+	q := NewFormat(3, 2).Compile()
+	if got := q.Quantize(0.3 + 0.3); got != 0.5 {
 		t.Errorf("Add = %v", got) // 0.6 truncates to 0.5
 	}
-	if got := f.Mul(0.5, 0.6); got != 0.25 {
+	if got := q.Quantize(0.5 * 0.6); got != 0.25 {
 		t.Errorf("Mul = %v", got) // 0.3 truncates to 0.25
 	}
-	if got := f.MAC(0.25, 0.5, 0.5); got != 0.5 {
+	if got := q.Quantize(0.25 + 0.5*0.5); got != 0.5 {
 		t.Errorf("MAC = %v", got)
 	}
 }

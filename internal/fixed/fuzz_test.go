@@ -5,21 +5,25 @@ import (
 	"testing"
 )
 
-// FuzzQuantize checks the quantiser's invariants over arbitrary inputs
-// and formats: results stay on the grid, inside the range, and the
-// operation is idempotent.
+// FuzzQuantize checks the quantiser over arbitrary inputs and formats: it
+// matches the math.Exp2 oracle bit for bit, and its results stay on the
+// grid, inside the range, and are idempotent.
 func FuzzQuantize(f *testing.F) {
 	f.Add(0.5, uint8(3), uint8(12), false, false)
 	f.Add(-1e9, uint8(0), uint8(0), true, true)
 	f.Add(math.Pi, uint8(7), uint8(20), true, false)
+	f.Add(math.Inf(1), uint8(8), uint8(43), false, false)
+	f.Add(math.NaN(), uint8(2), uint8(5), true, true)
+	f.Add(-math.SmallestNonzeroFloat64, uint8(0), uint8(51), true, false)
 	f.Fuzz(func(t *testing.T, x float64, ib, fb uint8, roundNearest, wrap bool) {
-		fmt := NewFormat(int(ib%8), int(fb%20))
+		fmt := NewFormat(int(ib%9), int(fb)%(52-int(ib%9)))
 		if roundNearest {
 			fmt.Quant = RoundNearest
 		}
 		if wrap {
 			fmt.Overflow = Wrap
 		}
+		checkAgainstOracle(t, fmt, x)
 		q := fmt.Quantize(x)
 		if math.IsNaN(q) || math.IsInf(q, 0) {
 			t.Fatalf("non-finite quantisation of %v: %v", x, q)

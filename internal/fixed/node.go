@@ -13,29 +13,16 @@ type Node struct {
 	// IntBits is the fixed integer part chosen from the datapath's
 	// dynamic-range analysis; it does not change during optimisation.
 	IntBits int
-	// Format is the current full format; FracBits is rewritten by Apply.
-	Format Format
 }
 
-// NewNode builds a node with the given name and integer bits, truncation
-// quantisation and saturating overflow, with a provisional fractional
-// word-length of 15 bits.
+// NewNode builds a node with the given name and integer bits.
 func NewNode(name string, intBits int) *Node {
-	return &Node{
-		Name:    name,
-		IntBits: intBits,
-		Format:  NewFormat(intBits, 15),
-	}
+	return &Node{Name: name, IntBits: intBits}
 }
 
-// SetFrac sets the node's fractional word-length.
-func (n *Node) SetFrac(frac int) {
-	n.Format.IntBits = n.IntBits
-	n.Format.FracBits = frac
-}
-
-// Q quantises x through the node's current format.
-func (n *Node) Q(x float64) float64 { return n.Format.Quantize(x) }
+// Format returns the node's format at frac fractional bits, with
+// truncation quantisation and saturating overflow.
+func (n *Node) Format(frac int) Format { return NewFormat(n.IntBits, frac) }
 
 // Datapath is an ordered collection of quantisation nodes; its length is
 // the Nv of the benchmark that owns it.
@@ -56,42 +43,21 @@ func (d *Datapath) AddNode(name string, intBits int) *Node {
 // Nv returns the number of optimisation variables (nodes).
 func (d *Datapath) Nv() int { return len(d.Nodes) }
 
-// Apply sets the fractional word-length of node i to cfg[i] for all nodes.
-//
-// Apply mutates the shared nodes; concurrent evaluations of the same
-// datapath must use Formats instead.
-func (d *Datapath) Apply(cfg []int) error {
-	if len(cfg) != len(d.Nodes) {
-		return fmt.Errorf("fixed: config has %d entries for %d nodes", len(cfg), len(d.Nodes))
+// Compile fills dst[i] with node i's format under cfg, compiled for
+// quantisation; dst must have one entry per node. It writes only dst, so
+// several goroutines can evaluate the same datapath under different
+// configurations concurrently, each into its own dst.
+func (d *Datapath) Compile(dst []Quantizer, cfg []int) error {
+	if len(cfg) != len(d.Nodes) || len(dst) != len(d.Nodes) {
+		return fmt.Errorf("fixed: config has %d entries and dst %d for %d nodes", len(cfg), len(dst), len(d.Nodes))
 	}
 	for i, n := range d.Nodes {
 		if cfg[i] < 0 {
 			return fmt.Errorf("fixed: negative word-length %d at node %s", cfg[i], n.Name)
 		}
-		n.SetFrac(cfg[i])
+		dst[i] = n.Format(cfg[i]).Compile()
 	}
 	return nil
-}
-
-// Formats returns the per-node formats a configuration induces without
-// touching the shared nodes, so several goroutines can evaluate the same
-// datapath under different configurations concurrently. Formats[i]
-// corresponds to Nodes[i].
-func (d *Datapath) Formats(cfg []int) ([]Format, error) {
-	if len(cfg) != len(d.Nodes) {
-		return nil, fmt.Errorf("fixed: config has %d entries for %d nodes", len(cfg), len(d.Nodes))
-	}
-	out := make([]Format, len(d.Nodes))
-	for i, n := range d.Nodes {
-		if cfg[i] < 0 {
-			return nil, fmt.Errorf("fixed: negative word-length %d at node %s", cfg[i], n.Name)
-		}
-		f := n.Format
-		f.IntBits = n.IntBits
-		f.FracBits = cfg[i]
-		out[i] = f
-	}
-	return out, nil
 }
 
 // Names returns the node names in order.

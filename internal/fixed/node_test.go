@@ -6,13 +6,14 @@ import (
 
 func TestNodeSetFrac(t *testing.T) {
 	n := NewNode("acc", 2)
-	n.SetFrac(7)
-	if n.Format.FracBits != 7 || n.Format.IntBits != 2 {
-		t.Errorf("format after SetFrac: %+v", n.Format)
+	f := n.Format(7)
+	if f.FracBits != 7 || f.IntBits != 2 {
+		t.Errorf("Format(7) = %+v", f)
 	}
-	if got := n.Q(0.3); got != 0.2968750 {
+	q := f.Compile()
+	if got := q.Quantize(0.3); got != 0.2968750 {
 		// 0.3 truncated to 7 fractional bits: floor(0.3*128)/128 = 38/128.
-		t.Errorf("Q(0.3) = %v", got)
+		t.Errorf("Quantize(0.3) = %v", got)
 	}
 }
 
@@ -23,25 +24,30 @@ func TestDatapathApply(t *testing.T) {
 	if d.Nv() != 2 {
 		t.Fatalf("Nv = %d", d.Nv())
 	}
-	if err := d.Apply([]int{4, 9}); err != nil {
+	qs := make([]Quantizer, 2)
+	if err := d.Compile(qs, []int{4, 9}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Nodes[0].Format.FracBits != 4 || d.Nodes[1].Format.FracBits != 9 {
-		t.Error("Apply did not set fractional bits")
+	if qs[0].step != 1.0/16 || qs[1].step != 1.0/512 {
+		t.Error("Compile did not set fractional bits")
 	}
-	if d.Nodes[1].Format.IntBits != 1 {
-		t.Error("Apply lost integer bits")
+	if qs[1].lo != -2 || qs[1].hi != 2-1.0/512 {
+		t.Error("Compile lost integer bits")
 	}
 }
 
 func TestDatapathApplyErrors(t *testing.T) {
 	d := NewDatapath()
 	d.AddNode("a", 0)
-	if err := d.Apply([]int{1, 2}); err == nil {
+	qs := make([]Quantizer, 1)
+	if err := d.Compile(qs, []int{1, 2}); err == nil {
 		t.Error("wrong-length config accepted")
 	}
-	if err := d.Apply([]int{-1}); err == nil {
+	if err := d.Compile(qs, []int{-1}); err == nil {
 		t.Error("negative word-length accepted")
+	}
+	if err := d.Compile(make([]Quantizer, 2), []int{1}); err == nil {
+		t.Error("wrong-length dst accepted")
 	}
 }
 
@@ -49,24 +55,20 @@ func TestDatapathFormats(t *testing.T) {
 	d := NewDatapath()
 	d.AddNode("a", 0)
 	d.AddNode("b", 2)
-	fmts, err := d.Formats([]int{5, 9})
-	if err != nil {
+	qs := make([]Quantizer, 2)
+	if err := d.Compile(qs, []int{5, 9}); err != nil {
 		t.Fatal(err)
 	}
-	if fmts[0].FracBits != 5 || fmts[0].IntBits != 0 {
-		t.Errorf("fmts[0] = %+v", fmts[0])
+	if qs[0] != NewFormat(0, 5).Compile() {
+		t.Errorf("qs[0] = %+v", qs[0])
 	}
-	if fmts[1].FracBits != 9 || fmts[1].IntBits != 2 {
-		t.Errorf("fmts[1] = %+v", fmts[1])
+	if qs[1] != NewFormat(2, 9).Compile() {
+		t.Errorf("qs[1] = %+v", qs[1])
 	}
-	// Formats must not touch the shared nodes.
-	if d.Nodes[0].Format.FracBits == 5 {
-		t.Error("Formats mutated node state")
-	}
-	if _, err := d.Formats([]int{1}); err == nil {
+	if err := d.Compile(make([]Quantizer, 2), []int{1}); err == nil {
 		t.Error("short config accepted")
 	}
-	if _, err := d.Formats([]int{-1, 2}); err == nil {
+	if err := d.Compile(qs, []int{-1, 2}); err == nil {
 		t.Error("negative word-length accepted")
 	}
 }
@@ -76,17 +78,14 @@ func TestDatapathFormatsAgreeWithApply(t *testing.T) {
 	d.AddNode("x", 1)
 	d.AddNode("y", 3)
 	cfg := []int{7, 11}
-	fmts, err := d.Formats(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Apply(cfg); err != nil {
+	qs := make([]Quantizer, 2)
+	if err := d.Compile(qs, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range d.Nodes {
 		for _, v := range []float64{0.3, -1.7, 2.22} {
-			if fmts[i].Quantize(v) != n.Q(v) {
-				t.Fatalf("node %d: Formats and Apply disagree at %v", i, v)
+			if qs[i].Quantize(v) != n.Format(cfg[i]).Quantize(v) {
+				t.Fatalf("node %d: compiled and uncompiled formats disagree at %v", i, v)
 			}
 		}
 	}

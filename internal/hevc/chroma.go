@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/fixed"
-	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -194,66 +193,81 @@ func (b *ChromaBenchmark) Bounds() space.Bounds { return b.ip.Bounds() }
 
 // NoisePower measures P for one configuration across all chroma blocks.
 func (b *ChromaBenchmark) NoisePower(cfg space.Config) (float64, error) {
-	var flatFixed, flatRef []float64
+	var p chromaPlan
+	if err := b.ip.path.Compile(p[:], cfg); err != nil {
+		return 0, err
+	}
+	var out block
+	var s float64
 	for i := range b.srcs {
-		out, err := b.ip.Fixed(cfg, b.srcs[i], b.mvs[i])
-		if err != nil {
+		if err := p.interpolate(&out, b.srcs[i], b.mvs[i]); err != nil {
 			return 0, err
 		}
-		for y := 0; y < BlockSize; y++ {
-			flatFixed = append(flatFixed, out[y]...)
-			flatRef = append(flatRef, b.refs[i][y]...)
-		}
+		s = out.addSquaredError(s, b.refs[i])
 	}
-	return metrics.NoisePower(flatFixed, flatRef)
+	return s / float64(len(b.srcs)*BlockSize*BlockSize), nil
 }
 
 // Fixed interpolates through the word-length-configured chroma datapath.
 // It does not mutate shared state, so one ChromaInterp may serve
 // concurrent evaluations under different configurations.
 func (ip *ChromaInterp) Fixed(cfg space.Config, src [][]float64, mv ChromaMV) ([][]float64, error) {
-	fmts, err := ip.path.Formats(cfg)
-	if err != nil {
+	var p chromaPlan
+	if err := ip.path.Compile(p[:], cfg); err != nil {
 		return nil, err
 	}
+	var out block
+	if err := p.interpolate(&out, src, mv); err != nil {
+		return nil, err
+	}
+	return out.rows(), nil
+}
+
+// chromaNv is the chroma datapath's number of optimisation variables.
+const chromaNv = 2*chromaTaps + 4
+
+// chromaPlan is the chroma datapath compiled for one configuration, one
+// quantiser per node in ChromaVariableNames order.
+type chromaPlan [chromaNv]fixed.Quantizer
+
+// interpolate runs one chroma block through the compiled datapath into
+// out.
+func (p *chromaPlan) interpolate(out *block, src [][]float64, mv ChromaMV) error {
 	var (
-		inFmt   = fmts[0]
-		hProd   = fmts[1 : 1+chromaTaps]
-		hOutFmt = fmts[1+chromaTaps]
-		vProd   = fmts[2+chromaTaps : 2+2*chromaTaps]
-		vOutFmt = fmts[2+2*chromaTaps]
-		outFmt  = fmts[3+2*chromaTaps]
+		inQ   = &p[0]
+		hProd = p[1 : 1+chromaTaps]
+		hOutQ = &p[1+chromaTaps]
+		vProd = p[2+chromaTaps : 2+2*chromaTaps]
+		vOutQ = &p[2+2*chromaTaps]
+		outQ  = &p[3+2*chromaTaps]
 	)
 	if err := checkChromaWindow(src); err != nil {
-		return nil, err
+		return err
 	}
-	q := make([][]float64, chromaWindow)
+	var q [chromaWindow][chromaWindow]float64
 	for y := range q {
-		q[y] = make([]float64, chromaWindow)
 		for x := range q[y] {
-			q[y][x] = inFmt.Quantize(src[y][x])
+			q[y][x] = inQ.Quantize(src[y][x])
 		}
 	}
-	inter := make([][]float64, chromaWindow)
+	var inter [chromaWindow][BlockSize]float64
 	for y := 0; y < chromaWindow; y++ {
-		inter[y] = make([]float64, BlockSize)
 		for x := 0; x < BlockSize; x++ {
 			if mv.FracX == 0 {
-				inter[y][x] = hOutFmt.Quantize(q[y][x+1])
+				inter[y][x] = hOutQ.Quantize(q[y][x+1])
 				continue
 			}
 			fx, err := chromaFilterFor(mv.FracX)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			var acc float64
 			for t := 0; t < chromaTaps; t++ {
 				acc += hProd[t].Quantize(fx[t] * q[y][x+t])
 			}
-			inter[y][x] = hOutFmt.Quantize(acc)
+			inter[y][x] = hOutQ.Quantize(acc)
 		}
 	}
-	out := newBlock()
 	for y := 0; y < BlockSize; y++ {
 		for x := 0; x < BlockSize; x++ {
 			var v float64
@@ -262,16 +276,16 @@ func (ip *ChromaInterp) Fixed(cfg space.Config, src [][]float64, mv ChromaMV) ([
 			} else {
 				fy, err := chromaFilterFor(mv.FracY)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				var acc float64
 				for t := 0; t < chromaTaps; t++ {
 					acc += vProd[t].Quantize(fy[t] * inter[y+t][x])
 				}
-				v = vOutFmt.Quantize(acc)
+				v = vOutQ.Quantize(acc)
 			}
-			out[y][x] = outFmt.Quantize(v)
+			out[y][x] = outQ.Quantize(v)
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/fixed"
-	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -177,55 +176,68 @@ func (ip *Interp) Reference(src [][]float64, mv MotionVector) ([][]float64, erro
 // does not mutate shared state, so one Interp may serve concurrent
 // evaluations under different configurations.
 func (ip *Interp) Fixed(cfg space.Config, src [][]float64, mv MotionVector) ([][]float64, error) {
-	fmts, err := ip.path.Formats(cfg)
-	if err != nil {
+	var p lumaPlan
+	if err := ip.path.Compile(p[:], cfg); err != nil {
 		return nil, err
 	}
+	var out block
+	if err := p.interpolate(&out, src, mv); err != nil {
+		return nil, err
+	}
+	return out.rows(), nil
+}
+
+// lumaNv is the luma datapath's number of optimisation variables.
+const lumaNv = 2*taps + 7
+
+// lumaPlan is the luma datapath compiled for one configuration, one
+// quantiser per node in VariableNames order.
+type lumaPlan [lumaNv]fixed.Quantizer
+
+// interpolate runs one block through the compiled datapath into out.
+func (p *lumaPlan) interpolate(out *block, src [][]float64, mv MotionVector) error {
 	var (
-		inFmt   = fmts[0]
-		hProd   = fmts[1 : 1+taps]
-		hAccFmt = fmts[1+taps]
-		hOutFmt = fmts[2+taps]
-		interF  = fmts[3+taps]
-		vProd   = fmts[4+taps : 4+2*taps]
-		vAccFmt = fmts[4+2*taps]
-		vOutFmt = fmts[5+2*taps]
-		outFmt  = fmts[6+2*taps]
+		inQ    = &p[0]
+		hProd  = p[1 : 1+taps]
+		hAccQ  = &p[1+taps]
+		hOutQ  = &p[2+taps]
+		interQ = &p[3+taps]
+		vProd  = p[4+taps : 4+2*taps]
+		vAccQ  = &p[4+2*taps]
+		vOutQ  = &p[5+2*taps]
+		outQ   = &p[6+2*taps]
 	)
 	if err := checkWindow(src); err != nil {
-		return nil, err
+		return err
 	}
 	// Input registers.
-	q := make([][]float64, window)
+	var q [window][window]float64
 	for y := range q {
-		q[y] = make([]float64, window)
 		for x := range q[y] {
-			q[y][x] = inFmt.Quantize(src[y][x])
+			q[y][x] = inQ.Quantize(src[y][x])
 		}
 	}
-	inter := make([][]float64, window)
+	var inter [window][BlockSize]float64
 	for y := 0; y < window; y++ {
-		inter[y] = make([]float64, BlockSize)
 		for x := 0; x < BlockSize; x++ {
 			if mv.FracX == 0 {
-				inter[y][x] = hOutFmt.Quantize(q[y][x+3])
+				inter[y][x] = hOutQ.Quantize(q[y][x+3])
 				continue
 			}
 			fx, err := filterFor(mv.FracX)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			var acc float64
 			for t := 0; t < taps; t++ {
 				if fx[t] == 0 {
 					continue
 				}
-				acc = hAccFmt.Quantize(acc + hProd[t].Quantize(fx[t]*q[y][x+t]))
+				acc = hAccQ.Quantize(acc + hProd[t].Quantize(fx[t]*q[y][x+t]))
 			}
-			inter[y][x] = interF.Quantize(hOutFmt.Quantize(acc))
+			inter[y][x] = interQ.Quantize(hOutQ.Quantize(acc))
 		}
 	}
-	out := newBlock()
 	for y := 0; y < BlockSize; y++ {
 		for x := 0; x < BlockSize; x++ {
 			var v float64
@@ -234,21 +246,45 @@ func (ip *Interp) Fixed(cfg space.Config, src [][]float64, mv MotionVector) ([][
 			} else {
 				fy, err := filterFor(mv.FracY)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				var acc float64
 				for t := 0; t < taps; t++ {
 					if fy[t] == 0 {
 						continue
 					}
-					acc = vAccFmt.Quantize(acc + vProd[t].Quantize(fy[t]*inter[y+t][x]))
+					acc = vAccQ.Quantize(acc + vProd[t].Quantize(fy[t]*inter[y+t][x]))
 				}
-				v = vOutFmt.Quantize(acc)
+				v = vOutQ.Quantize(acc)
 			}
-			out[y][x] = outFmt.Quantize(v)
+			out[y][x] = outQ.Quantize(v)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// block is one interpolated BlockSize×BlockSize prediction.
+type block [BlockSize][BlockSize]float64
+
+// rows copies the block into a freshly allocated row slice.
+func (b *block) rows() [][]float64 {
+	out := newBlock()
+	for y := range out {
+		copy(out[y], b[y][:])
+	}
+	return out
+}
+
+// addSquaredError adds the squared errors of b against ref to s in
+// row-major order and returns the sum.
+func (b *block) addSquaredError(s float64, ref [][]float64) float64 {
+	for y := range b {
+		for x, v := range b[y] {
+			d := v - ref[y][x]
+			s += d * d
+		}
+	}
+	return s
 }
 
 func newBlock() [][]float64 {
@@ -317,16 +353,17 @@ func (b *Benchmark) Bounds() space.Bounds { return b.ip.Bounds() }
 
 // NoisePower measures P for one configuration across all blocks.
 func (b *Benchmark) NoisePower(cfg space.Config) (float64, error) {
-	var flatFixed, flatRef []float64
+	var p lumaPlan
+	if err := b.ip.path.Compile(p[:], cfg); err != nil {
+		return 0, err
+	}
+	var out block
+	var s float64
 	for i := range b.srcs {
-		out, err := b.ip.Fixed(cfg, b.srcs[i], b.mvs[i])
-		if err != nil {
+		if err := p.interpolate(&out, b.srcs[i], b.mvs[i]); err != nil {
 			return 0, err
 		}
-		for y := 0; y < BlockSize; y++ {
-			flatFixed = append(flatFixed, out[y]...)
-			flatRef = append(flatRef, b.refs[i][y]...)
-		}
+		s = out.addSquaredError(s, b.refs[i])
 	}
-	return metrics.NoisePower(flatFixed, flatRef)
+	return s / float64(len(b.srcs)*BlockSize*BlockSize), nil
 }

@@ -44,13 +44,21 @@ func (b *SSIMBenchmark) Bounds() space.Bounds { return b.inner.Bounds() }
 // evaluator.Simulator / optim.Oracle directly (no sign flip: SSIM is
 // already higher-is-better).
 func (b *SSIMBenchmark) Evaluate(cfg space.Config) (float64, error) {
+	var p lumaPlan
+	if err := b.inner.ip.path.Compile(p[:], cfg); err != nil {
+		return 0, err
+	}
+	var out block
+	var rows [BlockSize][]float64
+	for y := range rows {
+		rows[y] = out[y][:]
+	}
 	var sum float64
 	for i := range b.inner.srcs {
-		out, err := b.inner.ip.Fixed(cfg, b.inner.srcs[i], b.inner.mvs[i])
-		if err != nil {
+		if err := p.interpolate(&out, b.inner.srcs[i], b.inner.mvs[i]); err != nil {
 			return 0, err
 		}
-		s, err := metrics.SSIM(out, b.inner.refs[i], 1)
+		s, err := metrics.SSIM(rows[:], b.inner.refs[i], 1)
 		if err != nil {
 			return 0, fmt.Errorf("hevc: SSIM of block %d: %w", i, err)
 		}

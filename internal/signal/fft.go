@@ -116,40 +116,61 @@ func (f *FFT) Reference(re, im []float64) (outRe, outIm []float64, err error) {
 
 // Fixed computes the word-length-configured fixed-point FFT.
 func (f *FFT) Fixed(cfg space.Config, re, im []float64) (outRe, outIm []float64, err error) {
-	fmts, err := f.path.Formats(cfg)
-	if err != nil {
+	var p fftPlan
+	if err := f.plan(&p, cfg); err != nil {
 		return nil, nil, err
 	}
-	inFmt, twFmt := fmts[0], fmts[1]
-	stageFmt := fmts[2 : 2+fftStages]
-	mulFmt, outFmt := fmts[2+fftStages], fmts[3+fftStages]
 	if len(re) != FFTSize || len(im) != FFTSize {
 		return nil, nil, fmt.Errorf("signal: FFT input length %d/%d, want %d", len(re), len(im), FFTSize)
 	}
 	outRe = make([]float64, FFTSize)
 	outIm = make([]float64, FFTSize)
-	for i := 0; i < FFTSize; i++ {
-		outRe[i] = inFmt.Quantize(re[i])
-		outIm[i] = inFmt.Quantize(im[i])
+	p.run((*[FFTSize]float64)(outRe), (*[FFTSize]float64)(outIm), re, im)
+	return outRe, outIm, nil
+}
+
+// fftNv is the FFT's number of optimisation variables.
+const fftNv = fftStages + 4
+
+// fftPlan is the FFT datapath compiled for one configuration: the node
+// quantisers, and the twiddles quantised through the twiddle node.
+type fftPlan struct {
+	q          [fftNv]fixed.Quantizer
+	twRe, twIm [FFTSize / 2]float64
+}
+
+// plan compiles cfg into p.
+func (f *FFT) plan(p *fftPlan, cfg space.Config) error {
+	if err := f.path.Compile(p.q[:], cfg); err != nil {
+		return err
 	}
-	bitReverse(outRe, outIm)
-	// Quantised twiddles, re-quantised per configuration.
-	twRe := make([]float64, len(f.twRe))
-	twIm := make([]float64, len(f.twIm))
+	twQ := &p.q[1]
 	for k := range f.twRe {
-		twRe[k] = twFmt.Quantize(f.twRe[k])
-		twIm[k] = twFmt.Quantize(f.twIm[k])
+		p.twRe[k] = twQ.Quantize(f.twRe[k])
+		p.twIm[k] = twQ.Quantize(f.twIm[k])
 	}
+	return nil
+}
+
+// run transforms one length-FFTSize frame through the compiled datapath
+// into outRe/outIm.
+func (p *fftPlan) run(outRe, outIm *[FFTSize]float64, re, im []float64) {
+	inQ, mulQ, outQ := &p.q[0], &p.q[2+fftStages], &p.q[3+fftStages]
+	for i := 0; i < FFTSize; i++ {
+		outRe[i] = inQ.Quantize(re[i])
+		outIm[i] = inQ.Quantize(im[i])
+	}
+	bitReverse(outRe[:], outIm[:])
 	for s := 0; s < fftStages; s++ {
-		stage := stageFmt[s]
+		stage := &p.q[2+s]
 		half := 1 << s
 		step := FFTSize / (2 * half)
 		for base := 0; base < FFTSize; base += 2 * half {
 			for k := 0; k < half; k++ {
 				tw := k * step
 				i0, i1 := base+k, base+k+half
-				tr := mulFmt.Quantize(twRe[tw]*outRe[i1]) - mulFmt.Quantize(twIm[tw]*outIm[i1])
-				ti := mulFmt.Quantize(twRe[tw]*outIm[i1]) + mulFmt.Quantize(twIm[tw]*outRe[i1])
+				tr := mulQ.Quantize(p.twRe[tw]*outRe[i1]) - mulQ.Quantize(p.twIm[tw]*outIm[i1])
+				ti := mulQ.Quantize(p.twRe[tw]*outIm[i1]) + mulQ.Quantize(p.twIm[tw]*outRe[i1])
 				ar, ai := outRe[i0], outIm[i0]
 				outRe[i0] = stage.Quantize((ar + tr) / 2)
 				outIm[i0] = stage.Quantize((ai + ti) / 2)
@@ -159,8 +180,7 @@ func (f *FFT) Fixed(cfg space.Config, re, im []float64) (outRe, outIm []float64,
 		}
 	}
 	for i := 0; i < FFTSize; i++ {
-		outRe[i] = outFmt.Quantize(outRe[i])
-		outIm[i] = outFmt.Quantize(outIm[i])
+		outRe[i] = outQ.Quantize(outRe[i])
+		outIm[i] = outQ.Quantize(outIm[i])
 	}
-	return outRe, outIm, nil
 }

@@ -70,9 +70,7 @@ func NewFIR() (*FIR, error) {
 	if err != nil {
 		return nil, err
 	}
-	coefFmt := fixed.NewFormat(0, 15)
-	coefFmt.Quant = fixed.RoundNearest
-	coeffs := coefFmt.QuantizeSlice(nil, exact)
+	coeffs := q15.QuantizeSlice(nil, exact)
 
 	f := &FIR{Coeffs: coeffs, exact: exact, path: fixed.NewDatapath()}
 	// Products of |x|<1 by |h|<1 stay below 1 (IntBits 0); the
@@ -109,16 +107,15 @@ func (f *FIR) Reference(x []float64) []float64 {
 // at the adder output. Fixed does not mutate shared state, so one FIR
 // may be evaluated concurrently under different configurations.
 func (f *FIR) Fixed(cfg space.Config, x []float64) ([]float64, error) {
-	fmts, err := f.path.Formats(cfg)
-	if err != nil {
+	var q [2]fixed.Quantizer
+	if err := f.path.Compile(q[:], cfg); err != nil {
 		return nil, err
 	}
-	mulFmt, accFmt := fmts[0], fmts[1]
+	mulQ, accQ := &q[0], &q[1]
 	// The input itself is quantised at a fixed, generous precision
 	// (Q0.15, round-nearest) shared by reference comparisons: the paper's
 	// approximation sources are the internal datapath nodes.
-	inFmt := fixed.NewFormat(0, 15)
-	inFmt.Quant = fixed.RoundNearest
+	inQ := q15.Compile()
 	y := make([]float64, len(x))
 	for n := range x {
 		var acc float64
@@ -126,10 +123,15 @@ func (f *FIR) Fixed(cfg space.Config, x []float64) ([]float64, error) {
 			if n-k < 0 {
 				break
 			}
-			p := mulFmt.Quantize(h * inFmt.Quantize(x[n-k]))
-			acc = accFmt.Quantize(acc + p)
+			p := mulQ.Quantize(h * inQ.Quantize(x[n-k]))
+			acc = accQ.Quantize(acc + p)
 		}
 		y[n] = acc
 	}
 	return y, nil
 }
+
+// q15 is the fixed Q0.15 round-nearest format of the FIR coefficients
+// and of the input register every signal kernel feeds its configurable
+// nodes from.
+var q15 = fixed.Format{FracBits: 15, Quant: fixed.RoundNearest}

@@ -57,13 +57,16 @@ type IIR struct {
 	path     *fixed.Datapath
 }
 
+// iirSections is the number of biquads in the benchmark cascade.
+const iirSections = 4
+
 // IIRVariableNames documents the order of the IIR's five variables.
 var IIRVariableNames = []string{"biquad0_out", "biquad1_out", "biquad2_out", "biquad3_out", "mult_out"}
 
 // NewIIR builds the benchmark filter: 8th-order Butterworth lowpass,
 // cutoff 0.08.
 func NewIIR() (*IIR, error) {
-	secs, err := DesignButterworthLowpass(8, 0.08)
+	secs, err := DesignButterworthLowpass(2*iirSections, 0.08)
 	if err != nil {
 		return nil, err
 	}
@@ -102,27 +105,26 @@ func (f *IIR) Reference(x []float64) []float64 {
 // are the fractional word-lengths of the four biquad output registers,
 // cfg[4] the shared multiplier-output word-length.
 func (f *IIR) Fixed(cfg space.Config, x []float64) ([]float64, error) {
-	fmts, err := f.path.Formats(cfg)
-	if err != nil {
+	var q [iirSections + 1]fixed.Quantizer
+	if err := f.path.Compile(q[:], cfg); err != nil {
 		return nil, err
 	}
-	mulFmt := fmts[len(f.secOut)]
-	inFmt := fixed.NewFormat(0, 15)
-	inFmt.Quant = fixed.RoundNearest
+	mulQ := &q[len(f.secOut)]
+	inQ := q15.Compile()
 	cur := make([]float64, len(x))
 	for i, v := range x {
-		cur[i] = inFmt.Quantize(v)
+		cur[i] = inQ.Quantize(v)
 	}
 	for si, s := range f.Sections {
-		outFmt := fmts[si]
+		outQ := &q[si]
 		var x1, x2, y1, y2 float64
 		for n, xn := range cur {
-			acc := mulFmt.Quantize(s.B0 * xn)
-			acc += mulFmt.Quantize(s.B1 * x1)
-			acc += mulFmt.Quantize(s.B2 * x2)
-			acc -= mulFmt.Quantize(s.A1 * y1)
-			acc -= mulFmt.Quantize(s.A2 * y2)
-			y := outFmt.Quantize(acc)
+			acc := mulQ.Quantize(s.B0 * xn)
+			acc += mulQ.Quantize(s.B1 * x1)
+			acc += mulQ.Quantize(s.B2 * x2)
+			acc -= mulQ.Quantize(s.A1 * y1)
+			acc -= mulQ.Quantize(s.A2 * y2)
+			y := outQ.Quantize(acc)
 			x2, x1 = x1, xn
 			y2, y1 = y1, y
 			cur[n] = y

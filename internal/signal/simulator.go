@@ -147,13 +147,15 @@ func (b *fftBench) Nv() int              { return b.f.Nv() }
 func (b *fftBench) Bounds() space.Bounds { return b.f.Bounds() }
 
 func (b *fftBench) NoisePower(cfg space.Config) (float64, error) {
+	var p fftPlan
+	if err := b.f.plan(&p, cfg); err != nil {
+		return 0, err
+	}
+	var yr, yi [FFTSize]float64
 	var sum float64
 	n := 0
 	for i := range b.framesRe {
-		yr, yi, err := b.f.Fixed(cfg, b.framesRe[i], b.framesIm[i])
-		if err != nil {
-			return 0, err
-		}
+		p.run(&yr, &yi, b.framesRe[i], b.framesIm[i])
 		for k := 0; k < FFTSize; k++ {
 			dr := yr[k] - b.refRe[i][k]
 			di := yi[k] - b.refIm[i][k]

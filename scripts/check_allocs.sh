@@ -13,11 +13,14 @@
 #   - store/wal: warm Log.Append group commit         (O(1) per batch)
 #   - evaluator: exact-hit Evaluate                   (0 allocs)
 #                steady-state interpolated Evaluate   (<= 1 alloc)
+#   - signal:    fir/iir/fft NoisePower               (constant, <= 2)
+#   - hevc:      luma/chroma NoisePower, SSIM Evaluate (constant, <= 2)
 #
 # Run from the repository root:  sh scripts/check_allocs.sh
 set -eu
 
 go test -count=1 -run 'TestAllocs|TestSolveIntoAllocs' \
     ./internal/linalg ./internal/kriging ./internal/store \
-    ./internal/store/wal ./internal/evaluator
+    ./internal/store/wal ./internal/evaluator ./internal/signal \
+    ./internal/hevc
 echo "allocation gates OK"
