@@ -7,8 +7,7 @@
 //
 //	wlopt [-bench fir|iir|fft|hevc] [-d n] [-nnmin n] [-lambda dB]
 //	      [-size small|full] [-seed n] [-nokriging] [-workers n]
-//	      [-state dir] [-sim-workers url:key,...] [-sim-hedge d]
-//	      [-sim-cap n]
+//	      [-state dir] [-sim-workers url:key,...] [-sim-cap n]
 //
 // With -workers > 1 (or 0 for GOMAXPROCS) the min+1 competition evaluates
 // its candidate word-length vectors as one parallel batch per greedy
@@ -51,7 +50,6 @@ func main() {
 		workers   = flag.Int("workers", 1, "parallel simulations per competition round (0 = GOMAXPROCS)")
 		stateDir  = flag.String("state", "", "state directory for a durable support store (resume interrupted campaigns)")
 		simWork   = flag.String("sim-workers", "", "comma-separated remote simd workers as url[:key]; empty simulates in-process")
-		simHedge  = flag.Duration("sim-hedge", 0, "remote pool straggler hedge delay (0 = pool default)")
 		simCap    = flag.Int("sim-cap", 0, "max outstanding requests per remote worker (0 = pool default)")
 	)
 	flag.Parse()
@@ -77,7 +75,6 @@ func main() {
 			Workers:      specs,
 			Nv:           sp.Nv,
 			PerWorkerCap: *simCap,
-			HedgeDelay:   *simHedge,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -95,21 +95,10 @@ type Config struct {
 	// port, so purely numeric keys are not representable. Empty (the
 	// default) keeps simulation in-process — the fast path.
 	SimWorkers []simpool.WorkerSpec
-	// SimHedge is the pool's straggler hedge delay (EVALD_SIM_HEDGE,
-	// default 0 = the pool's built-in 100ms).
-	SimHedge time.Duration
 	// SimWorkerCap bounds the requests outstanding on one remote worker
 	// (EVALD_SIM_WORKER_CAP, default 0 = the pool's built-in 4); match
 	// it to the workers' SIMD_CAPACITY.
 	SimWorkerCap int
-	// SimRetryBudget caps the pool-wide rate of retries and hedges in
-	// tokens per second (EVALD_SIM_RETRY_BUDGET, default 0 = unlimited)
-	// so correlated worker failures cannot amplify into a retry storm.
-	SimRetryBudget float64
-	// SimRetryBurst is the retry budget's bucket depth
-	// (EVALD_SIM_RETRY_BURST, default 0 = 1); only read when
-	// SimRetryBudget is set.
-	SimRetryBurst int
 	// DisableShedding turns off deadline-aware load shedding
 	// (EVALD_DISABLE_SHED=1) — an ablation/debug switch: doomed
 	// requests then park on the admission queue and expire there.
@@ -184,16 +173,7 @@ func FromGetenv(getenv func(string) string) (Config, error) {
 			return cfg, fmt.Errorf("config: EVALD_SIM_WORKERS: %w", err)
 		}
 	}
-	if cfg.SimHedge, err = durVar(getenv, "EVALD_SIM_HEDGE", cfg.SimHedge); err != nil {
-		return cfg, err
-	}
 	if cfg.SimWorkerCap, err = intVar(getenv, "EVALD_SIM_WORKER_CAP", cfg.SimWorkerCap); err != nil {
-		return cfg, err
-	}
-	if cfg.SimRetryBudget, err = floatVar(getenv, "EVALD_SIM_RETRY_BUDGET", cfg.SimRetryBudget); err != nil {
-		return cfg, err
-	}
-	if cfg.SimRetryBurst, err = intVar(getenv, "EVALD_SIM_RETRY_BURST", cfg.SimRetryBurst); err != nil {
 		return cfg, err
 	}
 	if cfg.DisableShedding, err = boolVar(getenv, "EVALD_DISABLE_SHED"); err != nil {
@@ -207,12 +187,6 @@ func FromGetenv(getenv func(string) string) (Config, error) {
 	}
 	if cfg.SimWorkerCap < 0 {
 		return cfg, fmt.Errorf("config: EVALD_SIM_WORKER_CAP %d is negative", cfg.SimWorkerCap)
-	}
-	if cfg.SimRetryBudget < 0 {
-		return cfg, fmt.Errorf("config: EVALD_SIM_RETRY_BUDGET %g is negative", cfg.SimRetryBudget)
-	}
-	if cfg.SimRetryBurst < 0 {
-		return cfg, fmt.Errorf("config: EVALD_SIM_RETRY_BURST %d is negative", cfg.SimRetryBurst)
 	}
 	return cfg, nil
 }
@@ -311,18 +285,6 @@ func boolVar(getenv func(string) string, name string) (bool, error) {
 		return false, fmt.Errorf("config: %s %q: %w", name, v, err)
 	}
 	return b, nil
-}
-
-func floatVar(getenv func(string) string, name string, def float64) (float64, error) {
-	v := getenv(name)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return def, fmt.Errorf("config: %s %q: %w", name, v, err)
-	}
-	return f, nil
 }
 
 func durVar(getenv func(string) string, name string, def time.Duration) (time.Duration, error) {

@@ -115,44 +115,34 @@ func TestParseTenantsEmpty(t *testing.T) {
 	}
 }
 
-// TestOverloadConfig pins the resilience knobs: the new env vars parse
-// into their fields and the defaults stay safe (shedding on, budget
-// unlimited).
+// TestOverloadConfig pins the resilience knob: EVALD_DISABLE_SHED parses
+// into its field and the default stays safe (shedding on).
 func TestOverloadConfig(t *testing.T) {
 	cfg, err := FromGetenv(env(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.DisableShedding || cfg.SimRetryBudget != 0 || cfg.SimRetryBurst != 0 {
+	if cfg.DisableShedding {
 		t.Errorf("unexpected resilience defaults: %+v", cfg)
 	}
 
-	cfg, err = FromGetenv(env(map[string]string{
-		"EVALD_SIM_RETRY_BUDGET": "2.5",
-		"EVALD_SIM_RETRY_BURST":  "4",
-		"EVALD_DISABLE_SHED":     "1",
-	}))
+	cfg, err = FromGetenv(env(map[string]string{"EVALD_DISABLE_SHED": "1"}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.SimRetryBudget != 2.5 || cfg.SimRetryBurst != 4 {
-		t.Errorf("retry budget: %+v", cfg)
 	}
 	if !cfg.DisableShedding {
 		t.Errorf("DisableShedding not set: %+v", cfg)
 	}
 }
 
-// TestOverloadConfigRejects covers validation of the resilience knobs.
+// TestOverloadConfigRejects covers validation of the resilience knob.
 func TestOverloadConfigRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		env  map[string]string
 		want string
 	}{
-		{"negative budget", map[string]string{"EVALD_SIM_RETRY_BUDGET": "-1"}, "EVALD_SIM_RETRY_BUDGET"},
-		{"bad budget", map[string]string{"EVALD_SIM_RETRY_BUDGET": "lots"}, "EVALD_SIM_RETRY_BUDGET"},
-		{"negative burst", map[string]string{"EVALD_SIM_RETRY_BURST": "-2"}, "EVALD_SIM_RETRY_BURST"},
+		{"bad shed", map[string]string{"EVALD_DISABLE_SHED": "sometimes"}, "EVALD_DISABLE_SHED"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

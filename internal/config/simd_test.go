@@ -66,7 +66,6 @@ func TestSimdRejects(t *testing.T) {
 func TestSimWorkersFromGetenv(t *testing.T) {
 	cfg, err := FromGetenv(env(map[string]string{
 		"EVALD_SIM_WORKERS":    "http://sim-a:9090:keyA,http://sim-b:9090",
-		"EVALD_SIM_HEDGE":      "50ms",
 		"EVALD_SIM_WORKER_CAP": "3",
 	}))
 	if err != nil {
@@ -81,8 +80,8 @@ func TestSimWorkersFromGetenv(t *testing.T) {
 	if cfg.SimWorkers[1].URL != "http://sim-b:9090" || cfg.SimWorkers[1].Key != "" {
 		t.Errorf("spec 1 = %+v, want url http://sim-b:9090 no key", cfg.SimWorkers[1])
 	}
-	if cfg.SimHedge != 50*time.Millisecond || cfg.SimWorkerCap != 3 {
-		t.Errorf("hedge/cap = %v/%d, want 50ms/3", cfg.SimHedge, cfg.SimWorkerCap)
+	if cfg.SimWorkerCap != 3 {
+		t.Errorf("cap = %d, want 3", cfg.SimWorkerCap)
 	}
 }
 

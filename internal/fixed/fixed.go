@@ -138,14 +138,16 @@ func (f Format) Compile() Quantizer {
 }
 
 // Quantize maps x onto the format's grid, applying the quantisation and
-// overflow modes. NaN maps to 0 (a fixed-point datapath has no NaN).
+// overflow modes. NaN maps to 0 (a fixed-point datapath has no NaN), and
+// so does ±Inf under Wrap.
 func (f Format) Quantize(x float64) float64 {
 	q := f.Compile()
 	return q.Quantize(x)
 }
 
 // Quantize maps x onto the compiled format's grid, applying the
-// quantisation and overflow modes. NaN maps to 0.
+// quantisation and overflow modes. NaN maps to 0, and so does ±Inf
+// under Wrap.
 func (q *Quantizer) Quantize(x float64) float64 {
 	if x != x {
 		return 0
@@ -174,6 +176,13 @@ func (q *Quantizer) overflowed(v float64) float64 {
 		}
 		return q.hi
 	case Wrap:
+		if math.IsInf(v, 0) {
+			// ±Inf (an infinite x, or a finite one whose x/step
+			// overflowed) has no residue modulo the span: math.Mod gives
+			// NaN. Finite values that large are multiples of the span and
+			// wrap to exactly 0, so 0 is the answer for both.
+			return 0
+		}
 		// Two's-complement wrap over the range [lo, hi+step).
 		span := -2 * q.lo // hi+step - lo
 		w := math.Mod(v-q.lo, span)

@@ -14,6 +14,8 @@ func FuzzQuantize(f *testing.F) {
 	f.Add(math.Pi, uint8(7), uint8(20), true, false)
 	f.Add(math.Inf(1), uint8(8), uint8(43), false, false)
 	f.Add(math.NaN(), uint8(2), uint8(5), true, true)
+	f.Add(math.Inf(1), uint8(3), uint8(12), false, true)
+	f.Add(math.Inf(-1), uint8(0), uint8(40), true, true)
 	f.Add(-math.SmallestNonzeroFloat64, uint8(0), uint8(51), true, false)
 	f.Fuzz(func(t *testing.T, x float64, ib, fb uint8, roundNearest, wrap bool) {
 		fmt := NewFormat(int(ib%9), int(fb)%(52-int(ib%9)))

@@ -8,7 +8,8 @@ import (
 )
 
 // The differential oracle: Format.Quantize as it stood before formats were
-// compiled, with Step, Min and Max spelled out in their math.Exp2 forms.
+// compiled, with Step, Min and Max spelled out in their math.Exp2 forms,
+// and with ±Inf wrapping to 0 rather than to math.Mod's NaN.
 // Quantizer.Quantize must agree with it bit for bit on every input.
 
 func exp2Step(f Format) float64 { return math.Exp2(-float64(f.FracBits)) }
@@ -42,6 +43,9 @@ func exp2Quantize(f Format, x float64) float64 {
 		}
 		return hi
 	case Wrap:
+		if math.IsInf(q, 0) {
+			return 0
+		}
 		// Two's-complement wrap over the range [lo, hi+step).
 		span := math.Exp2(float64(f.IntBits + 1)) // hi+step - lo
 		w := math.Mod(q-lo, span)
@@ -110,6 +114,15 @@ func TestQuantizerMatchesExp2Oracle(t *testing.T) {
 		}
 		for _, x := range special {
 			checkAgainstOracle(t, f, x)
+		}
+		// Both sides agreeing is not enough for ±Inf: under Wrap it once
+		// agreed on NaN. It must wrap to 0, as NaN does.
+		if f.Overflow == Wrap {
+			for _, x := range []float64{math.Inf(1), math.Inf(-1)} {
+				if got := f.Quantize(x); math.Float64bits(got) != 0 {
+					t.Fatalf("%v: Quantize(%v) = %v, want 0", f, x, got)
+				}
+			}
 		}
 		// The range ends, one step beyond them, and half-step ties.
 		lo, hi, step := exp2Min(f), exp2Max(f), exp2Step(f)

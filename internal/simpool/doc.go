@@ -16,12 +16,17 @@
 //     discipline as internal/httpapi, without depending on it.
 //
 //   - Pool is the client-side scheduler: per-worker outstanding-request
-//     accounting with least-loaded dispatch, work-stealing onto idle
-//     workers, bounded exponential backoff with jittered retries,
-//     hedged duplicate dispatch for stragglers, and retry-on-worker-
-//     death — a worker that fails transport or health checks is
-//     quarantined, its in-flight configurations are requeued onto the
-//     survivors, and a background probe admits it back with backoff.
+//     accounting with least-loaded dispatch, bounded exponential backoff
+//     with jittered retries, hedged duplicate dispatch for stragglers,
+//     and retry-on-worker-death — a worker that fails transport or
+//     health checks is quarantined, its in-flight configurations are
+//     requeued onto the survivors, and a background probe admits it
+//     back with backoff.
+//
+// Hedging has one rule: a configuration whose sole attempt has run
+// longer than the p99 of the pool's recent round-trips (100ms before
+// the first is recorded) gets one duplicate on the least-loaded other
+// healthy worker with spare capacity, an idle one when there is one.
 //
 // Failure has one model, in four steps:
 //
@@ -41,7 +46,7 @@
 //     readmits a recovered worker and clears the latch, so the same
 //     Pool recovers without a restart.
 //
-// Hedging and stealing are safe because simulation is deterministic per
+// Hedging is safe because simulation is deterministic per
 // configuration: the first response wins, duplicates merely burn spare
 // worker capacity (they are counted separately in Stats), and the
 // evaluator's single-flight table already deduplicates at the request

@@ -110,7 +110,7 @@ func TestTwinRunEquivalence(t *testing.T) {
 	wantRes, wantStore, wantStats := runCampaign(t, local)
 
 	// Remote twin: three pooled workers over the same simulator, with
-	// hedging and stealing live so their duplicates are part of the run.
+	// hedging live so its duplicates are part of the run.
 	specs := make([]simpool.WorkerSpec, 3)
 	for i := range specs {
 		w := simpool.NewWorker(simpool.WorkerOptions{Sim: sleepSim(seed), Key: "tw1n", Capacity: 4})
@@ -122,13 +122,12 @@ func TestTwinRunEquivalence(t *testing.T) {
 		Workers:      specs,
 		Nv:           3,
 		PerWorkerCap: 2,
-		HedgeDelay:   time.Millisecond, // aggressive: force hedged duplicates
-		StealDelay:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	pool.PinHedgeAfter(time.Millisecond) // aggressive: force hedged duplicates
 	remote, err := evaluator.New(pool, krigingOpts())
 	if err != nil {
 		t.Fatal(err)

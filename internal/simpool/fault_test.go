@@ -142,7 +142,6 @@ func startFlakyPool(t *testing.T, n int, seed uint64, prob float64, faultSeed in
 		// Generous budget: with every worker flaky, a config may need to
 		// outlive several all-quarantined windows.
 		MaxAttempts: 200,
-		HedgeDelay:  50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

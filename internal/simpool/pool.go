@@ -10,7 +10,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -18,13 +18,11 @@ import (
 	"repro/internal/space"
 )
 
-// Default scheduler tuning. All are overridable through Options; the
-// retry ladder is sized so a fully-dead pool exhausts its budget in
-// under about a second instead of hanging.
+// Default scheduler tuning, overridable through Options. The retry
+// ladder is sized so a fully-dead pool exhausts its attempts in under
+// about a second instead of hanging.
 const (
 	defaultPerWorkerCap = 4
-	defaultHedgeDelay   = 100 * time.Millisecond
-	defaultStealDelay   = 5 * time.Millisecond
 	defaultMaxAttempts  = 8
 	defaultRetryBase    = 5 * time.Millisecond
 	defaultRetryMax     = 250 * time.Millisecond
@@ -35,8 +33,13 @@ const (
 	// lost edge case degrades to a short poll instead of a stall.
 	maxWake = 250 * time.Millisecond
 	// rttWindow is how many recent round-trips feed each worker's
-	// p50/p99 gauges.
+	// p50/p99 gauges and, pooled over the workers, the hedge delay.
 	rttWindow = 128
+	// coldHedgeAfter is the hedge delay until the first round-trip is
+	// recorded; hedgeRefresh is how many recorded round-trips pass
+	// between recomputations of the delay.
+	coldHedgeAfter = 100 * time.Millisecond
+	hedgeRefresh   = 16
 	// probeTimeout bounds one health probe of a quarantined worker.
 	probeTimeout = 2 * time.Second
 )
@@ -110,15 +113,6 @@ type Options struct {
 	// once; zero selects 4. Match it to the worker's -capacity so
 	// dispatch prefers free workers over queueing on busy ones.
 	PerWorkerCap int
-	// HedgeDelay is how long a sole in-flight attempt may run before a
-	// duplicate is dispatched to another worker (straggler insurance).
-	// Zero selects 100ms; negative disables hedging.
-	HedgeDelay time.Duration
-	// StealDelay is the (much shorter) hedge trigger used when another
-	// worker is sitting idle — the idle worker "steals" a duplicate of
-	// the oldest single-attempt config rather than doing nothing. Zero
-	// selects 5ms; negative disables stealing.
-	StealDelay time.Duration
 	// MaxAttempts bounds dispatch attempts per config, counting both
 	// failed flights and backoff rounds spent with every worker
 	// quarantined; zero selects 8. With the default retry ladder the
@@ -133,20 +127,6 @@ type Options struct {
 	// selects 25ms / 1s.
 	ProbeBase time.Duration
 	ProbeMax  time.Duration
-	// RetryBudget, when positive, caps the pool-wide rate of EXTRA
-	// dispatches — retries after worker failures and hedge/steal
-	// duplicates both draw from one token bucket refilled at this many
-	// tokens per second — so correlated failures degrade into bounded,
-	// paced recovery instead of a retry storm (per-config MaxAttempts
-	// bounds depth; the budget bounds aggregate rate). A budget-denied
-	// retry parks until a token accrues; a budget-denied hedge is simply
-	// skipped (the original attempt keeps running). Zero disables the
-	// cap.
-	RetryBudget float64
-	// RetryBurst is the budget's bucket depth — the burst of extra
-	// dispatches allowed before the rate limit bites; zero or negative
-	// selects 1. Ignored when RetryBudget is zero.
-	RetryBurst int
 	// Client issues the HTTP requests; nil builds one with pooled
 	// keep-alive connections. Any per-request timeout comes from the
 	// caller's context, never the client.
@@ -208,8 +188,6 @@ type task struct {
 type Pool struct {
 	nv          int
 	perCap      int
-	hedgeDelay  time.Duration
-	stealDelay  time.Duration
 	maxAttempts int
 	retryBase   time.Duration
 	retryMax    time.Duration
@@ -230,16 +208,19 @@ type Pool struct {
 	// ladder again.
 	down bool
 
-	// budget, when non-nil, is the pool-wide retry/hedge token bucket
-	// (Options.RetryBudget); guarded by mu like the rest of the
-	// scheduler state.
-	budget *tokenBucket
+	// hedgeAfter is how long a task's sole attempt may run before it is
+	// duplicated onto another worker: the p99 of the round-trips in the
+	// workers' RTT rings, recomputed every hedgeRefresh recordings, and
+	// coldHedgeAfter until the first. hedgePinned freezes it for tests;
+	// a negative pinned value switches hedging off.
+	hedgeAfter  time.Duration
+	hedgePinned bool
+	nRTT        uint64 // round-trips recorded over all workers
 
-	nRemote       uint64 // successful remote simulations, duplicates included
-	nHedged       uint64 // duplicate dispatches (straggler hedges + idle steals)
-	nRetried      uint64 // re-dispatches after a retryable failure
-	nRequeued     uint64 // in-flight configs pushed back by a worker death
-	nBudgetDenied uint64 // retries parked / hedges skipped by the retry budget
+	nRemote   uint64 // successful remote simulations, duplicates included
+	nHedged   uint64 // duplicate dispatches of stragglers
+	nRetried  uint64 // re-dispatches after a retryable failure
+	nRequeued uint64 // in-flight configs pushed back by a worker death
 
 	kick     chan struct{}
 	closedCh chan struct{}
@@ -259,8 +240,6 @@ func NewPool(opts Options) (*Pool, error) {
 	p := &Pool{
 		nv:          opts.Nv,
 		perCap:      pick(opts.PerWorkerCap, defaultPerWorkerCap),
-		hedgeDelay:  pickDur(opts.HedgeDelay, defaultHedgeDelay),
-		stealDelay:  pickDur(opts.StealDelay, defaultStealDelay),
 		maxAttempts: pick(opts.MaxAttempts, defaultMaxAttempts),
 		retryBase:   pickPos(opts.RetryBase, defaultRetryBase),
 		retryMax:    pickPos(opts.RetryMax, defaultRetryMax),
@@ -268,12 +247,10 @@ func NewPool(opts Options) (*Pool, error) {
 		probeMax:    pickPos(opts.ProbeMax, defaultProbeMax),
 		client:      opts.Client,
 		logger:      opts.Logger,
+		hedgeAfter:  coldHedgeAfter,
 		inflight:    make(map[*task]struct{}),
 		kick:        make(chan struct{}, 1),
 		closedCh:    make(chan struct{}),
-	}
-	if opts.RetryBudget > 0 {
-		p.budget = newTokenBucket(opts.RetryBudget, opts.RetryBurst)
 	}
 	if p.client == nil {
 		p.client = &http.Client{Transport: &http.Transport{
@@ -300,21 +277,7 @@ func pick(v, def int) int {
 	return v
 }
 
-// pickDur maps zero to the default and negative to "disabled" (the
-// hedge/steal triggers only fire for positive delays).
-func pickDur(v, def time.Duration) time.Duration {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return -1
-	default:
-		return v
-	}
-}
-
-// pickPos maps any non-positive duration to the default; the backoff
-// ladders have no meaningful "disabled" state.
+// pickPos maps any non-positive duration to the default.
 func pickPos(v, def time.Duration) time.Duration {
 	if v <= 0 {
 		return def
@@ -404,7 +367,7 @@ func (p *Pool) wake() {
 }
 
 // janitor is the scheduler's single background goroutine: it dispatches
-// pending work, issues hedges and steals, launches quarantine probes,
+// pending work, hedges stragglers, launches quarantine probes,
 // and sleeps until the earliest timed event or the next kick.
 func (p *Pool) janitor() {
 	defer p.janitorW.Done()
@@ -476,15 +439,6 @@ func (p *Pool) dispatchLocked(now time.Time) {
 			continue
 		}
 		if t.attempts > 0 {
-			// A retry dispatch spends one budget token; a denied retry
-			// parks until the bucket refills (its ctx deadline still
-			// bounds the total wait).
-			if p.budget != nil && !p.budget.take(now) {
-				p.nBudgetDenied++
-				t.notBefore = now.Add(p.budget.nextIn(now))
-				keep = append(keep, t)
-				continue
-			}
 			p.nRetried++
 		}
 		p.startAttemptLocked(t, w, now)
@@ -493,46 +447,31 @@ func (p *Pool) dispatchLocked(now time.Time) {
 	p.pending = keep
 }
 
-// hedgeLocked issues duplicate attempts for stragglers. Two triggers
-// share the mechanism: the straggler hedge (a sole attempt has run past
-// HedgeDelay) and the work steal (a healthy worker is idle and a sole
-// attempt has run past the much shorter StealDelay — spare capacity
-// duplicates the oldest single-flight config instead of idling).
+// hedgeLocked duplicates stragglers: a task whose sole attempt has run
+// past hedgeAfter gets one more attempt on the least-loaded other
+// healthy worker with spare capacity, an idle one when there is one.
 // Duplicates are safe: simulation is deterministic per config and the
 // first response wins.
 func (p *Pool) hedgeLocked(now time.Time) {
-	idle := p.idleWorkerLocked()
 	for t := range p.inflight {
-		if t.resolved || t.hedged || t.live != 1 {
+		if !p.hedgeableLocked(t) || now.Sub(t.lastDispatch) < p.hedgeAfter {
 			continue
 		}
-		elapsed := now.Sub(t.lastDispatch)
-		steal := p.stealDelay > 0 && idle != nil && elapsed >= p.stealDelay
-		hedge := p.hedgeDelay > 0 && elapsed >= p.hedgeDelay
-		if !steal && !hedge {
-			continue
-		}
-		cur := t.anyWorker()
-		w := idle
-		if w == nil || w == cur {
-			w = p.pickWorkerLocked(cur)
-		}
-		if w == nil || w == cur {
-			continue
-		}
-		// Hedges are speculative duplicates, so they draw from the same
-		// retry budget: under correlated failure the budget throttles
-		// both recovery paths, not just one.
-		if p.budget != nil && !p.budget.take(now) {
-			p.nBudgetDenied++
+		w := p.pickWorkerLocked(t.anyWorker())
+		if w == nil {
 			continue
 		}
 		p.nHedged++
-		p.logger.Debug("hedge", "config", t.cfg.String(), "worker", w.url, "steal", steal && !hedge)
+		p.logger.Debug("hedge", "config", t.cfg.String(), "worker", w.url)
 		p.startAttemptLocked(t, w, now)
 		t.hedged = true
-		idle = p.idleWorkerLocked()
 	}
+}
+
+// hedgeableLocked reports whether t may still get a hedge: hedging is
+// on and t is unresolved with one live attempt and no duplicate yet.
+func (p *Pool) hedgeableLocked(t *task) bool {
+	return p.hedgeAfter >= 0 && !t.resolved && !t.hedged && t.live == 1
 }
 
 // startProbesLocked launches health probes for quarantined workers past
@@ -606,15 +545,6 @@ func (p *Pool) anyHealthyLocked() bool {
 		}
 	}
 	return false
-}
-
-func (p *Pool) idleWorkerLocked() *worker {
-	for _, w := range p.workers {
-		if !w.quarantined && w.inflight == 0 {
-			return w
-		}
-	}
-	return nil
 }
 
 // anyWorker returns a worker currently running one of the task's live
@@ -740,7 +670,7 @@ func (p *Pool) finishAttempt(t *task, w *worker, id int, lam float64, out outcom
 	switch out {
 	case outcomeOK:
 		p.nRemote++
-		w.recordRTT(rtt)
+		p.recordRTTLocked(w, rtt)
 		p.resolveLocked(t, lam, nil)
 		p.wake() // capacity freed
 		return
@@ -755,7 +685,7 @@ func (p *Pool) finishAttempt(t *task, w *worker, id int, lam float64, out outcom
 		p.wake()
 		return
 	case outcomePermanent:
-		w.recordRTT(rtt)
+		p.recordRTTLocked(w, rtt)
 		p.resolveLocked(t, 0, err)
 		p.wake()
 		return
@@ -871,8 +801,9 @@ func (p *Pool) backoff(n int) time.Duration {
 }
 
 // nextWakeLocked computes how long the janitor may sleep: until the
-// next backoff expiry, hedge/steal deadline or probe time, capped so a
-// missed edge degrades to a short poll.
+// next backoff expiry, hedge deadline or probe time, capped so a missed
+// edge degrades to a short poll. A hedge already due found no free
+// worker this round; the completion that frees one kicks the janitor.
 func (p *Pool) nextWakeLocked(now time.Time) time.Duration {
 	wait := maxWake
 	consider := func(at time.Time) {
@@ -886,14 +817,8 @@ func (p *Pool) nextWakeLocked(now time.Time) time.Duration {
 		}
 	}
 	for t := range p.inflight {
-		if t.resolved || t.hedged || t.live != 1 {
-			continue
-		}
-		if p.stealDelay > 0 {
-			consider(t.lastDispatch.Add(p.stealDelay))
-		}
-		if p.hedgeDelay > 0 {
-			consider(t.lastDispatch.Add(p.hedgeDelay))
+		if at := t.lastDispatch.Add(p.hedgeAfter); p.hedgeableLocked(t) && at.After(now) {
+			consider(at)
 		}
 	}
 	for _, w := range p.workers {
@@ -907,9 +832,36 @@ func (p *Pool) nextWakeLocked(now time.Time) time.Duration {
 	return wait
 }
 
-func (w *worker) recordRTT(rtt time.Duration) {
+// recordRTTLocked adds one round-trip to w's ring and recomputes
+// hedgeAfter on the first recording and every hedgeRefresh after it.
+func (p *Pool) recordRTTLocked(w *worker, rtt time.Duration) {
 	w.rtts[w.rttN%rttWindow] = rtt
 	w.rttN++
+	p.nRTT++
+	if p.hedgePinned || p.nRTT%hedgeRefresh != 1 {
+		return
+	}
+	var all []time.Duration
+	for _, w := range p.workers {
+		all = append(all, w.recentRTTs()...)
+	}
+	_, p.hedgeAfter = rttQuantiles(all)
+}
+
+// recentRTTs returns w's ring: its last rttWindow round-trips, unordered.
+func (w *worker) recentRTTs() []time.Duration {
+	return w.rtts[:min(w.rttN, rttWindow)]
+}
+
+// rttQuantiles sorts rtts in place and returns their p50 and p99, both
+// zero when rtts is empty. The WorkerStats gauges and hedgeAfter share it.
+func rttQuantiles(rtts []time.Duration) (p50, p99 time.Duration) {
+	n := len(rtts)
+	if n == 0 {
+		return 0, 0
+	}
+	slices.Sort(rtts)
+	return rtts[n/2], rtts[n*99/100]
 }
 
 // WorkerStats is one worker's live gauge row.
@@ -929,11 +881,7 @@ type Stats struct {
 	NHedged     uint64
 	NRetried    uint64
 	NRequeued   uint64
-	// NBudgetDenied counts scheduler decisions throttled by the retry
-	// budget (Options.RetryBudget): retries parked for a token plus
-	// hedges/steals skipped outright. Always zero without a budget.
-	NBudgetDenied uint64
-	Workers       []WorkerStats
+	Workers     []WorkerStats
 }
 
 // Stats snapshots the pool counters and per-worker gauges.
@@ -941,23 +889,14 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := Stats{
-		NRemoteSims:   p.nRemote,
-		NHedged:       p.nHedged,
-		NRetried:      p.nRetried,
-		NRequeued:     p.nRequeued,
-		NBudgetDenied: p.nBudgetDenied,
-		Workers:       make([]WorkerStats, 0, len(p.workers)),
+		NRemoteSims: p.nRemote,
+		NHedged:     p.nHedged,
+		NRetried:    p.nRetried,
+		NRequeued:   p.nRequeued,
+		Workers:     make([]WorkerStats, 0, len(p.workers)),
 	}
 	for _, w := range p.workers {
-		n := min(w.rttN, rttWindow)
-		var p50, p99 time.Duration
-		if n > 0 {
-			sorted := make([]time.Duration, n)
-			copy(sorted, w.rtts[:n])
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			p50 = sorted[n/2]
-			p99 = sorted[(n*99)/100]
-		}
+		p50, p99 := rttQuantiles(slices.Clone(w.recentRTTs()))
 		st.Workers = append(st.Workers, WorkerStats{
 			URL:         w.url,
 			Inflight:    w.inflight,

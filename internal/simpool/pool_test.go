@@ -113,7 +113,8 @@ func TestPoolSpreadsLoad(t *testing.T) {
 	specs, sims := startWorkers(t, 2, "", func(int) *stubSim {
 		return &stubSim{entered: make(chan struct{}, 8), release: release}
 	})
-	p := newTestPool(t, Options{Workers: specs, StealDelay: -1, HedgeDelay: -1})
+	p := newTestPool(t, Options{Workers: specs})
+	p.PinHedgeAfter(-1)
 
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -183,8 +184,9 @@ func TestPoolRetryOnWorkerFailure(t *testing.T) {
 	}
 }
 
-// TestPoolHedgesStragglers: worker 0 stalls forever; the hedge fires
-// after HedgeDelay and worker 1 answers.
+// TestPoolHedgesStragglers: worker 0 stalls forever; with no round-trip
+// recorded yet the hedge fires after the cold-start delay and worker 1
+// answers.
 func TestPoolHedgesStragglers(t *testing.T) {
 	stall := &stubSim{release: make(chan struct{})} // never released
 	fast := &stubSim{}
@@ -192,12 +194,9 @@ func TestPoolHedgesStragglers(t *testing.T) {
 	defer s0.Close()
 	s1 := httptest.NewServer(NewWorker(WorkerOptions{Sim: fast}).Handler())
 	defer s1.Close()
-	p := newTestPool(t, Options{
-		Workers:    []WorkerSpec{{URL: s0.URL}, {URL: s1.URL}},
-		HedgeDelay: 10 * time.Millisecond,
-		StealDelay: -1,
-	})
+	p := newTestPool(t, Options{Workers: []WorkerSpec{{URL: s0.URL}, {URL: s1.URL}}})
 
+	start := time.Now()
 	cfg := space.Config{2, 3, 4}
 	done := make(chan struct{})
 	var lam float64
@@ -214,40 +213,66 @@ func TestPoolHedgesStragglers(t *testing.T) {
 	if want := stubLambda(cfg); lam != want {
 		t.Fatalf("lambda = %v, want %v", lam, want)
 	}
+	if elapsed := time.Since(start); elapsed < coldHedgeAfter {
+		t.Fatalf("rescued after %v, before the %v cold-start hedge delay", elapsed, coldHedgeAfter)
+	}
 	if _, nh, _, _ := p.RemoteSimCounts(); nh < 1 {
 		t.Fatalf("NHedged = %d, want >= 1", nh)
 	}
 }
 
-// TestPoolStealsForIdleWorker: same shape as the hedge test but driven
-// by the idle-worker trigger at a delay far below HedgeDelay.
-func TestPoolStealsForIdleWorker(t *testing.T) {
-	stall := &stubSim{release: make(chan struct{})}
-	fast := &stubSim{}
-	s0 := httptest.NewServer(NewWorker(WorkerOptions{Sim: stall}).Handler())
-	defer s0.Close()
-	s1 := httptest.NewServer(NewWorker(WorkerOptions{Sim: fast}).Handler())
-	defer s1.Close()
-	p := newTestPool(t, Options{
-		Workers:    []WorkerSpec{{URL: s0.URL}, {URL: s1.URL}},
-		HedgeDelay: time.Hour, // only the steal can rescue
-		StealDelay: 5 * time.Millisecond,
-	})
-
-	start := time.Now()
-	cfg := space.Config{2, 3, 4}
-	lam, err := p.Evaluate(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestHedgeAfterTracksP99 drives the hedge-delay derivation directly,
+// without network or sleeps: the cold-start delay before any sample,
+// then the shared helper's p99 over every worker's RTT ring, refreshed
+// every hedgeRefresh recordings and cached in between, and still right
+// after the rings wrap. The WorkerStats gauges come from the same helper.
+func TestHedgeAfterTracksP99(t *testing.T) {
+	p := newTestPool(t, Options{Workers: []WorkerSpec{{URL: "http://a.invalid"}, {URL: "http://b.invalid"}}})
+	hedgeAfter := func() time.Duration {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.hedgeAfter
 	}
-	if want := stubLambda(cfg); lam != want {
-		t.Fatalf("lambda = %v, want %v", lam, want)
+	if got := hedgeAfter(); got != coldHedgeAfter {
+		t.Fatalf("hedgeAfter with no samples = %v, want %v", got, coldHedgeAfter)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("steal took %v", elapsed)
+	// Falling round-trips, so the early samples the rings evict are the
+	// largest and a p99 over evicted samples would show.
+	recorded := make([][]time.Duration, len(p.workers))
+	// window is the helper's p99 over the last rttWindow samples of
+	// each worker: what the rings should hold.
+	window := func() time.Duration {
+		var all []time.Duration
+		for _, r := range recorded {
+			all = append(all, r[max(0, len(r)-rttWindow):]...)
+		}
+		_, p99 := rttQuantiles(all)
+		return p99
 	}
-	if _, nh, _, _ := p.RemoteSimCounts(); nh < 1 {
-		t.Fatalf("NHedged = %d, want >= 1 (steals count as hedges)", nh)
+	var cached time.Duration
+	for n := 1; n <= 4*rttWindow+1; n++ {
+		i := n % len(p.workers)
+		rtt := time.Duration(5000-n) * time.Microsecond
+		recorded[i] = append(recorded[i], rtt)
+		p.mu.Lock()
+		p.recordRTTLocked(p.workers[i], rtt)
+		p.mu.Unlock()
+		if n%hedgeRefresh == 1 {
+			cached = window()
+		}
+		if got := hedgeAfter(); got != cached {
+			t.Fatalf("after %d samples hedgeAfter = %v, want %v", n, got, cached)
+		}
+	}
+	if recorded[0][0] <= cached {
+		t.Fatal("test setup: the evicted samples do not exceed the window's p99")
+	}
+	st := p.Stats()
+	for i, r := range recorded {
+		_, p99 := rttQuantiles(append([]time.Duration(nil), r[len(r)-rttWindow:]...))
+		if st.Workers[i].P99 != p99 {
+			t.Errorf("worker %d P99 = %v, want %v", i, st.Workers[i].P99, p99)
+		}
 	}
 }
 
@@ -299,9 +324,10 @@ func TestPoolSimulationErrorIsPermanent(t *testing.T) {
 			return errors.New("unstable filter")
 		}}
 	})
-	// Hedging off: an idle-steal under a slow (race-instrumented) round
-	// trip would duplicate the dispatch and break the exactly-once check.
-	p := newTestPool(t, Options{Workers: specs, StealDelay: -1, HedgeDelay: -1})
+	// Hedging off: a hedge under a slow (race-instrumented) round trip
+	// would duplicate the dispatch and break the exactly-once check.
+	p := newTestPool(t, Options{Workers: specs})
+	p.PinHedgeAfter(-1)
 
 	_, err := p.Evaluate(space.Config{2, 3, 4})
 	if !errors.Is(err, ErrSimulation) {
@@ -380,7 +406,8 @@ func TestPoolContextCancel(t *testing.T) {
 	stall := &stubSim{release: make(chan struct{})}
 	s0 := httptest.NewServer(NewWorker(WorkerOptions{Sim: stall}).Handler())
 	defer s0.Close()
-	p := newTestPool(t, Options{Workers: []WorkerSpec{{URL: s0.URL}}, HedgeDelay: -1, StealDelay: -1})
+	p := newTestPool(t, Options{Workers: []WorkerSpec{{URL: s0.URL}}})
+	p.PinHedgeAfter(-1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
