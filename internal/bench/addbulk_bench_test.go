@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/space"
 	"repro/internal/store"
 )
 
@@ -31,13 +30,13 @@ func BenchmarkAddBulk(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := store.New(space.MetricL1)
+				s := store.New()
 				s.AddBatch(entries)
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/perAdd", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := store.New(space.MetricL1)
+				s := store.New()
 				for _, e := range entries {
 					s.Add(e.Config, e.Lambda)
 				}
@@ -64,7 +63,7 @@ func BenchmarkAddBulkRestore(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := store.New(space.MetricL1)
+		s := store.New()
 		s.AddBatch(entries)
 	}
 }

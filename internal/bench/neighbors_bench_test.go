@@ -51,7 +51,7 @@ func scalingStore(n int) *store.Store {
 		return s
 	}
 	r := rng.New(uint64(n))
-	s := store.New(space.MetricL1)
+	s := store.New()
 	for s.Len() < n {
 		batch := make([]store.Entry, n-s.Len())
 		for i := range batch {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/space"
 	"repro/internal/store"
 )
 
@@ -37,7 +36,7 @@ func BenchmarkAddBulkWAL(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s, err := store.Open(space.MetricL1, store.Options{
+				s, err := store.Open(store.Options{
 					Durability: &store.DurabilityOptions{Dir: b.TempDir()},
 				})
 				if err != nil {
@@ -69,7 +68,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		entries := walEntries(n)
 		dir := b.TempDir()
-		s, err := store.Open(space.MetricL1, store.Options{
+		s, err := store.Open(store.Options{
 			Durability: &store.DurabilityOptions{Dir: dir},
 		})
 		if err != nil {
@@ -92,7 +91,7 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := store.Open(space.MetricL1, store.Options{
+				r, err := store.Open(store.Options{
 					Durability: &store.DurabilityOptions{Dir: dir},
 				})
 				if err != nil {

@@ -50,8 +50,6 @@ type Options struct {
 	// Nugget is the identified model's nugget (and the system
 	// regulariser).
 	Nugget float64
-	// Metric is the configuration distance (zero value: L1).
-	Metric space.Metric
 	// Transform / Untransform map the metric into the kriging domain
 	// and back (e.g. evaluator.NegPowerToDB for noise powers).
 	Transform, Untransform func(float64) float64
@@ -152,8 +150,7 @@ func (p *Pipeline) Identify() (*Identification, error) {
 		coords[i] = c.Floats()
 	}
 	ys := p.transformed()
-	dist := func(a, b []float64) float64 { return p.opts.Metric.DistanceFloats(a, b) }
-	cloud := variogram.CloudFromSamples(coords, ys, dist)
+	cloud := variogram.CloudFromSamples(coords, ys, kriging.L1Distance)
 	var (
 		model variogram.Model
 		err   error
@@ -178,9 +175,8 @@ func (p *Pipeline) Identify() (*Identification, error) {
 	// evaluator will use; uncapped systems over the whole pilot cloud
 	// are ill-conditioned with unbounded variograms.
 	ok := &kriging.Capped{
-		Inner: &kriging.Ordinary{Model: model, Dist: dist, Nugget: p.opts.Nugget},
+		Inner: &kriging.Ordinary{Model: model, Nugget: p.opts.Nugget},
 		K:     maxSupport,
-		Dist:  dist,
 	}
 	p.id = &Identification{
 		Model:   model,
@@ -206,13 +202,11 @@ func (p *Pipeline) Evaluator() (*evaluator.Evaluator, error) {
 	if nnMin == 0 {
 		nnMin = 1
 	}
-	dist := func(a, b []float64) float64 { return p.opts.Metric.DistanceFloats(a, b) }
 	ev, err := evaluator.New(p.sim, evaluator.Options{
 		D:           p.opts.D,
 		NnMin:       nnMin,
 		MaxSupport:  maxSupport,
-		Metric:      p.opts.Metric,
-		Interp:      &kriging.Ordinary{Model: id.Model, Dist: dist, Nugget: p.opts.Nugget},
+		Interp:      &kriging.Ordinary{Model: id.Model, Nugget: p.opts.Nugget},
 		Transform:   p.opts.Transform,
 		Untransform: p.opts.Untransform,
 	})

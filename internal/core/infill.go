@@ -50,13 +50,12 @@ func (p *Pipeline) RunInfill(opts InfillOptions) (*InfillResult, error) {
 	}
 	r := rng.NewNamed(opts.Seed, "core-infill")
 	res := &InfillResult{}
-	dist := func(a, b []float64) float64 { return p.opts.Metric.DistanceFloats(a, b) }
 	for step := 0; step < opts.Budget; step++ {
 		id, err := p.Identify()
 		if err != nil {
 			return nil, err
 		}
-		ok := &kriging.Ordinary{Model: id.Model, Dist: dist, Nugget: p.opts.Nugget}
+		ok := &kriging.Ordinary{Model: id.Model, Nugget: p.opts.Nugget}
 		coords := make([][]float64, len(p.pilotCfgs))
 		for i, c := range p.pilotCfgs {
 			coords[i] = c.Floats()

@@ -91,7 +91,8 @@ func simulate(ctx context.Context, sim Simulator, cfg space.Config) (float64, er
 type Options struct {
 	// D is the neighbourhood radius: simulated configurations within L1
 	// distance <= D form the kriging support. The paper sweeps D over
-	// {2, 3, 4, 5}.
+	// {2, 3, 4, 5}. The distance is always the paper's L1, whose lower
+	// bound |Σa − Σb| <= L1(a, b) prunes the store's scan.
 	D float64
 	// NnMin is the minimum-neighbour threshold: kriging is used only
 	// when the support size Nn satisfies Nn > NnMin (strict, as in
@@ -115,11 +116,6 @@ type Options struct {
 	// setup. A custom Interp must be safe for concurrent use if the
 	// evaluator is (kriging.Ordinary and kriging.Simple are).
 	Interp kriging.Interpolator
-	// Metric is the neighbour-search distance; the zero value is L1.
-	Metric space.Metric
-	// StoreShards overrides the shard count of the support store; zero
-	// selects store.DefaultShardCount.
-	StoreShards int
 	// Transform, when non-nil, maps λ into the space in which kriging
 	// is performed, and Untransform maps predictions back. The paper
 	// kriges λ = -P directly (identity); the log-domain ablation uses a
@@ -164,9 +160,6 @@ func (o *Options) validate() error {
 	}
 	if o.MaxVariance < 0 {
 		return fmt.Errorf("%w: negative MaxVariance %v", ErrBadOptions, o.MaxVariance)
-	}
-	if o.StoreShards < 0 {
-		return fmt.Errorf("%w: negative StoreShards %d", ErrBadOptions, o.StoreShards)
 	}
 	if (o.Transform == nil) != (o.Untransform == nil) {
 		return fmt.Errorf("%w: Transform and Untransform must be set together", ErrBadOptions)
@@ -257,11 +250,11 @@ func New(sim Simulator, opts Options) (*Evaluator, error) {
 	if opts.Interp == nil {
 		opts.Interp = &kriging.Ordinary{} // L1 + power variogram defaults
 	}
-	sopts := store.Options{Shards: opts.StoreShards}
+	var sopts store.Options
 	if opts.StateDir != "" {
 		sopts.Durability = &store.DurabilityOptions{Dir: opts.StateDir}
 	}
-	st, err := store.Open(opts.Metric, sopts)
+	st, err := store.Open(sopts)
 	if err != nil {
 		return nil, fmt.Errorf("evaluator: opening state: %w", err)
 	}

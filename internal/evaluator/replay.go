@@ -152,7 +152,7 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 	// Algorithms 1-2: a point is interpolated when strictly more than
 	// Nn,min already-simulated points lie within d; interpolated points
 	// never enter the support store.
-	st := store.New(opts.Metric)
+	st := store.New()
 	interp := make([]bool, len(pts))
 	for i, tp := range pts {
 		if opts.D > 0 && st.Neighbors(tp.Config, opts.D).Len() > opts.NnMin {
@@ -170,7 +170,7 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 	// amortized bulk-write path rather than per-Add publication.
 	ev := &Evaluator{opts: opts} // krigeOne reads only the options
 	var qs queryScratch
-	all := store.New(opts.Metric)
+	all := store.New()
 	if mode == ModePaper {
 		all.AddBatch(pts.Entries())
 	}
@@ -200,7 +200,7 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 					past = append(past, store.Entry{Config: pts[j].Config, Lambda: pts[j].Lambda})
 				}
 			}
-			live := store.New(opts.Metric)
+			live := store.New()
 			live.AddBatch(past)
 			nb = live.Neighbors(tp.Config, opts.D)
 		default:

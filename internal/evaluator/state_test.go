@@ -170,7 +170,7 @@ func TestPreloadRestorePropertyRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		seed := seed
 		r := rng.New(seed)
-		live := store.New(space.MetricL1)
+		live := store.New()
 		var trace Trace
 		var history []space.Config
 		steps := 80 + int(seed)*17

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kriging"
 	"repro/internal/rng"
 )
 
@@ -69,59 +70,26 @@ func TestL1Known(t *testing.T) {
 	}
 }
 
-func TestL2Known(t *testing.T) {
-	if d := L2(Config{0, 0}, Config{3, 4}); d != 5 {
-		t.Errorf("L2 = %v, want 5", d)
-	}
-}
-
-func TestLInfKnown(t *testing.T) {
-	if LInf(Config{1, 10}, Config{3, 2}) != 8 {
-		t.Error("LInf wrong")
-	}
-}
-
 func TestDistancePanicsOnDimMismatch(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"L1":   func() { L1(Config{1}, Config{1, 2}) },
-		"L2":   func() { L2(Config{1}, Config{1, 2}) },
-		"LInf": func() { LInf(Config{1}, Config{1, 2}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s dimension mismatch did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("L1 dimension mismatch did not panic")
+		}
+	}()
+	L1(Config{1}, Config{1, 2})
 }
 
-func TestMetricString(t *testing.T) {
-	if MetricL1.String() != "L1" || MetricL2.String() != "L2" || MetricLInf.String() != "Linf" {
-		t.Error("metric names wrong")
-	}
-}
-
-func TestMetricDistanceAgreesWithFunctions(t *testing.T) {
-	a, b := Config{1, 5, 2}, Config{4, 5, 0}
-	if MetricL1.Distance(a, b) != float64(L1(a, b)) {
-		t.Error("MetricL1 disagrees with L1")
-	}
-	if MetricL2.Distance(a, b) != L2(a, b) {
-		t.Error("MetricL2 disagrees with L2")
-	}
-	if MetricLInf.Distance(a, b) != float64(LInf(a, b)) {
-		t.Error("MetricLInf disagrees with LInf")
-	}
-}
-
+// TestDistanceFloatsAgreesWithInts: kriging measures the support in the
+// float coordinates Floats hands out, with kriging.L1Distance, while the
+// store reports neighbour distances from the integer L1. On integer
+// configurations the two must agree exactly.
 func TestDistanceFloatsAgreesWithInts(t *testing.T) {
-	a, b := Config{1, 5, 2}, Config{4, 5, 0}
-	for _, m := range []Metric{MetricL1, MetricL2, MetricLInf} {
-		if m.Distance(a, b) != m.DistanceFloats(a.Floats(), b.Floats()) {
-			t.Errorf("%s float/int distance mismatch", m)
+	r := rng.New(31)
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(24)
+		a, b := randConfig(r, n), randConfig(r, n)
+		if got, want := kriging.L1Distance(a.Floats(), b.Floats()), float64(L1(a, b)); got != want {
+			t.Fatalf("%v %v: float L1 = %v, int L1 = %v", a, b, got, want)
 		}
 	}
 }
@@ -135,24 +103,12 @@ func randConfig(r *rng.Stream, n int) Config {
 }
 
 func TestPropertyMetricAxioms(t *testing.T) {
-	// Symmetry, identity and the triangle inequality for all metrics.
+	// Symmetry, identity and the triangle inequality for L1.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 1 + r.Intn(6)
 		a, b, c := randConfig(r, n), randConfig(r, n), randConfig(r, n)
-		for _, m := range []Metric{MetricL1, MetricL2, MetricLInf} {
-			dab, dba := m.Distance(a, b), m.Distance(b, a)
-			if dab != dba {
-				return false
-			}
-			if m.Distance(a, a) != 0 {
-				return false
-			}
-			if m.Distance(a, c) > m.Distance(a, b)+m.Distance(b, c)+1e-12 {
-				return false
-			}
-		}
-		return true
+		return L1(a, b) == L1(b, a) && L1(a, a) == 0 && L1(a, c) <= L1(a, b)+L1(b, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -160,15 +116,28 @@ func TestPropertyMetricAxioms(t *testing.T) {
 }
 
 func TestPropertyNormOrdering(t *testing.T) {
-	// LInf <= L2 <= L1 on integer lattices.
+	// max|aᵢ − bᵢ| <= L1(a, b) <= n·max|aᵢ − bᵢ|, and |Σa − Σb| <=
+	// L1(a, b): the lower bound the store's radius scan filters on.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 1 + r.Intn(6)
 		a, b := randConfig(r, n), randConfig(r, n)
-		linf := MetricLInf.Distance(a, b)
-		l2 := MetricL2.Distance(a, b)
-		l1 := MetricL1.Distance(a, b)
-		return linf <= l2+1e-12 && l2 <= l1+1e-12
+		gap, linf := 0, 0
+		for i := range a {
+			gap += a[i] - b[i]
+			d := a[i] - b[i]
+			if d < 0 {
+				d = -d
+			}
+			if d > linf {
+				linf = d
+			}
+		}
+		if gap < 0 {
+			gap = -gap
+		}
+		l1 := L1(a, b)
+		return gap <= l1 && linf <= l1 && l1 <= n*linf
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

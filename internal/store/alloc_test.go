@@ -21,7 +21,7 @@ func skipUnderRace(t *testing.T) {
 // allocStore builds a populated store for the allocation gates.
 func allocStore(n int) (*Store, []space.Config) {
 	r := rng.New(77)
-	s := New(space.MetricL1)
+	s := New()
 	for s.Len() < n {
 		s.Add(randConfig(r, 4, 0, 25), r.Float64())
 	}
@@ -83,7 +83,7 @@ func TestAllocsNearestKInto(t *testing.T) {
 // zero snapshots, k beyond the in-range count, and the k<=0 radius
 // degradation.
 func TestNearestKIntoEdgeCases(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	var buf Neighborhood
 	if nb := s.NearestKInto(&buf, space.Config{0, 0}, 3, 4); nb.Len() != 0 {
 		t.Fatalf("empty store returned %d entries", nb.Len())
@@ -116,7 +116,7 @@ func TestNearestKIntoEdgeCases(t *testing.T) {
 // on the in-range total: with more than k points in range the k nearest
 // come back by distance, with exactly k they keep insertion order.
 func TestNearestKIntoTieAmbiguity(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	// Two near points (insertion order 2, 1 by distance) and one far
 	// point still inside the radius.
 	for _, e := range []struct {

@@ -13,7 +13,7 @@ import (
 // both pre-existing and within-batch duplicates (last value wins at the
 // first occurrence's insertion rank), and insertion order.
 func TestAddBatch(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	if got := s.AddBatch(nil); got != 0 {
 		t.Errorf("AddBatch(nil) = %d", got)
 	}
@@ -57,7 +57,7 @@ func TestAddBatch(t *testing.T) {
 // TestAddBatchClonesConfigs checks the bulk path does not alias caller
 // slices, matching Add.
 func TestAddBatchClonesConfigs(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	c := space.Config{4, 5}
 	s.AddBatch([]Entry{{Config: c, Lambda: 1}})
 	c[0] = 99
@@ -78,8 +78,8 @@ func TestAddBatchEquivalence(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{Config: randConfig(r, 3, -5, 15), Lambda: r.Float64()}
 	}
-	bulk := New(space.MetricL1)
-	loop := New(space.MetricL1)
+	bulk := New()
+	loop := New()
 	bulkAdded := bulk.AddBatch(entries)
 	loopAdded := 0
 	for _, e := range entries {
@@ -112,7 +112,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 // versioned overwrite: a snapshot keeps reporting the value that was
 // current when it was taken, through Lookup, Neighbors and Entries.
 func TestOverwriteInvisibleToSnapshot(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	s.Add(space.Config{1, 2}, 1)
 	s.Add(space.Config{3, 2}, 5)
 	snap := s.Snapshot()
@@ -142,7 +142,7 @@ func TestOverwriteInvisibleToSnapshot(t *testing.T) {
 // shard. The old copy-on-write path allocated the whole entries slice
 // and key map per overwrite.
 func TestOverwriteConstantCost(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	r := rng.New(3)
 	for s.Len() < 10000 {
 		s.Add(randConfig(r, 3, 0, 30), r.Float64())
@@ -189,7 +189,7 @@ func TestConcurrentReadersDuringBulkLoad(t *testing.T) {
 		dedup[c.Key()] = true
 		entries = append(entries, Entry{Config: c, Lambda: float64(len(entries))})
 	}
-	s := New(space.MetricL1)
+	s := New()
 	// Final ground truth: global rank per config and the per-shard
 	// insertion sequences the prefix property is checked against.
 	rank := make(map[string]int, total)
@@ -197,7 +197,7 @@ func TestConcurrentReadersDuringBulkLoad(t *testing.T) {
 	perShard := make([][]int, len(s.shards))
 	for i, e := range entries {
 		rank[e.Config.Key()] = i
-		si := int(hashConfig(e.Config) & s.mask)
+		si := int(hashConfig(e.Config) & shardMask)
 		shardOf[i] = si
 		perShard[si] = append(perShard[si], i)
 	}

@@ -13,7 +13,7 @@ import (
 // lookups, neighbourhoods, insertion order — is unchanged, and that
 // snapshots taken before the compaction keep their epoch.
 func TestCompactDropsSupersededVersions(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Shards: 4})
+	s := New()
 	var cfgs []space.Config
 	for x := 0; x < 10; x++ {
 		for y := 0; y < 10; y++ {
@@ -119,7 +119,7 @@ func TestCompactDropsSupersededVersions(t *testing.T) {
 // TestCompactNoSupersededIsNoop checks the cheap path: a store without
 // overwrites compacts to itself.
 func TestCompactNoSupersededIsNoop(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	for i := 0; i < 50; i++ {
 		s.Add(space.Config{i, -i}, float64(i))
 	}

@@ -13,7 +13,7 @@ import (
 func TestConcurrentAddLookup(t *testing.T) {
 	const goroutines = 32
 	const perG = 100
-	s := New(space.MetricL1)
+	s := New()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -47,13 +47,13 @@ func TestConcurrentAddLookup(t *testing.T) {
 }
 
 // TestConcurrentNeighbors hammers the radius query while writers grow
-// the store, then checks the quiesced store against a single-shard twin
-// built from its own entries: the final neighbourhoods must agree
-// exactly. Run with -race to validate the view publication.
+// the store, then checks the quiesced store against a twin built
+// sequentially from its own entries: the final neighbourhoods must
+// agree exactly. Run with -race to validate the view publication.
 func TestConcurrentNeighbors(t *testing.T) {
 	const goroutines = 8
 	const perG = 150
-	s := New(space.MetricL1)
+	s := New()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -68,7 +68,7 @@ func TestConcurrentNeighbors(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	twin := NewSharded(space.MetricL1, 1)
+	twin := New()
 	for _, e := range s.Entries() {
 		twin.Add(e.Config, e.Lambda)
 	}
@@ -86,7 +86,7 @@ func TestConcurrentNeighbors(t *testing.T) {
 // TestSnapshotFreezesContents checks that a snapshot ignores later Adds
 // and keeps insertion order.
 func TestSnapshotFreezesContents(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	s.Add(space.Config{0, 0}, 1)
 	s.Add(space.Config{1, 0}, 2)
 	snap := s.Snapshot()
@@ -131,7 +131,7 @@ func TestZeroSnapshot(t *testing.T) {
 // TestShardedInsertionOrder checks that Neighbors and Entries report
 // entries oldest-first even though they land in different shards.
 func TestShardedInsertionOrder(t *testing.T) {
-	s := NewSharded(space.MetricL1, 8)
+	s := New()
 	const n = 50
 	for i := 0; i < n; i++ {
 		s.Add(space.Config{i}, float64(i))
@@ -146,20 +146,6 @@ func TestShardedInsertionOrder(t *testing.T) {
 	for i, v := range nb.Values {
 		if v != float64(i) {
 			t.Fatalf("Neighbors order broken at %d: %v", i, nb.Values)
-		}
-	}
-}
-
-// TestNewShardedRoundsUp checks shard-count normalisation.
-func TestNewShardedRoundsUp(t *testing.T) {
-	for _, n := range []int{-1, 0, 1, 3, 16} {
-		s := NewSharded(space.MetricL1, n)
-		if got := len(s.shards); got&(got-1) != 0 || got < 1 {
-			t.Errorf("NewSharded(%d) has %d shards", n, got)
-		}
-		s.Add(space.Config{1}, 1)
-		if v, ok := s.Lookup(space.Config{1}); !ok || v != 1 {
-			t.Errorf("NewSharded(%d) store broken", n)
 		}
 	}
 }

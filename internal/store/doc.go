@@ -5,8 +5,8 @@
 //
 // # Concurrency: builder writes, epoch-published views
 //
-// The store is safe for concurrent use. Configurations hash across a
-// fixed set of shards; each shard's writer mutates a private builder
+// The store is safe for concurrent use. Configurations hash across
+// DefaultShardCount shards; each shard's writer mutates a private builder
 // under the shard lock — an append-only entries array with capacity
 // doubling plus incrementally updated hash tables — and publishes an
 // immutable view through an atomic pointer, so Lookup, Neighbors and
@@ -34,12 +34,17 @@
 // # Radius queries: the linear scan
 //
 // Neighbors(w, d) is the pseudo-code's scan: every live entry of every
-// shard view is measured against w, the in-range hits are sorted by the
-// global sequence, and the neighbourhood comes back oldest-first.
+// shard view within L1 distance d of w is a hit, the hits are sorted by
+// the global sequence, and the neighbourhood comes back oldest-first.
 // NearestK(w, d, k) runs the same scan and, when more than k entries are
 // in range, orders the hits by (distance, sequence) and keeps the first
-// k — exactly Neighbors(w, d).NearestK(k). The paper's stores hold at
-// most a few thousand entries, where a full scan is cheap.
+// k — exactly Neighbors(w, d).NearestK(k). The scan is pruned by a lower
+// bound without false dismissals: for integer configurations
+// |Σa − Σb| <= L1(a, b), so an entry whose coordinate sum (stored with
+// it at insertion) differs from the query's by more than d is skipped
+// before its L1 distance. The results are exactly the full scan's; on
+// the paper's hevc stores about one entry in twenty passes the filter.
+// The bound is why the store measures L1 only.
 // The *Into variants (NeighborsInto, NearestKInto) refill a caller-owned
 // Neighborhood buffer — result slices and collection scratch included —
 // so warm steady-state queries allocate nothing; the plain forms are
@@ -53,7 +58,7 @@
 //
 // # Persistence: Open and the write-ahead log
 //
-// Open(metric, Options{Durability: &DurabilityOptions{Dir: dir}})
+// Open(Options{Durability: &DurabilityOptions{Dir: dir}})
 // returns a store whose writes are durable: every Add/AddBatch appends
 // one checksummed, fsynced record to a write-ahead segment log
 // (internal/store/wal) before touching memory — group commit, O(1)

@@ -32,19 +32,17 @@ type DurabilityOptions struct {
 // AddBatch path live writes take, so lookups, neighbourhoods and
 // overwrite winners are bit-identical to the store that crashed), and
 // every subsequent write is logged before it is applied. With nil
-// Durability it is exactly NewWithOptions — existing in-memory call
-// sites have nothing to change.
+// Durability it is exactly New.
 //
 // Recovery refuses a log whose interior is damaged (wal.ErrCorrupt); a
 // torn final record — the residue of a mid-append crash — is truncated
 // silently, because nothing acknowledged lived there.
-func Open(metric space.Metric, opt Options) (*Store, error) {
+func Open(opt Options) (*Store, error) {
 	d := opt.Durability
 	if d == nil {
-		return NewWithOptions(metric, opt), nil
+		return newMem(), nil
 	}
-	opt.Durability = nil
-	s := newMem(metric, opt)
+	s := newMem()
 	l, err := wal.Open(wal.Options{Dir: d.Dir, Sync: d.Sync, SegmentSize: d.SegmentSize, FS: d.FS})
 	if err != nil {
 		return nil, err

@@ -87,7 +87,7 @@ func assertStoresIdentical(t *testing.T, label string, a, b *Store) {
 
 func openDurable(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(space.MetricL1, Options{Durability: &DurabilityOptions{Dir: dir}})
+	s, err := Open(Options{Durability: &DurabilityOptions{Dir: dir}})
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
@@ -101,7 +101,7 @@ func openDurable(t *testing.T, dir string) *Store {
 // survives a second generation of writes and reopens.
 func TestDurableReopenEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	mem := New(space.MetricL1)
+	mem := New()
 	s := openDurable(t, dir)
 	buildMixedWorkload(s, mem, 7, 120)
 	assertStoresIdentical(t, "live durable vs mem", s, mem)
@@ -211,7 +211,7 @@ func TestDurableResetSurvivesReopen(t *testing.T) {
 // or acknowledged, and Err explains why.
 func TestDurableFailStop(t *testing.T) {
 	fs := faultfs.New()
-	s, err := Open(space.MetricL1, Options{Durability: &DurabilityOptions{Dir: "state", FS: fs}})
+	s, err := Open(Options{Durability: &DurabilityOptions{Dir: "state", FS: fs}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestDurableOpenRefusesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := Open(space.MetricL1, Options{Durability: &DurabilityOptions{Dir: dir}}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(Options{Durability: &DurabilityOptions{Dir: dir}}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("Open over corrupt segment: %v, want wal.ErrCorrupt", err)
 	}
 }
@@ -273,14 +273,14 @@ func TestDurableConstructorContract(t *testing.T) {
 			t.Error("NewWithOptions accepted Options.Durability")
 		}
 	}()
-	s, err := Open(space.MetricL1, Options{})
+	s, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Durable() || s.Dir() != "" || s.Err() != nil || s.Close() != nil {
 		t.Error("in-memory Open: durable surface should be inert")
 	}
-	NewWithOptions(space.MetricL1, Options{Durability: &DurabilityOptions{Dir: "x"}})
+	NewWithOptions(Options{Durability: &DurabilityOptions{Dir: "x"}})
 }
 
 // TestAllocsDurableAddBatch gates the WAL write path: group commit must
@@ -294,12 +294,12 @@ func TestAllocsDurableAddBatch(t *testing.T) {
 	for i := range batch {
 		batch[i] = Entry{Config: randConfig(r, 4, 0, 25), Lambda: r.Float64()}
 	}
-	mem := New(space.MetricL1)
+	mem := New()
 	memAllocs := testing.AllocsPerRun(10, func() { mem.AddBatch(batch) })
 
 	// SyncNone keeps the gate off fsync latency; the sync itself
 	// allocates nothing.
-	s, err := Open(space.MetricL1, Options{Durability: &DurabilityOptions{Dir: t.TempDir(), Sync: wal.SyncNone}})
+	s, err := Open(Options{Durability: &DurabilityOptions{Dir: t.TempDir(), Sync: wal.SyncNone}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func entriesString(es []Entry) string { return fmt.Sprint(es) }
 // WAL replay reconstruct the order: re-adding Entries() front to back
 // reproduces both the values and the sequence stamps.)
 func TestEntriesOverwriteWinnerOrder(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Shards: 4})
+	s := New()
 	a, b, c := space.Config{1, 1}, space.Config{2, 2}, space.Config{3, 3}
 	s.Add(a, 10)
 	s.Add(b, 20)
@@ -57,7 +57,7 @@ func TestEntriesOverwriteWinnerOrder(t *testing.T) {
 // exactly once with its latest value — superseded versions are an
 // internal storage detail that must never leak through the API.
 func TestEntriesNeverExposeSuperseded(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Shards: 2})
+	s := New()
 	latest := map[string]float64{}
 	key := func(c space.Config) string { return fmt.Sprint([]int(c)) }
 
@@ -115,7 +115,7 @@ func TestEntriesNeverExposeSuperseded(t *testing.T) {
 // Compact writes Snapshot-epoch contents to disk, so these two must
 // never drift.
 func TestSnapshotEntriesEpochAcrossCompact(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Shards: 4})
+	s := New()
 	for i := 0; i < 8; i++ {
 		s.Add(space.Config{i}, float64(i))
 	}

@@ -14,7 +14,7 @@ import (
 // land in input order and a repeated configuration keeps the last value
 // at its first occurrence's insertion rank.
 func ExampleStore_AddBatch() {
-	s := store.New(space.MetricL1)
+	s := store.New()
 	added := s.AddBatch([]store.Entry{
 		{Config: space.Config{8, 12}, Lambda: -40.5},
 		{Config: space.Config{9, 12}, Lambda: -42.1},

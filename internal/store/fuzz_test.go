@@ -44,7 +44,7 @@ func FuzzHashConfig(f *testing.F) {
 		}
 		// The hash must agree with the store's own identity semantics:
 		// an Add followed by a Lookup through a different backing array.
-		s := New(space.MetricL1)
+		s := New()
 		s.Add(c, 0.5)
 		if v, ok := s.Lookup(c.Clone()); !ok || v != 0.5 {
 			t.Fatalf("store lost config %v through hash identity (%v, %v)", c, v, ok)

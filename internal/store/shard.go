@@ -9,16 +9,22 @@ import (
 	"repro/internal/space"
 )
 
-// DefaultShardCount is the number of shards used by New. Sixteen shards
-// keep writer contention negligible up to the worker counts the batch
-// evaluator runs (GOMAXPROCS on typical machines) while keeping the
-// per-query shard sweep cheap.
+// DefaultShardCount is the number of shards of every store. Sixteen
+// shards keep writer contention negligible up to the worker counts the
+// batch evaluator runs (GOMAXPROCS on typical machines) while keeping
+// the per-query shard sweep cheap.
 const DefaultShardCount = 16
+
+// shardMask selects a shard from a configuration hash
+// (DefaultShardCount is a power of two).
+const shardMask = DefaultShardCount - 1
 
 // shardEntry is one stored configuration version inside a shard. The
 // float coordinates are precomputed at insertion so radius scans hand the
 // kriging support out without per-query conversion or allocation; the
-// sequence number recovers the global insertion order across shards.
+// coordinate sum lets the scan reject most entries without their L1
+// distance; the sequence number recovers the global insertion order
+// across shards.
 //
 // Entries are immutable after publication with one exception, replacedBy,
 // which is why that field alone is atomic. Every other field is written
@@ -27,6 +33,7 @@ const DefaultShardCount = 16
 // atomic load observe it fully initialised.
 type shardEntry struct {
 	cfg    space.Config
+	sum    int // Σ cfg, the scan's lower bound on L1 (see collectLinear)
 	coords []float64
 	lambda float64
 	hash   uint64 // hashConfig(cfg), kept for table regrows
@@ -143,12 +150,13 @@ func (b *shardBuilder) insert(hash uint64, cfg space.Config, lambda float64, seq
 // insertEntry is insert for a caller-allocated entry whose cfg, coords,
 // lambda and hash are already set (cfg and coords owned by the store
 // from here on) — the bulk path carves entries out of per-batch slabs
-// instead of allocating three objects per result. Position, sequence and
-// the version link are filled here.
+// instead of allocating three objects per result. The coordinate sum,
+// position, sequence and the version link are filled here.
 func (b *shardBuilder) insertEntry(e *shardEntry, seq uint64) (added bool) {
 	if b.keys == nil {
 		b.keys = newTable(minTableSize)
 	}
+	e.sum = coordSum(e.cfg)
 	prev := b.keys.findConfig(e.hash, e.cfg)
 	e.pos = int32(len(b.entries))
 	if prev != nil {
@@ -197,8 +205,8 @@ func hashConfig(c space.Config) uint64 {
 // neighborsStates collects every entry within distance <= d of w from a
 // frozen set of shard states, ordered by global insertion sequence — the
 // allocating wrapper over neighborsStatesInto.
-func neighborsStates(states []*shardState, metric space.Metric, w space.Config, d float64) *Neighborhood {
-	nb := neighborsStatesInto(new(Neighborhood), states, metric, w, d)
+func neighborsStates(states []*shardState, w space.Config, d float64) *Neighborhood {
+	nb := neighborsStatesInto(new(Neighborhood), states, w, d)
 	nb.releaseScratch()
 	return nb
 }
@@ -208,8 +216,8 @@ func neighborsStates(states []*shardState, metric space.Metric, w space.Config, 
 // The sequence sort restores the global insertion order, so downstream
 // tie-breaking — NearestK keeps ties oldest-first — is independent of
 // sharding.
-func neighborsStatesInto(buf *Neighborhood, states []*shardState, metric space.Metric, w space.Config, d float64) *Neighborhood {
-	collectLinear(buf, states, metric, w, d)
+func neighborsStatesInto(buf *Neighborhood, states []*shardState, w space.Config, d float64) *Neighborhood {
+	collectLinear(buf, states, w, d)
 	return finishHitsInto(buf)
 }
 
@@ -218,31 +226,53 @@ func neighborsStatesInto(buf *Neighborhood, states []*shardState, metric space.M
 // ordering contract included (insertion order when everything fits,
 // (distance, sequence) with ties oldest-first when truncated) — on the
 // buffer's scratch. k <= 0 degrades to the plain radius query.
-func nearestKStatesInto(buf *Neighborhood, states []*shardState, metric space.Metric, w space.Config, d float64, k int) *Neighborhood {
+func nearestKStatesInto(buf *Neighborhood, states []*shardState, w space.Config, d float64, k int) *Neighborhood {
 	if k <= 0 {
-		return neighborsStatesInto(buf, states, metric, w, d)
+		return neighborsStatesInto(buf, states, w, d)
 	}
-	collectLinear(buf, states, metric, w, d)
+	collectLinear(buf, states, w, d)
 	return finishNearestKInto(buf, k)
 }
 
-// collectLinear gathers the in-range hits into the buffer's scratch: a
-// full scan of every live entry, exactly as in the paper's pseudo-code.
-func collectLinear(buf *Neighborhood, states []*shardState, metric space.Metric, w space.Config, d float64) {
+// collectLinear gathers the in-range hits into the buffer's scratch: the
+// paper's scan over every stored entry, pruned by a lower bound. For
+// integer configurations |Σa − Σb| <= L1(a, b), so an entry whose
+// coordinate sum differs from the query's by more than d cannot be in
+// range and is skipped before its liveness check and its L1 distance —
+// a filter without false dismissals (Agrawal, Faloutsos and Swami,
+// FODO 1993), so the hits are exactly those of the full scan.
+func collectLinear(buf *Neighborhood, states []*shardState, w space.Config, d float64) {
 	q := &buf.q
 	q.sorter.hits = q.sorter.hits[:0]
+	ws := coordSum(w)
 	for _, st := range states {
 		n := len(st.entries)
 		for _, e := range st.entries {
+			if len(e.cfg) != len(w) {
+				// space.L1's contract, kept for entries the filter skips.
+				panic("space: L1 on configs of different dimension")
+			}
+			if gap := float64(e.sum - ws); gap > d || -gap > d {
+				continue
+			}
 			if !e.live(n) {
 				continue
 			}
-			dist := metric.Distance(w, e.cfg)
+			dist := float64(space.L1(w, e.cfg))
 			if dist <= d {
 				q.sorter.hits = append(q.sorter.hits, hit{e: e, dist: dist})
 			}
 		}
 	}
+}
+
+// coordSum returns Σ c, the total word length of a configuration.
+func coordSum(c space.Config) int {
+	s := 0
+	for _, v := range c {
+		s += v
+	}
+	return s
 }
 
 // entriesStates flattens frozen shard states into insertion order.
@@ -271,14 +301,4 @@ func entriesStates(states []*shardState) []Entry {
 		out[i] = se.e
 	}
 	return out
-}
-
-// nextPow2 rounds n up to a power of two (minimum 1) so shard selection
-// can mask instead of mod.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }

@@ -11,8 +11,6 @@ import "repro/internal/space"
 // The zero Snapshot is empty and usable.
 type Snapshot struct {
 	states []*shardState
-	mask   uint64
-	metric space.Metric
 }
 
 // Len returns the number of configurations visible in the snapshot.
@@ -24,9 +22,6 @@ func (sn Snapshot) Len() int {
 	return n
 }
 
-// Metric returns the distance metric of the originating store.
-func (sn Snapshot) Metric() space.Metric { return sn.metric }
-
 // Lookup returns the value recorded for an exact configuration match at
 // snapshot time.
 func (sn Snapshot) Lookup(c space.Config) (float64, bool) {
@@ -34,20 +29,20 @@ func (sn Snapshot) Lookup(c space.Config) (float64, bool) {
 		return 0, false
 	}
 	hash := hashConfig(c)
-	return sn.states[hash&sn.mask].lookup(hash, c)
+	return sn.states[hash&shardMask].lookup(hash, c)
 }
 
 // Neighbors collects every configuration within distance <= d of w as of
 // snapshot time, oldest-first, by the same scan as Store.Neighbors.
 func (sn Snapshot) Neighbors(w space.Config, d float64) *Neighborhood {
-	return neighborsStates(sn.states, sn.metric, w, d)
+	return neighborsStates(sn.states, w, d)
 }
 
 // NeighborsInto is Neighbors into a caller-owned buffer, reusing its
 // slices and query scratch — allocation-free once the buffer is warm.
 // buf must not be used by concurrent queries.
 func (sn Snapshot) NeighborsInto(buf *Neighborhood, w space.Config, d float64) *Neighborhood {
-	return neighborsStatesInto(buf, sn.states, sn.metric, w, d)
+	return neighborsStatesInto(buf, sn.states, w, d)
 }
 
 // NearestK returns the k closest configurations within distance d as of
@@ -62,7 +57,7 @@ func (sn Snapshot) NearestK(w space.Config, d float64, k int) *Neighborhood {
 // NearestKInto is NearestK into a caller-owned buffer, allocation-free
 // once the buffer is warm.
 func (sn Snapshot) NearestKInto(buf *Neighborhood, w space.Config, d float64, k int) *Neighborhood {
-	return nearestKStatesInto(buf, sn.states, sn.metric, w, d, k)
+	return nearestKStatesInto(buf, sn.states, w, d, k)
 }
 
 // Entries returns the snapshot contents in insertion order.

@@ -21,9 +21,7 @@ type Entry struct {
 // A Store is safe for concurrent use by multiple goroutines; see the
 // package documentation for the sharding and builder/epoch write scheme.
 type Store struct {
-	shards []shard
-	mask   uint64 // len(shards)-1; len is a power of two
-	metric space.Metric
+	shards [DefaultShardCount]shard
 	seq    atomic.Uint64 // global insertion stamp
 	count  atomic.Int64  // live entry count (Len)
 
@@ -38,14 +36,8 @@ type Store struct {
 	recBuf []wal.Record // encode scratch reused across batches
 }
 
-// Options configures a Store beyond its distance metric. The zero value
-// selects the defaults: DefaultShardCount shards, in memory.
+// Options configures a Store. The zero value is an in-memory store.
 type Options struct {
-	// Shards is the number of shards (rounded up to a power of two;
-	// values below 1 select DefaultShardCount). More shards reduce writer
-	// contention under heavy parallel simulation at a small fixed cost
-	// per radius query.
-	Shards int
 	// Durability, when non-nil, backs the store with a write-ahead
 	// segment log so its contents survive restarts. Durable stores must
 	// be created with Open (recovery can fail); NewWithOptions panics if
@@ -53,43 +45,26 @@ type Options struct {
 	Durability *DurabilityOptions
 }
 
-// New creates an empty store using the given distance metric for
-// neighbour queries (the paper uses L1), with DefaultShardCount shards.
-func New(metric space.Metric) *Store {
-	return NewWithOptions(metric, Options{})
+// New creates an empty in-memory store. Neighbour queries measure the
+// paper's L1 distance.
+func New() *Store {
+	return NewWithOptions(Options{})
 }
 
-// NewSharded creates an empty store spread over at least nShards shards
-// (rounded up to a power of two; values below 1 select 1).
-func NewSharded(metric space.Metric, nShards int) *Store {
-	if nShards < 1 {
-		nShards = 1
-	}
-	return NewWithOptions(metric, Options{Shards: nShards})
-}
-
-// NewWithOptions creates an empty in-memory store with explicit
-// sharding. Durable stores are created with Open; NewWithOptions panics
-// if opt.Durability is set, because recovery has failure modes a
-// panic-free constructor cannot report.
-func NewWithOptions(metric space.Metric, opt Options) *Store {
+// NewWithOptions creates an empty in-memory store. Durable stores are
+// created with Open; NewWithOptions panics if opt.Durability is set,
+// because recovery has failure modes a panic-free constructor cannot
+// report.
+func NewWithOptions(opt Options) *Store {
 	if opt.Durability != nil {
 		panic("store: NewWithOptions cannot open a durable store; use store.Open")
 	}
-	return newMem(metric, opt)
+	return newMem()
 }
 
 // newMem builds the in-memory core shared by both constructors.
-func newMem(metric space.Metric, opt Options) *Store {
-	if opt.Shards < 1 {
-		opt.Shards = DefaultShardCount
-	}
-	n := nextPow2(opt.Shards)
-	s := &Store{
-		shards: make([]shard, n),
-		mask:   uint64(n - 1),
-		metric: metric,
-	}
+func newMem() *Store {
+	s := new(Store)
 	for i := range s.shards {
 		s.shards[i].state.Store(emptyShardState)
 	}
@@ -104,9 +79,6 @@ func (s *Store) Len() int { return int(s.count.Load()) }
 // The evaluator's single-flight table keys its in-flight simulations
 // with it so both layers agree on configuration identity.
 func HashConfig(c space.Config) uint64 { return hashConfig(c) }
-
-// Metric returns the store's distance metric.
-func (s *Store) Metric() space.Metric { return s.metric }
 
 // Add records a simulated configuration and its metric value. Re-adding
 // an existing configuration overwrites its value and reports false.
@@ -128,7 +100,7 @@ func (s *Store) Add(c space.Config, lambda float64) (added bool) {
 
 func (s *Store) addMem(c space.Config, lambda float64) (added bool) {
 	hash := hashConfig(c)
-	sh := &s.shards[hash&s.mask]
+	sh := &s.shards[hash&shardMask]
 	sh.mu.Lock()
 	added = sh.b.insert(hash, c, lambda, s.seq.Add(1))
 	sh.state.Store(sh.b.publish())
@@ -184,7 +156,7 @@ func (s *Store) addBatchMem(entries []Entry) (added int) {
 	for i, e := range entries {
 		h := hashConfig(e.Config)
 		ps[i] = pending{hash: h, seq: s.seq.Add(1), idx: i}
-		counts[(h&s.mask)+1]++
+		counts[(h&shardMask)+1]++
 	}
 	for i := 1; i < len(counts); i++ {
 		counts[i] += counts[i-1]
@@ -193,7 +165,7 @@ func (s *Store) addBatchMem(entries []Entry) (added int) {
 	fill := append([]int(nil), counts[:len(s.shards)]...)
 	total := 0
 	for _, p := range ps {
-		si := p.hash & s.mask
+		si := p.hash & shardMask
 		ordered[fill[si]] = p
 		fill[si]++
 		total += len(entries[p.idx].Config)
@@ -242,7 +214,7 @@ func (s *Store) addBatchMem(entries []Entry) (added int) {
 // Lookup returns the stored value for an exact configuration match.
 func (s *Store) Lookup(c space.Config) (float64, bool) {
 	hash := hashConfig(c)
-	return s.shards[hash&s.mask].state.Load().lookup(hash, c)
+	return s.shards[hash&shardMask].state.Load().lookup(hash, c)
 }
 
 // loadStates captures the current state of every shard without locking.
@@ -276,7 +248,7 @@ func (s *Store) Neighbors(w space.Config, d float64) *Neighborhood {
 // answers radius queries without heap allocations. buf must not be used
 // by concurrent queries; the returned pointer is buf.
 func (s *Store) NeighborsInto(buf *Neighborhood, w space.Config, d float64) *Neighborhood {
-	return neighborsStatesInto(buf, s.loadStatesInto(buf), s.metric, w, d)
+	return neighborsStatesInto(buf, s.loadStatesInto(buf), w, d)
 }
 
 // NearestK returns the k closest simulated configurations within
@@ -293,7 +265,7 @@ func (s *Store) NearestK(w space.Config, d float64, k int) *Neighborhood {
 // NearestKInto is NearestK into a caller-owned buffer, allocation-free
 // once the buffer is warm.
 func (s *Store) NearestKInto(buf *Neighborhood, w space.Config, d float64, k int) *Neighborhood {
-	return nearestKStatesInto(buf, s.loadStatesInto(buf), s.metric, w, d, k)
+	return nearestKStatesInto(buf, s.loadStatesInto(buf), w, d, k)
 }
 
 // loadStatesInto captures the current shard states into the buffer's
@@ -330,7 +302,7 @@ func (s *Store) AllSamples() *Neighborhood {
 // Adds to the store — including overwrites of configurations it contains —
 // are invisible to it, at zero copying cost.
 func (s *Store) Snapshot() Snapshot {
-	return Snapshot{states: s.loadStates(), mask: s.mask, metric: s.metric}
+	return Snapshot{states: s.loadStates()}
 }
 
 // Reset empties the store. Concurrent readers observe either the old or

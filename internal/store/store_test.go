@@ -9,7 +9,7 @@ import (
 )
 
 func TestAddLookup(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	if added := s.Add(space.Config{1, 2}, -3.5); !added {
 		t.Error("first Add reported not-added")
 	}
@@ -26,7 +26,7 @@ func TestAddLookup(t *testing.T) {
 }
 
 func TestAddOverwrites(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	s.Add(space.Config{1}, 1)
 	if added := s.Add(space.Config{1}, 2); added {
 		t.Error("duplicate Add reported added")
@@ -41,7 +41,7 @@ func TestAddOverwrites(t *testing.T) {
 }
 
 func TestAddClonesConfig(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	c := space.Config{1, 2}
 	s.Add(c, 0)
 	c[0] = 99
@@ -52,7 +52,7 @@ func TestAddClonesConfig(t *testing.T) {
 
 func TestNeighborsMatchesBruteForce(t *testing.T) {
 	r := rng.New(4)
-	s := New(space.MetricL1)
+	s := New()
 	var entries []Entry
 	for i := 0; i < 60; i++ {
 		c := space.Config{r.IntRange(0, 9), r.IntRange(0, 9), r.IntRange(0, 9)}
@@ -81,7 +81,7 @@ func TestNeighborsMatchesBruteForce(t *testing.T) {
 }
 
 func TestNeighborsParallelSlices(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	s.Add(space.Config{0}, 1)
 	s.Add(space.Config{1}, 2)
 	nb := s.Neighbors(space.Config{0}, 3)
@@ -91,7 +91,7 @@ func TestNeighborsParallelSlices(t *testing.T) {
 }
 
 func TestNearestK(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	for i := 0; i < 10; i++ {
 		s.Add(space.Config{i}, float64(i))
 	}
@@ -112,7 +112,7 @@ func TestNearestK(t *testing.T) {
 }
 
 func TestWithoutZeroDistance(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	s.Add(space.Config{0}, 1)
 	s.Add(space.Config{2}, 2)
 	nb := s.Neighbors(space.Config{0}, 5).WithoutZeroDistance()
@@ -122,7 +122,7 @@ func TestWithoutZeroDistance(t *testing.T) {
 }
 
 func TestEntriesCopyAndOrder(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	s.Add(space.Config{5}, 1)
 	s.Add(space.Config{3}, 2)
 	es := s.Entries()
@@ -136,7 +136,7 @@ func TestEntriesCopyAndOrder(t *testing.T) {
 }
 
 func TestAllSamples(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	s.Add(space.Config{1, 1}, -1)
 	s.Add(space.Config{2, 2}, -2)
 	nb := s.AllSamples()
@@ -146,7 +146,7 @@ func TestAllSamples(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	s := New(space.MetricL1)
+	s := New()
 	s.Add(space.Config{1}, 1)
 	s.Reset()
 	if s.Len() != 0 {
@@ -162,25 +162,25 @@ func TestReset(t *testing.T) {
 }
 
 func TestMetricUsedForNeighbors(t *testing.T) {
-	// L∞ and L1 differ for diagonal offsets.
-	s1 := New(space.MetricL1)
-	sInf := New(space.MetricLInf)
-	c := space.Config{1, 1}
-	s1.Add(c, 0)
-	sInf.Add(c, 0)
+	// The neighbour distance is L1: a diagonal offset is at distance 2,
+	// where L∞ would put it at 1 and L2 at √2.
+	s := New()
+	s.Add(space.Config{1, 1}, 0)
 	q := space.Config{0, 0}
-	if s1.Neighbors(q, 1).Len() != 0 {
-		t.Error("L1 store found diagonal point at d=1")
+	for _, d := range []float64{1, 1.5} {
+		if s.Neighbors(q, d).Len() != 0 {
+			t.Errorf("diagonal point found at d=%v", d)
+		}
 	}
-	if sInf.Neighbors(q, 1).Len() != 1 {
-		t.Error("Linf store missed diagonal point at d=1")
+	if nb := s.Neighbors(q, 2); nb.Len() != 1 || nb.Dists[0] != 2 {
+		t.Errorf("Neighbors(d=2) = %+v, want the diagonal point at distance 2", nb)
 	}
 }
 
 func TestPropertyNeighborsSubsetOfStore(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		s := New(space.MetricL1)
+		s := New()
 		for i := 0; i < 30; i++ {
 			s.Add(space.Config{r.IntRange(0, 6), r.IntRange(0, 6)}, r.Float64())
 		}

@@ -72,7 +72,7 @@ func tortureBatch(k int) []Entry {
 // tortureChild is the writer process. It never returns normally under
 // torture — the parent SIGKILLs it — but exits 0 if it outruns the cap.
 func tortureChild(dir string) {
-	s, err := Open(space.MetricL1, Options{Durability: &DurabilityOptions{Dir: filepath.Join(dir, "state")}})
+	s, err := Open(Options{Durability: &DurabilityOptions{Dir: filepath.Join(dir, "state")}})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "torture child: recovery failed: %v\n", err)
 		os.Exit(7)
@@ -137,7 +137,7 @@ func lastAcked(t *testing.T, dir string) int {
 // batches 0..k-1 for some k >= acked+1. Returns k.
 func verifyTortureState(t *testing.T, dir string, acked int) int {
 	t.Helper()
-	s, err := Open(space.MetricL1, Options{Durability: &DurabilityOptions{Dir: filepath.Join(dir, "state")}})
+	s, err := Open(Options{Durability: &DurabilityOptions{Dir: filepath.Join(dir, "state")}})
 	if err != nil {
 		t.Fatalf("recovery after kill: %v", err)
 	}
