@@ -23,14 +23,15 @@ import (
 )
 
 // obtainTrace loads the benchmark's trajectory from traceDir when a file
-// exists there, and records (and saves) it otherwise. An empty traceDir
-// always records without persisting.
-func obtainTrace(ctx context.Context, sp *bench.Spec, seed uint64, traceDir string) (evaluator.Trace, bool, error) {
+// recorded for the same benchmark, size and seed exists there, and
+// records (and saves) it otherwise. An empty traceDir always records
+// without persisting.
+func obtainTrace(ctx context.Context, sp *bench.Spec, size string, seed uint64, traceDir string) (evaluator.Trace, bool, error) {
 	if traceDir == "" {
 		trace, err := sp.Record(ctx, seed)
 		return trace, false, err
 	}
-	path := filepath.Join(traceDir, sp.Name+".json")
+	path := filepath.Join(traceDir, fmt.Sprintf("%s-%s-seed%d.json", sp.Name, size, seed))
 	if f, err := os.Open(path); err == nil {
 		defer f.Close()
 		trace, err := evaluator.LoadTrace(f)
@@ -65,7 +66,7 @@ func main() {
 		nnMin    = flag.Int("nnmin", 1, "minimum-neighbour threshold Nn,min")
 		speedup  = flag.Bool("speedup", false, "also print the Eq. 2 speed-up model at d=3")
 		scaling  = flag.Bool("scaling", false, "also print the p%% vs Nv scaling study at d=3")
-		traceDir = flag.String("tracedir", "", "directory of recorded trajectories: reuse <name>.json when present, record and save otherwise")
+		traceDir = flag.String("tracedir", "", "directory of recorded trajectories: reuse <name>-<size>-seed<seed>.json when present, record and save otherwise")
 	)
 	flag.Parse()
 	ctx, stop := cli.SignalContext()
@@ -94,7 +95,7 @@ func main() {
 	opts := bench.Table1Options{Seed: common.Seed, NnMin: *nnMin}
 	var results []*bench.BenchmarkResult
 	for _, sp := range specs {
-		trace, fromDisk, err := obtainTrace(ctx, sp, common.Seed, *traceDir)
+		trace, fromDisk, err := obtainTrace(ctx, sp, common.SizeName, common.Seed, *traceDir)
 		if err != nil {
 			cli.Fail(err)
 		}

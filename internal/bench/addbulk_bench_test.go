@@ -47,7 +47,7 @@ func BenchmarkAddBulk(b *testing.B) {
 
 // BenchmarkAddBulkRestore is the end-to-end restore view: bulk-loading a
 // recorded 10k-point campaign into a fresh evaluator store via the same
-// AddBatch path Evaluator.Restore uses, including the duplicate handling
+// AddBatch path Evaluator.Preload uses, including the duplicate handling
 // of a trace that revisits configurations.
 func BenchmarkAddBulkRestore(b *testing.B) {
 	const n = 10000

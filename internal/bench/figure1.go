@@ -89,20 +89,3 @@ func (s *Surface) RenderCSV() string {
 	}
 	return b.String()
 }
-
-// MonotonicViolations counts the (i, j) cells whose noise power is lower
-// (better) than a cell with strictly more bits in both dimensions — a
-// sanity measure of the surface's expected monotone-decreasing shape used
-// by the tests. Small counts are expected (truncation noise is not
-// perfectly monotone); large counts would indicate a datapath bug.
-func (s *Surface) MonotonicViolations() int {
-	v := 0
-	for i := 0; i+1 < len(s.WMul); i++ {
-		for j := 0; j+1 < len(s.WAdd); j++ {
-			if s.PowerDB[i+1][j+1] > s.PowerDB[i][j]+1e-9 {
-				v++
-			}
-		}
-	}
-	return v
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/evaluator"
 	"repro/internal/variogram"
@@ -143,14 +142,4 @@ func sizeName(s Size) string {
 		return "full"
 	}
 	return "small"
-}
-
-// ReportString is WriteReport into a string, for tests and callers that
-// want the document in memory.
-func ReportString(ctx context.Context, opts ReportOptions) (string, error) {
-	var b strings.Builder
-	if err := WriteReport(ctx, &b, opts); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }

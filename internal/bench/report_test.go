@@ -6,8 +6,17 @@ import (
 	"testing"
 )
 
+// reportString is WriteReport into a string.
+func reportString(ctx context.Context, opts ReportOptions) (string, error) {
+	var b strings.Builder
+	if err := WriteReport(ctx, &b, opts); err != nil {
+		return "", err
+	}
+	return b.String(), nil
+}
+
 func TestReportGeneratesAllSections(t *testing.T) {
-	out, err := ReportString(context.Background(), ReportOptions{
+	out, err := reportString(context.Background(), ReportOptions{
 		Seed:        1,
 		Size:        Small,
 		Benchmarks:  []string{"fir"},
@@ -35,7 +44,7 @@ func TestReportGeneratesAllSections(t *testing.T) {
 }
 
 func TestReportWithSpeedup(t *testing.T) {
-	out, err := ReportString(context.Background(), ReportOptions{
+	out, err := reportString(context.Background(), ReportOptions{
 		Seed:       1,
 		Size:       Small,
 		Benchmarks: []string{"fir"},
@@ -75,7 +84,7 @@ func TestScalingStudyUnknown(t *testing.T) {
 }
 
 func TestReportUnknownBenchmark(t *testing.T) {
-	if _, err := ReportString(context.Background(), ReportOptions{Benchmarks: []string{"nope"}}); err == nil {
+	if _, err := reportString(context.Background(), ReportOptions{Benchmarks: []string{"nope"}}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -83,7 +92,7 @@ func TestReportUnknownBenchmark(t *testing.T) {
 func TestReportSeparateAblationBenchmark(t *testing.T) {
 	// Ablating a benchmark not in the Table I subset must record its
 	// trajectory on demand.
-	out, err := ReportString(context.Background(), ReportOptions{
+	out, err := reportString(context.Background(), ReportOptions{
 		Seed:        1,
 		Size:        Small,
 		Benchmarks:  []string{"fir"},

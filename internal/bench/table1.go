@@ -107,23 +107,6 @@ func ReplayTrace(sp *Spec, trace evaluator.Trace, opts Table1Options) (*Benchmar
 	return res, nil
 }
 
-// RunTable1 regenerates the whole of Table I.
-func RunTable1(ctx context.Context, size Size, opts Table1Options) ([]*BenchmarkResult, error) {
-	specs, err := AllSpecs(size)
-	if err != nil {
-		return nil, err
-	}
-	var out []*BenchmarkResult
-	for _, sp := range specs {
-		res, err := RunBenchmark(ctx, sp, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // RenderTable1 renders benchmark results in the paper's Table I layout.
 func RenderTable1(results []*BenchmarkResult) string {
 	var b strings.Builder

@@ -36,9 +36,7 @@ func BenchmarkAddBulkWAL(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s, err := store.Open(store.Options{
-					Durability: &store.DurabilityOptions{Dir: b.TempDir()},
-				})
+				s, err := store.Open(store.DurabilityOptions{Dir: b.TempDir()})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,9 +66,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		entries := walEntries(n)
 		dir := b.TempDir()
-		s, err := store.Open(store.Options{
-			Durability: &store.DurabilityOptions{Dir: dir},
-		})
+		s, err := store.Open(store.DurabilityOptions{Dir: dir})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,9 +87,7 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := store.Open(store.Options{
-					Durability: &store.DurabilityOptions{Dir: dir},
-				})
+				r, err := store.Open(store.DurabilityOptions{Dir: dir})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -212,22 +212,6 @@ func TestLatinHypercubeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestUniformSample(t *testing.T) {
-	b := space.UniformBounds(3, 2, 6)
-	cfgs := UniformSample(b, 50, rng.New(2))
-	if len(cfgs) != 50 {
-		t.Fatalf("got %d", len(cfgs))
-	}
-	for _, c := range cfgs {
-		if !b.Contains(c) {
-			t.Fatalf("config %v out of bounds", c)
-		}
-	}
-	if UniformSample(b, 0, rng.New(1)) != nil {
-		t.Error("n=0 should give nil")
-	}
-}
-
 func TestPropertyLatinHypercubeInBoundsAndStratified(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)

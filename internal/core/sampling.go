@@ -36,21 +36,3 @@ func LatinHypercube(b space.Bounds, n int, r *rng.Stream) []space.Config {
 	}
 	return out
 }
-
-// UniformSample draws n configurations independently and uniformly from
-// the integer box — the unstratified baseline to LatinHypercube.
-func UniformSample(b space.Bounds, n int, r *rng.Stream) []space.Config {
-	if n <= 0 {
-		return nil
-	}
-	nv := b.Dim()
-	out := make([]space.Config, n)
-	for i := range out {
-		c := make(space.Config, nv)
-		for dim := 0; dim < nv; dim++ {
-			c[dim] = r.IntRange(b.Lo[dim], b.Hi[dim])
-		}
-		out[i] = c
-	}
-	return out
-}

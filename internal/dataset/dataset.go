@@ -99,9 +99,6 @@ type Image struct {
 	Class    int
 }
 
-// At returns pixel (c, y, x).
-func (im *Image) At(c, y, x int) float64 { return im.Pix[(c*im.H+y)*im.W+x] }
-
 // Images synthesises n labelled images of shape ch×h×w across nClasses
 // classes. Class k modulates the dominant spatial frequency and channel
 // mix, giving a dataset a random-weight convolutional feature extractor

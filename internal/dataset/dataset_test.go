@@ -124,11 +124,3 @@ func TestImagesShapeClassesDeterminism(t *testing.T) {
 		t.Error("image generation not deterministic")
 	}
 }
-
-func TestImageAt(t *testing.T) {
-	imgs := Images(rng.New(8), 1, 2, 3, 4, 1)
-	im := imgs[0]
-	if im.At(1, 2, 3) != im.Pix[(1*3+2)*4+3] {
-		t.Error("At indexing wrong")
-	}
-}

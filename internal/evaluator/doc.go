@@ -66,8 +66,8 @@
 // (store.AddBatch, one view publication per shard): EvaluateAll commits
 // a successful batch's simulation results in input order through it,
 // the replay passes bulk-load their support stores from the recorded
-// trace, and Preload/Restore warm-start an evaluator from a previous
-// campaign — Restore reads a trajectory persisted with SaveTrace, so
-// the expensive simulation-only recording is paid once and every later
+// trace, and Preload warm-starts an evaluator from a previous campaign
+// — fed a trajectory persisted with SaveTrace and read back with
+// LoadTrace, the expensive simulation-only recording is paid once and every later
 // study starts from its store in milliseconds.
 package evaluator

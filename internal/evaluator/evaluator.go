@@ -250,13 +250,14 @@ func New(sim Simulator, opts Options) (*Evaluator, error) {
 	if opts.Interp == nil {
 		opts.Interp = &kriging.Ordinary{} // L1 + power variogram defaults
 	}
-	var sopts store.Options
-	if opts.StateDir != "" {
-		sopts.Durability = &store.DurabilityOptions{Dir: opts.StateDir}
-	}
-	st, err := store.Open(sopts)
-	if err != nil {
-		return nil, fmt.Errorf("evaluator: opening state: %w", err)
+	var st *store.Store
+	if opts.StateDir == "" {
+		st = store.New()
+	} else {
+		var err error
+		if st, err = store.Open(store.DurabilityOptions{Dir: opts.StateDir}); err != nil {
+			return nil, fmt.Errorf("evaluator: opening state: %w", err)
+		}
 	}
 	e := &Evaluator{
 		sim:     sim,
@@ -287,7 +288,8 @@ func (e *Evaluator) Err() error { return e.store.Err() }
 
 // Preload bulk-loads previously simulated results into the support store
 // through the amortized write path — the warm-start primitive behind
-// Restore and behind reusing one campaign's store in the next. It
+// reloading a trace saved with SaveTrace (LoadTrace, then
+// Trace.Entries) and behind reusing one campaign's store in the next. It
 // returns the number of entries that were new configurations. Preloaded
 // values count as simulator truth for later queries (exact hits and
 // kriging support) but do not touch the activity counters: Stats keeps

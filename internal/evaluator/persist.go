@@ -41,23 +41,6 @@ func SaveTrace(w io.Writer, trace Trace) error {
 	return nil
 }
 
-// Restore reads a trajectory written by SaveTrace and bulk-loads it into
-// the evaluator's support store (one view publication per store shard,
-// not one per point), so a persisted campaign warm-starts the next run
-// without re-simulating. It returns the number of configurations added.
-// Points whose dimensionality does not match the evaluator's simulator
-// are rejected before anything is loaded.
-func (e *Evaluator) Restore(r io.Reader) (int, error) {
-	trace, err := LoadTrace(r)
-	if err != nil {
-		return 0, err
-	}
-	if nv := len(trace[0].Config); nv != e.Nv() {
-		return 0, fmt.Errorf("evaluator: restoring %d-variable trace into %d-variable evaluator", nv, e.Nv())
-	}
-	return e.Preload(trace.Entries()), nil
-}
-
 // LoadTrace deserialises a trajectory written by SaveTrace, validating
 // the schema version and the dimensional consistency of the points.
 func LoadTrace(r io.Reader) (Trace, error) {

@@ -32,8 +32,8 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 // TestRestoreRoundTrip drives persist→restore through the bulk path: a
-// recorded campaign is saved with SaveTrace and restored into a fresh
-// evaluator with Restore, which must leave the support store with the
+// recorded campaign is saved with SaveTrace, read back with LoadTrace and
+// preloaded into a fresh evaluator, which must leave the support store with the
 // same contents in the same insertion order, answer exact revisits
 // without simulating, and keep the new evaluator's stats untouched.
 func TestRestoreRoundTrip(t *testing.T) {
@@ -61,12 +61,12 @@ func TestRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := ev2.Restore(&buf)
+	loaded, err := LoadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(rec.Trace) {
-		t.Errorf("Restore loaded %d entries, want %d", n, len(rec.Trace))
+	if n := ev2.Preload(loaded.Entries()); n != len(rec.Trace) {
+		t.Errorf("Preload loaded %d entries, want %d", n, len(rec.Trace))
 	}
 	want := ev.Store().Entries()
 	got := ev2.Store().Entries()
@@ -79,7 +79,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 		}
 	}
 	if s := ev2.Stats(); s.NSim != 0 || s.NInterp != 0 {
-		t.Errorf("Restore touched the activity counters: %+v", s)
+		t.Errorf("Preload touched the activity counters: %+v", s)
 	}
 	// A revisit of a restored point is a store hit, not a simulation.
 	before := calls
@@ -89,25 +89,6 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 	if res.Source != Simulated || res.Lambda != -16 || calls != before {
 		t.Errorf("revisit after restore: %+v (simulator calls %d -> %d)", res, before, calls)
-	}
-}
-
-// TestRestoreRejectsDimensionMismatch guards the restore path against a
-// trace recorded for a different configuration space.
-func TestRestoreRejectsDimensionMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveTrace(&buf, Trace{{Config: space.Config{1, 2, 3}, Lambda: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := New(SimulatorFunc{NumVars: 2, Fn: func(space.Config) (float64, error) { return 0, nil }}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Restore(&buf); err == nil {
-		t.Error("3-variable trace restored into a 2-variable evaluator")
-	}
-	if ev.Store().Len() != 0 {
-		t.Error("rejected restore left entries behind")
 	}
 }
 

@@ -32,30 +32,6 @@ func DBToNegPower(db float64) float64 {
 	return -math.Pow(10, -db/10)
 }
 
-// probClamp bounds probabilities away from {0, 1} before the logit so a
-// saturated metric value (every image classified like the reference) maps
-// to a finite coordinate.
-const probClamp = 1e-4
-
-// ProbToLogit maps a probability-valued metric (such as the
-// classification-agreement rate p_cl) to the logit domain, the
-// variance-stabilising transform for proportions. Kriging in this domain
-// keeps every back-transformed prediction inside (0, 1).
-func ProbToLogit(p float64) float64 {
-	if p < probClamp {
-		p = probClamp
-	}
-	if p > 1-probClamp {
-		p = 1 - probClamp
-	}
-	return math.Log(p / (1 - p))
-}
-
-// LogitToProb is the inverse of ProbToLogit.
-func LogitToProb(l float64) float64 {
-	return 1 / (1 + math.Exp(-l))
-}
-
 // Identity is the identity transform, for pairing with ClampProb.
 func Identity(x float64) float64 { return x }
 

@@ -90,9 +90,6 @@ func NewFormat(intBits, fracBits int) Format {
 	return Format{IntBits: intBits, FracBits: fracBits}
 }
 
-// WordLength returns the total number of bits including the sign bit.
-func (f Format) WordLength() int { return 1 + f.IntBits + f.FracBits }
-
 // Step returns the quantisation step 2^-FracBits.
 func (f Format) Step() float64 { return pow2(-f.FracBits) }
 
@@ -106,17 +103,6 @@ func (f Format) Min() float64 { return -pow2(f.IntBits) }
 // pow2 returns 2^k exactly, for the normal exponents -1022 <= k <= 1023,
 // by building its IEEE-754 bits.
 func pow2(k int) float64 { return math.Float64frombits(uint64(k+1023) << 52) }
-
-// Validate reports whether the format is usable by the emulation.
-func (f Format) Validate() error {
-	if f.IntBits < 0 || f.FracBits < 0 {
-		return fmt.Errorf("fixed: negative bit count in %+v", f)
-	}
-	if f.WordLength() > 52 {
-		return fmt.Errorf("fixed: word-length %d exceeds exact float64 emulation range", f.WordLength())
-	}
-	return nil
-}
 
 // String renders the format as e.g. "Q3.12(truncate,saturate)".
 func (f Format) String() string {
@@ -206,21 +192,4 @@ func (f Format) QuantizeSlice(dst, xs []float64) []float64 {
 		dst[i] = q.Quantize(v)
 	}
 	return dst
-}
-
-// QuantizationNoisePower returns the analytic noise power of quantising
-// to the format under the standard uniform-error model. Truncation error
-// is uniform on (-step, 0], so P = E[e²] = step²/3; round-to-nearest
-// error is uniform on [-step/2, step/2), so P = step²/12. These closed
-// forms anchor the unit tests of the simulated datapaths.
-func (f Format) QuantizationNoisePower() float64 {
-	s := f.Step()
-	switch f.Quant {
-	case Truncate:
-		return s * s / 3
-	case RoundNearest:
-		return s * s / 12
-	default:
-		panic("fixed: unknown quantisation mode")
-	}
 }

@@ -59,12 +59,3 @@ func (d *Datapath) Compile(dst []Quantizer, cfg []int) error {
 	}
 	return nil
 }
-
-// Names returns the node names in order.
-func (d *Datapath) Names() []string {
-	out := make([]string, len(d.Nodes))
-	for i, n := range d.Nodes {
-		out[i] = n.Name
-	}
-	return out
-}

@@ -90,13 +90,3 @@ func TestDatapathFormatsAgreeWithApply(t *testing.T) {
 		}
 	}
 }
-
-func TestDatapathNames(t *testing.T) {
-	d := NewDatapath()
-	d.AddNode("x", 0)
-	d.AddNode("y", 0)
-	names := d.Names()
-	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
-		t.Errorf("Names = %v", names)
-	}
-}

@@ -12,16 +12,6 @@ const (
 	Prime  uint64 = 1099511628211
 )
 
-// String hashes s.
-func String(s string) uint64 {
-	h := Offset
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= Prime
-	}
-	return h
-}
-
 // Mix folds the eight bytes of v (little-endian) into h and returns the
 // new state. Start from Offset.
 func Mix(h, v uint64) uint64 {

@@ -49,20 +49,6 @@ type ChromaInterp struct {
 	outNode *fixed.Node
 }
 
-// ChromaVariableNames lists the chroma datapath's knobs in order.
-var ChromaVariableNames = func() []string {
-	names := []string{"input"}
-	for i := 0; i < chromaTaps; i++ {
-		names = append(names, fmt.Sprintf("h_prod%d", i))
-	}
-	names = append(names, "h_out")
-	for i := 0; i < chromaTaps; i++ {
-		names = append(names, fmt.Sprintf("v_prod%d", i))
-	}
-	names = append(names, "v_out", "output")
-	return names
-}()
-
 // NewChromaInterp builds the chroma datapath.
 func NewChromaInterp() *ChromaInterp {
 	ip := &ChromaInterp{path: fixed.NewDatapath()}
@@ -227,7 +213,7 @@ func (ip *ChromaInterp) Fixed(cfg space.Config, src [][]float64, mv ChromaMV) ([
 const chromaNv = 2*chromaTaps + 4
 
 // chromaPlan is the chroma datapath compiled for one configuration, one
-// quantiser per node in ChromaVariableNames order.
+// quantiser per node in datapath order.
 type chromaPlan [chromaNv]fixed.Quantizer
 
 // interpolate runs one chroma block through the compiled datapath into

@@ -11,7 +11,7 @@
 // its normalised output (2), the intermediate line buffer the vertical
 // pass reads (1), the eight vertical tap products (8), the vertical
 // accumulator and its normalised output (2), and the final output
-// register (1); see VariableNames.
+// register (1).
 package hevc
 
 import (
@@ -58,21 +58,6 @@ type Interp struct {
 	vOut    *fixed.Node
 	outNode *fixed.Node
 }
-
-// VariableNames lists the 23 optimisation variables in configuration
-// order.
-var VariableNames = func() []string {
-	names := []string{"input"}
-	for i := 0; i < taps; i++ {
-		names = append(names, fmt.Sprintf("h_prod%d", i))
-	}
-	names = append(names, "h_acc", "h_out", "inter")
-	for i := 0; i < taps; i++ {
-		names = append(names, fmt.Sprintf("v_prod%d", i))
-	}
-	names = append(names, "v_acc", "v_out", "output")
-	return names
-}()
 
 // NewInterp builds the interpolator datapath.
 func NewInterp() *Interp {
@@ -191,7 +176,7 @@ func (ip *Interp) Fixed(cfg space.Config, src [][]float64, mv MotionVector) ([][
 const lumaNv = 2*taps + 7
 
 // lumaPlan is the luma datapath compiled for one configuration, one
-// quantiser per node in VariableNames order.
+// quantiser per node in datapath order.
 type lumaPlan [lumaNv]fixed.Quantizer
 
 // interpolate runs one block through the compiled datapath into out.

@@ -1,6 +1,7 @@
 package hevc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -42,15 +43,22 @@ func TestVariableNamesCount(t *testing.T) {
 	if ip.Nv() != 23 {
 		t.Fatalf("Nv = %d, want 23 (the paper's variable count)", ip.Nv())
 	}
-	if len(VariableNames) != 23 {
-		t.Fatalf("VariableNames has %d entries", len(VariableNames))
+	// The 23 variables in configuration order.
+	want := []string{"input"}
+	for i := 0; i < taps; i++ {
+		want = append(want, fmt.Sprintf("h_prod%d", i))
 	}
-	if got := ip.path.Names(); len(got) != 23 {
-		t.Fatal("datapath node count mismatch")
+	want = append(want, "h_acc", "h_out", "inter")
+	for i := 0; i < taps; i++ {
+		want = append(want, fmt.Sprintf("v_prod%d", i))
 	}
-	for i, n := range ip.path.Names() {
-		if n != VariableNames[i] {
-			t.Errorf("node %d named %q, want %q", i, n, VariableNames[i])
+	want = append(want, "v_acc", "v_out", "output")
+	if len(ip.path.Nodes) != len(want) {
+		t.Fatalf("datapath has %d nodes, want %d", len(ip.path.Nodes), len(want))
+	}
+	for i, n := range ip.path.Nodes {
+		if n.Name != want[i] {
+			t.Errorf("node %d named %q, want %q", i, n.Name, want[i])
 		}
 	}
 }

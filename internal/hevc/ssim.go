@@ -31,9 +31,6 @@ func NewSSIMBenchmark(seed uint64, nBlocks int) (*SSIMBenchmark, error) {
 	return &SSIMBenchmark{inner: b}, nil
 }
 
-// Name identifies the benchmark.
-func (b *SSIMBenchmark) Name() string { return "hevc-ssim" }
-
 // Nv returns the number of optimisation variables (23).
 func (b *SSIMBenchmark) Nv() int { return b.inner.Nv() }
 

@@ -137,7 +137,7 @@ func TestDrainGateRefusesDeterministically(t *testing.T) {
 func waitDraining(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !s.Draining() {
+	for !s.draining.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}

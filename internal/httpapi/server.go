@@ -175,9 +175,6 @@ func (s *Server) drainRemaining() time.Duration {
 	return s.drainGrace - time.Since(time.Unix(0, start))
 }
 
-// Draining reports whether StartDraining has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // ServeListener serves the API on ln until ctx is cancelled, then drains
 // gracefully: stop accepting new work, wait up to grace for in-flight
 // requests (their simulations resolve through the engine as usual), and

@@ -187,7 +187,11 @@ func refUniversalPredict(u *Universal, xs [][]float64, ys []float64, x []float64
 	for i, d := range dims {
 		rhs[n+1+i] = x[d]
 	}
-	w, err := linalg.Solve(g, rhs)
+	w := make([]float64, size)
+	f, err := linalg.Factorize(g)
+	if err == nil {
+		err = f.SolveInto(w, rhs)
+	}
 	if err != nil {
 		v, _, err := refOrdinaryPredictVar(&Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget}, xs, ys, x)
 		return v, err

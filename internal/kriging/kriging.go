@@ -175,33 +175,3 @@ func (o *Ordinary) factor(xs [][]float64, ys []float64) (*factored, error) {
 	}
 	return &factored{model: model, lu: f}, nil
 }
-
-// Weights exposes the kriging weights μ_k (and the Lagrange multiplier as
-// the final element) for the given query; primarily for tests asserting
-// the unbiasedness constraint Σ μ_k = 1.
-func (o *Ordinary) Weights(xs [][]float64, ys []float64, x []float64) ([]float64, error) {
-	n := len(xs)
-	if n == 0 {
-		return nil, ErrNoSupport
-	}
-	if n == 1 {
-		return []float64{1, 0}, nil
-	}
-	sys, err := o.cache.system(o, xs, ys)
-	if err != nil {
-		return nil, err
-	}
-	dist := o.dist()
-	s := predictPool.Get().(*predictScratch)
-	defer predictPool.Put(s)
-	rhs := growFloats(&s.rhs, n+1)
-	for k := 0; k < n; k++ {
-		rhs[k] = sys.model.Gamma(dist(x, xs[k]))
-	}
-	rhs[n] = 1
-	out := make([]float64, n+1)
-	if err := sys.solveBatchInto(out, rhs, 1); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

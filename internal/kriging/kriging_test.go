@@ -86,11 +86,31 @@ func TestOrdinary1DLinearInterior(t *testing.T) {
 	}
 }
 
+// ordinaryWeights solves the ordinary-kriging system of o for the query
+// x and returns the weights μ_k followed by the Lagrange multiplier.
+func ordinaryWeights(o *Ordinary, xs [][]float64, ys []float64, x []float64) ([]float64, error) {
+	n := len(xs)
+	sys, err := o.cache.system(o, xs, ys)
+	if err != nil {
+		return nil, err
+	}
+	rhs := make([]float64, n+1)
+	for k := 0; k < n; k++ {
+		rhs[k] = sys.model.Gamma(o.dist()(x, xs[k]))
+	}
+	rhs[n] = 1
+	out := make([]float64, n+1)
+	if err := sys.solveBatchInto(out, rhs, 1); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestOrdinaryWeightsSumToOne(t *testing.T) {
 	// The unbiasedness constraint of Eq. 6: Σ μ_k = 1.
 	xs, ys := grid2D(3, func(x, y float64) float64 { return x*x + y })
 	o := &Ordinary{}
-	w, err := o.Weights(xs, ys, []float64{1.5, 0.5})
+	w, err := ordinaryWeights(o, xs, ys, []float64{1.5, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

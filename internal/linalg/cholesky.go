@@ -42,15 +42,6 @@ func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
 	return &Cholesky{l: l, n: n}, nil
 }
 
-// Solve solves A·x = b given the factorisation.
-func (c *Cholesky) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, c.n)
-	if err := c.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveInto solves A·x = b into dst, allocation-free. dst may alias b
 // (the forward sweep reads b[i] exactly once, before writing dst[i]);
 // partial overlap of distinct slices is not supported.
@@ -71,12 +62,6 @@ func (c *Cholesky) SolveInto(dst, b []float64) error {
 	}
 	return nil
 }
-
-// Size returns the dimension of the factored matrix.
-func (c *Cholesky) Size() int { return c.n }
-
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }
 
 // Dot returns the inner product of two equal-length vectors. It uses
 // the same two-chain accumulation as the triangular-solve kernels, so
@@ -99,33 +84,4 @@ func Dot4(a, x0, x1, x2, x3 []float64) (r0, r1, r2, r3 float64) {
 		panic("linalg: Dot4 length mismatch")
 	}
 	return dotUnrolled4(a, x0, x1, x2, x3)
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the max-abs norm of v.
-func NormInf(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// AXPY computes y := a·x + y in place and returns y.
-func AXPY(a float64, x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	axpyUnrolled(a, x, y)
-	return y
 }

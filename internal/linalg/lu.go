@@ -8,16 +8,14 @@ import (
 // LU holds an LU factorisation with partial pivoting: P·A = L·U where L is
 // unit lower triangular and U is upper triangular, both packed into lu.
 type LU struct {
-	lu   *Matrix
-	piv  []int // row permutation: piv[i] is the original row in position i
-	sign float64
-	n    int
+	lu  *Matrix
+	piv []int // row permutation: piv[i] is the original row in position i
+	n   int
 }
 
 // Factorize computes the LU decomposition of the square matrix a using
 // Doolittle's method with partial (row) pivoting. The input is not
-// modified. It returns ErrSingular when a pivot is exactly zero; callers
-// that want to detect near-singularity should inspect MinPivot.
+// modified. It returns ErrSingular when a pivot is exactly zero.
 func Factorize(a *Matrix) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
@@ -28,7 +26,6 @@ func Factorize(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p := k
@@ -49,7 +46,6 @@ func Factorize(a *Matrix) (*LU, error) {
 				rp[j], rk[j] = rk[j], rp[j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -63,16 +59,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			axpyUnrolled(-f, rk[k+1:n], ri[k+1:n])
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign, n: n}, nil
-}
-
-// Solve solves A·x = b for x given the factorisation. b is not modified.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.n)
-	if err := f.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
+	return &LU{lu: lu, piv: piv, n: n}, nil
 }
 
 // SolveInto solves A·x = b into dst, allocation-free. dst must not alias
@@ -100,64 +87,4 @@ func (f *LU) SolveInto(dst, b []float64) error {
 		x[i] = (x[i] - s) / row[i]
 	}
 	return nil
-}
-
-// Size returns the dimension of the factored matrix.
-func (f *LU) Size() int { return f.n }
-
-// Det returns the determinant of the factorised matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// MinPivot returns the smallest absolute diagonal entry of U, a cheap
-// proxy for how close to singular the system is.
-func (f *LU) MinPivot() float64 {
-	mn := math.Inf(1)
-	for i := 0; i < f.n; i++ {
-		if v := math.Abs(f.lu.At(i, i)); v < mn {
-			mn = v
-		}
-	}
-	return mn
-}
-
-// Solve solves the square system a·x = b in one call.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Inverse computes the inverse of a via its LU factorisation. Kriging only
-// needs solves, but Eq. 10 of the paper is written with Γ⁻¹ and the tests
-// verify both paths agree.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

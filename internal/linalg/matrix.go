@@ -3,7 +3,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -28,32 +27,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(row), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -65,120 +38,6 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: (%dx%d)·(%dx%d)", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			rowB := b.Data[k*b.Cols : (k+1)*b.Cols]
-			rowO := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range rowB {
-				rowO[j] += a * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.Cols != len(x) {
-		return nil, fmt.Errorf("%w: (%dx%d)·vec(%d)", ErrShape, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Add returns m + b element-wise.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return nil, ErrShape
-	}
-	out := m.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out, nil
-}
-
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-// IsSymmetric reports whether the matrix is square and symmetric to within
-// tol (absolute).
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// MaxAbs returns the largest absolute entry (the max norm).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // String renders the matrix for debugging.

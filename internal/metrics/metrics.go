@@ -1,7 +1,7 @@
 // Package metrics implements the quality and accuracy metrics of the
-// paper: output noise power, its dB and equivalent-number-of-bits views,
-// the interpolation-error measures of Eqs. 11-12, and small summary
-// statistics used when reporting Table I.
+// paper: output noise power and its dB view, the interpolation-error
+// measures of Eqs. 11-12, and the summary statistics used when
+// reporting Table I.
 package metrics
 
 import (
@@ -39,25 +39,6 @@ func DB(p float64) float64 {
 		return math.Inf(-1)
 	}
 	return 10 * math.Log10(p)
-}
-
-// FromDB converts a decibel power value back to linear.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
-// EquivalentBits converts a noise power into the paper's equivalent
-// number of bits n, from the uniform-quantisation noise model
-// P = 2^(-n)/12 used around Eq. 11, i.e. n = -log2(12·P).
-// Non-positive powers map to +Inf bits.
-func EquivalentBits(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return -math.Log2(12 * p)
-}
-
-// PowerFromBits is the inverse of EquivalentBits: P = 2^(-n)/12.
-func PowerFromBits(n float64) float64 {
-	return math.Exp2(-n) / 12
 }
 
 // EpsilonBits is the paper's Eq. 11: the interpolation error between an
@@ -121,9 +102,6 @@ func (s *Summary) Add(v float64) {
 	}
 }
 
-// N returns the number of finite observations recorded.
-func (s *Summary) N() int { return s.n }
-
 // InfCount returns the number of infinite observations that were set
 // aside.
 func (s *Summary) InfCount() int { return s.nInf }
@@ -143,57 +121,4 @@ func (s *Summary) Mean() float64 {
 		return 0
 	}
 	return s.sum / float64(s.n)
-}
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, v := range xs {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(xs)), nil
-}
-
-// RMSE returns the root-mean-square error between two sequences.
-func RMSE(a, b []float64) (float64, error) {
-	p, err := NoisePower(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(p), nil
-}
-
-// SNR returns the signal-to-noise ratio in dB between a reference signal
-// and its approximation: 10·log10(P_signal / P_noise).
-func SNR(approx, ref []float64) (float64, error) {
-	noise, err := NoisePower(approx, ref)
-	if err != nil {
-		return 0, err
-	}
-	var sig float64
-	for _, v := range ref {
-		sig += v * v
-	}
-	sig /= float64(len(ref))
-	if noise == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(sig/noise), nil
 }

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // SSIM computes the structural similarity index between two equally-sized
 // grayscale images (values in [0, maxVal]), using the standard single
@@ -58,36 +55,4 @@ func SSIM(a, b [][]float64, maxVal float64) (float64, error) {
 	num := (2*muA*muB + c1) * (2*cov + c2)
 	den := (muA*muA + muB*muB + c1) * (varA + varB + c2)
 	return num / den, nil
-}
-
-// PSNR returns the peak signal-to-noise ratio in dB between an
-// approximate image and its reference: 10·log10(maxVal² / MSE). An exact
-// match yields +Inf.
-func PSNR(approx, ref [][]float64, maxVal float64) (float64, error) {
-	if len(approx) == 0 || len(approx) != len(ref) {
-		return 0, errors.New("metrics: PSNR images empty or of different heights")
-	}
-	if maxVal <= 0 {
-		return 0, errors.New("metrics: PSNR needs a positive dynamic range")
-	}
-	var mse float64
-	n := 0
-	for y := range approx {
-		if len(approx[y]) != len(ref[y]) {
-			return 0, errors.New("metrics: PSNR rows of different widths")
-		}
-		for x := range approx[y] {
-			d := approx[y][x] - ref[y][x]
-			mse += d * d
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, ErrEmpty
-	}
-	mse /= float64(n)
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(maxVal*maxVal/mse), nil
 }

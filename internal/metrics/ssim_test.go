@@ -91,30 +91,3 @@ func TestSSIMValidation(t *testing.T) {
 		t.Error("zero dynamic range accepted")
 	}
 }
-
-func TestPSNRKnown(t *testing.T) {
-	ref := image(2, 2, func(y, x int) float64 { return 0.5 })
-	off := image(2, 2, func(y, x int) float64 { return 0.6 })
-	p, err := PSNR(off, ref, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MSE = 0.01 -> PSNR = 20 dB for unit range.
-	if math.Abs(p-20) > 1e-9 {
-		t.Errorf("PSNR = %v, want 20", p)
-	}
-	inf, err := PSNR(ref, ref, 1)
-	if err != nil || !math.IsInf(inf, 1) {
-		t.Errorf("PSNR of exact copy = %v, err %v", inf, err)
-	}
-}
-
-func TestPSNRValidation(t *testing.T) {
-	img := image(2, 2, func(y, x int) float64 { return 0 })
-	if _, err := PSNR(nil, nil, 1); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, err := PSNR(img, img, -1); err == nil {
-		t.Error("negative range accepted")
-	}
-}

@@ -126,30 +126,6 @@ func GlobalAvgPool(in *Tensor) []float64 {
 	return out
 }
 
-// Softmax returns the softmax of the logits (numerically stabilised).
-func Softmax(logits []float64) []float64 {
-	if len(logits) == 0 {
-		return nil
-	}
-	mx := logits[0]
-	for _, v := range logits[1:] {
-		if v > mx {
-			mx = v
-		}
-	}
-	out := make([]float64, len(logits))
-	var sum float64
-	for i, v := range logits {
-		e := math.Exp(v - mx)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
 // Argmax returns the index of the largest element (lowest index wins
 // ties), or -1 for empty input.
 func Argmax(xs []float64) int {
@@ -182,9 +158,6 @@ func NewFire(r *rng.Stream, inC, squeezeC, expandC int) *Fire {
 		Expand3x3: NewConv2D(r, squeezeC, expandC, 3),
 	}
 }
-
-// OutC returns the module's output channel count.
-func (f *Fire) OutC() int { return f.Expand1x1.OutC + f.Expand3x3.OutC }
 
 // Forward applies the module (ReLU after squeeze and after each expand).
 func (f *Fire) Forward(in *Tensor) (*Tensor, error) {

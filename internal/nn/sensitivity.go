@@ -94,9 +94,6 @@ func (b *SensitivityBenchmark) tensor(i int) *Tensor {
 	return t
 }
 
-// Name identifies the benchmark.
-func (b *SensitivityBenchmark) Name() string { return "squeezenet" }
-
 // Nv returns the number of error sources (10).
 func (b *SensitivityBenchmark) Nv() int { return NumLayers }
 
@@ -139,12 +136,4 @@ func (b *SensitivityBenchmark) Evaluate(cfg space.Config) (float64, error) {
 		}
 	}
 	return float64(agree) / float64(len(b.Images)), nil
-}
-
-// ReferenceAgreementFloor returns the p_cl of the all-quietest
-// configuration, a diagnostic used by tests (should be 1.0 or extremely
-// close: index 0 injects power 2^-PowerBias).
-func (b *SensitivityBenchmark) ReferenceAgreementFloor() (float64, error) {
-	cfg := make(space.Config, NumLayers)
-	return b.Evaluate(cfg)
 }

@@ -26,18 +26,3 @@ func (t *Tensor) At(c, y, x int) float64 { return t.Data[(c*t.H+y)*t.W+x] }
 
 // Set assigns element (c, y, x).
 func (t *Tensor) Set(c, y, x int, v float64) { t.Data[(c*t.H+y)*t.W+x] = v }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	out := NewTensor(t.C, t.H, t.W)
-	copy(out.Data, t.Data)
-	return out
-}
-
-// Numel returns the number of elements.
-func (t *Tensor) Numel() int { return len(t.Data) }
-
-// SameShape reports whether two tensors have identical dimensions.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	return t.C == o.C && t.H == o.H && t.W == o.W
-}

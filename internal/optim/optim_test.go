@@ -227,7 +227,7 @@ func TestExhaustiveFindsOptimum(t *testing.T) {
 	}
 	// Verify optimality directly.
 	opts := ExhaustiveOptions{LambdaMin: -1e-2, Bounds: space.UniformBounds(2, 1, 8)}
-	opts.Bounds.Enumerate(func(c space.Config) bool {
+	enumerate(opts.Bounds, func(c space.Config) bool {
 		lam, _ := oracle.Evaluate(bg, c)
 		if lam >= opts.LambdaMin && TotalBits(c) < res.Cost {
 			t.Errorf("found cheaper feasible %v (cost %v < %v)", c, TotalBits(c), res.Cost)

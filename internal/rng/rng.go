@@ -149,12 +149,3 @@ func (r *Stream) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes the first n indices in place via the provided swap
-// function, mirroring math/rand's Shuffle contract.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

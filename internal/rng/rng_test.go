@@ -167,22 +167,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(29)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated %d: %v", v, xs)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
 func TestPropertyIntnAlwaysInRange(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%100) + 1

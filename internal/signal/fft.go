@@ -35,13 +35,6 @@ type FFT struct {
 	twRe, twIm []float64 // exact twiddles, indexed by k in W_N^k
 }
 
-// FFTVariableNames documents the order of the FFT's ten variables.
-var FFTVariableNames = []string{
-	"input", "twiddle",
-	"stage0_out", "stage1_out", "stage2_out", "stage3_out", "stage4_out", "stage5_out",
-	"mult_out", "output",
-}
-
 // NewFFT builds the benchmark transform.
 func NewFFT() *FFT {
 	f := &FFT{path: fixed.NewDatapath()}
@@ -111,21 +104,6 @@ func (f *FFT) Reference(re, im []float64) (outRe, outIm []float64, err error) {
 			}
 		}
 	}
-	return outRe, outIm, nil
-}
-
-// Fixed computes the word-length-configured fixed-point FFT.
-func (f *FFT) Fixed(cfg space.Config, re, im []float64) (outRe, outIm []float64, err error) {
-	var p fftPlan
-	if err := f.plan(&p, cfg); err != nil {
-		return nil, nil, err
-	}
-	if len(re) != FFTSize || len(im) != FFTSize {
-		return nil, nil, fmt.Errorf("signal: FFT input length %d/%d, want %d", len(re), len(im), FFTSize)
-	}
-	outRe = make([]float64, FFTSize)
-	outIm = make([]float64, FFTSize)
-	p.run((*[FFTSize]float64)(outRe), (*[FFTSize]float64)(outIm), re, im)
 	return outRe, outIm, nil
 }
 

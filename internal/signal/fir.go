@@ -59,9 +59,6 @@ type FIR struct {
 	path    *fixed.Datapath
 }
 
-// FIRVariableNames documents the order of the FIR's two variables.
-var FIRVariableNames = []string{"mult_out", "add_out"}
-
 // NewFIR builds the benchmark filter: 64 taps, cutoff 0.12, coefficients
 // quantised to 15 fractional bits (a fixed design decision, not an
 // optimisation variable — the paper optimises datapath word-lengths).

@@ -60,9 +60,6 @@ type IIR struct {
 // iirSections is the number of biquads in the benchmark cascade.
 const iirSections = 4
 
-// IIRVariableNames documents the order of the IIR's five variables.
-var IIRVariableNames = []string{"biquad0_out", "biquad1_out", "biquad2_out", "biquad3_out", "mult_out"}
-
 // NewIIR builds the benchmark filter: 8th-order Butterworth lowpass,
 // cutoff 0.08.
 func NewIIR() (*IIR, error) {

@@ -82,16 +82,10 @@ func NewWorker(opts WorkerOptions) *Worker {
 // Handler returns the fully assembled HTTP handler.
 func (w *Worker) Handler() http.Handler { return w.mux }
 
-// Capacity returns the concurrency bound the worker was built with.
-func (w *Worker) Capacity() int { return w.capacity }
-
 // StartDraining flips the worker into drain mode: /healthz turns 503 so
 // the pool quarantines it, and new simulate requests are refused with
 // 503 while those already holding a slot run to completion. One-way.
 func (w *Worker) StartDraining() { w.draining.Store(true) }
-
-// Draining reports whether StartDraining has been called.
-func (w *Worker) Draining() bool { return w.draining.Load() }
 
 // chain assembles one route's middleware, outermost first: panic
 // recovery, request logging, the drain gate, method dispatch and API-key

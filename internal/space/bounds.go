@@ -47,20 +47,6 @@ func (b Bounds) Contains(c Config) bool {
 	return true
 }
 
-// Clamp returns a copy of c with every coordinate clipped into the box.
-func (b Bounds) Clamp(c Config) Config {
-	out := c.Clone()
-	for i := range out {
-		if out[i] < b.Lo[i] {
-			out[i] = b.Lo[i]
-		}
-		if out[i] > b.Hi[i] {
-			out[i] = b.Hi[i]
-		}
-	}
-	return out
-}
-
 // Corner returns the configuration at the low (false) or high (true)
 // corner of the box.
 func (b Bounds) Corner(high bool) Config {
@@ -73,85 +59,4 @@ func (b Bounds) Corner(high bool) Config {
 		}
 	}
 	return c
-}
-
-// Size returns the number of lattice points inside the box. It saturates
-// at the maximum int value for enormous spaces.
-func (b Bounds) Size() int {
-	n := 1
-	for i := range b.Lo {
-		w := b.Hi[i] - b.Lo[i] + 1
-		if n > (1<<62)/w {
-			return 1 << 62
-		}
-		n *= w
-	}
-	return n
-}
-
-// Enumerate calls fn for every lattice point of the box in lexicographic
-// order, stopping early if fn returns false. The Config passed to fn is
-// reused between calls; clone it to retain it.
-func (b Bounds) Enumerate(fn func(Config) bool) {
-	nv := b.Dim()
-	if nv == 0 {
-		return
-	}
-	cur := b.Corner(false)
-	for {
-		if !fn(cur) {
-			return
-		}
-		// Odometer increment.
-		i := nv - 1
-		for i >= 0 {
-			cur[i]++
-			if cur[i] <= b.Hi[i] {
-				break
-			}
-			cur[i] = b.Lo[i]
-			i--
-		}
-		if i < 0 {
-			return
-		}
-	}
-}
-
-// BallL1 calls fn for every in-bounds lattice point at L1 distance exactly
-// <= radius from center (excluding the center itself when includeCenter is
-// false). The Config passed to fn is reused; clone to retain.
-func (b Bounds) BallL1(center Config, radius int, includeCenter bool, fn func(Config) bool) {
-	nv := b.Dim()
-	cur := center.Clone()
-	var rec func(dim, remaining int) bool
-	rec = func(dim, remaining int) bool {
-		if dim == nv {
-			if !includeCenter && cur.Equal(center) {
-				return true
-			}
-			return fn(cur)
-		}
-		lo := center[dim] - remaining
-		hi := center[dim] + remaining
-		if lo < b.Lo[dim] {
-			lo = b.Lo[dim]
-		}
-		if hi > b.Hi[dim] {
-			hi = b.Hi[dim]
-		}
-		for v := lo; v <= hi; v++ {
-			cur[dim] = v
-			used := v - center[dim]
-			if used < 0 {
-				used = -used
-			}
-			if !rec(dim+1, remaining-used) {
-				return false
-			}
-		}
-		cur[dim] = center[dim]
-		return true
-	}
-	rec(0, radius)
 }

@@ -20,7 +20,7 @@
 // version, while older views (and Snapshots) keep reporting the value
 // current at their epoch. A monotone sequence number stamped on every
 // entry preserves the global insertion order the sequential pseudo-code
-// relies on (neighbourhoods, Entries and AllSamples are always reported
+// relies on (neighbourhoods and Entries are always reported
 // oldest-first, so NearestK tie-breaking stays deterministic).
 //
 // AddBatch is the bulk-write path: it stamps a batch in input order and
@@ -58,18 +58,18 @@
 //
 // # Persistence: Open and the write-ahead log
 //
-// Open(Options{Durability: &DurabilityOptions{Dir: dir}})
-// returns a store whose writes are durable: every Add/AddBatch appends
-// one checksummed, fsynced record to a write-ahead segment log
-// (internal/store/wal) before touching memory — group commit, O(1)
-// allocations per batch — and reopening the same directory replays the
-// log back into the sharded structure, bit-identical query surface
-// included. Recovery truncates a torn final record (the residue of a
-// crash mid-append) and refuses interior corruption with
-// wal.ErrCorrupt; Compact doubles as log truncation by cutting an
-// atomically-renamed snapshot of the compacted contents and deleting
-// the superseded files. After any I/O error the store goes fail-stop:
-// writes return the sticky error (also via Err()), reads keep working.
-// A nil Durability (and every other constructor) means a pure
-// in-memory store with no I/O anywhere.
+// New returns an in-memory store with no I/O anywhere.
+// Open(DurabilityOptions{Dir: dir}) returns a store whose writes are
+// durable: every Add/AddBatch appends one checksummed, fsynced record to
+// a write-ahead segment log (internal/store/wal) before touching memory
+// — group commit, O(1) allocations per batch — and reopening the same
+// directory replays the log back into the sharded structure,
+// bit-identical query surface included. Recovery truncates a torn final
+// record (the residue of a crash mid-append) and refuses interior
+// corruption with wal.ErrCorrupt. The log is never truncated:
+// superseded overwrite versions stay on disk and in memory (Versions
+// counts them), which costs little because a campaign simulates each
+// configuration once.
+// After any I/O error the store goes fail-stop: writes return the sticky
+// error (also via Err()), reads keep working.
 package store

@@ -10,9 +10,8 @@ import (
 // DurabilityOptions configures the write-ahead-log backend of a durable
 // store. See Open.
 type DurabilityOptions struct {
-	// Dir is the state directory holding the segment log and snapshot
-	// files; it is created if missing. One directory belongs to one
-	// store at a time.
+	// Dir is the state directory holding the segment log files; it is
+	// created if missing. One directory belongs to one store at a time.
 	Dir string
 	// Sync is the fsync policy. The zero value (wal.SyncBatch) makes an
 	// acknowledged write durable: one fsync per Add or AddBatch. Use
@@ -27,22 +26,17 @@ type DurabilityOptions struct {
 	FS wal.FS
 }
 
-// Open creates a store, durable when opt.Durability is set: contents
-// are recovered from the state directory (replayed through the same
-// AddBatch path live writes take, so lookups, neighbourhoods and
-// overwrite winners are bit-identical to the store that crashed), and
-// every subsequent write is logged before it is applied. With nil
-// Durability it is exactly New.
+// Open creates a durable store: its contents are recovered from the
+// state directory (replayed through the same AddBatch path live writes
+// take, so lookups, neighbourhoods and overwrite winners are
+// bit-identical to the store that crashed), and every subsequent write
+// is logged before it is applied.
 //
 // Recovery refuses a log whose interior is damaged (wal.ErrCorrupt); a
 // torn final record — the residue of a mid-append crash — is truncated
 // silently, because nothing acknowledged lived there.
-func Open(opt Options) (*Store, error) {
-	d := opt.Durability
-	if d == nil {
-		return newMem(), nil
-	}
-	s := newMem()
+func Open(d DurabilityOptions) (*Store, error) {
+	s := New()
 	l, err := wal.Open(wal.Options{Dir: d.Dir, Sync: d.Sync, SegmentSize: d.SegmentSize, FS: d.FS})
 	if err != nil {
 		return nil, err
@@ -62,18 +56,6 @@ func Open(opt Options) (*Store, error) {
 	}
 	s.log = l
 	return s, nil
-}
-
-// Durable reports whether the store is backed by a write-ahead log.
-func (s *Store) Durable() bool { return s.log != nil }
-
-// Dir returns the state directory of a durable store ("" when
-// in-memory).
-func (s *Store) Dir() string {
-	if s.log == nil {
-		return ""
-	}
-	return s.log.Dir()
 }
 
 // Err returns the sticky durability failure, if any. A durable store is

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -14,7 +13,7 @@ import (
 )
 
 // buildMixedWorkload drives the same deterministic mix of single Adds,
-// AddBatches, overwrites and Compacts into dst, mirroring it into mem
+// AddBatches and overwrites into dst, mirroring it into mem
 // (an in-memory reference) when non-nil.
 func buildMixedWorkload(dst, mem *Store, seed uint64, rounds int) {
 	r := rng.New(seed)
@@ -40,8 +39,6 @@ func buildMixedWorkload(dst, mem *Store, seed uint64, rounds int) {
 			}
 			batch = append(batch, Entry{Config: batch[0].Config, Lambda: r.Float64()})
 			apply(func(s *Store) { s.AddBatch(batch) })
-		case i%11 == 10:
-			apply(func(s *Store) { s.Compact() })
 		default:
 			c := randConfig(r, 4, 0, 20)
 			lam := r.Float64()
@@ -87,7 +84,7 @@ func assertStoresIdentical(t *testing.T, label string, a, b *Store) {
 
 func openDurable(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(Options{Durability: &DurabilityOptions{Dir: dir}})
+	s, err := Open(DurabilityOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
@@ -95,8 +92,8 @@ func openDurable(t *testing.T, dir string) *Store {
 }
 
 // TestDurableReopenEquivalence is the core recovery property: a durable
-// store that lived through adds, batches (with interior duplicates),
-// overwrites and compactions recovers — after a clean close — to a
+// store that lived through adds, batches (with interior duplicates)
+// and overwrites recovers — after a clean close — to a
 // store bit-identical to an in-memory one fed the same operations, and
 // survives a second generation of writes and reopens.
 func TestDurableReopenEquivalence(t *testing.T) {
@@ -122,96 +119,11 @@ func TestDurableReopenEquivalence(t *testing.T) {
 	assertStoresIdentical(t, "second reopen vs mem", s3, mem)
 }
 
-// TestDurableCompactTruncatesLog pins the Compact/Rotate wiring: after
-// Compact the directory holds one snapshot and one fresh segment, the
-// superseded versions are gone from disk, and recovery replays to the
-// same contents.
-func TestDurableCompactTruncatesLog(t *testing.T) {
-	dir := t.TempDir()
-	s := openDurable(t, dir)
-	c := space.Config{1, 2, 3}
-	for i := 0; i < 50; i++ {
-		s.Add(c, float64(i)) // 49 superseded versions
-	}
-	s.Add(space.Config{4, 5, 6}, 7)
-	preSize := dirSize(t, dir)
-	if dropped := s.Compact(); dropped != 49 {
-		t.Fatalf("Compact dropped %d, want 49", dropped)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("Err after Compact: %v", err)
-	}
-	var segs, snaps int
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		switch {
-		case strings.HasSuffix(e.Name(), ".seg"):
-			segs++
-		case strings.HasSuffix(e.Name(), ".snap"):
-			snaps++
-		}
-	}
-	if segs != 1 || snaps != 1 {
-		t.Fatalf("after Compact: %d segments, %d snapshots; want 1 and 1", segs, snaps)
-	}
-	if post := dirSize(t, dir); post >= preSize {
-		t.Errorf("Compact did not shrink the log: %d -> %d bytes", preSize, post)
-	}
-	s.Close()
-
-	s2 := openDurable(t, dir)
-	defer s2.Close()
-	if v, ok := s2.Lookup(c); !ok || v != 49 {
-		t.Fatalf("recovered overwrite winner %v, %v; want 49", v, ok)
-	}
-	if s2.Len() != 2 || s2.Versions() != 2 {
-		t.Fatalf("recovered Len=%d Versions=%d, want 2 and 2", s2.Len(), s2.Versions())
-	}
-}
-
-func dirSize(t *testing.T, dir string) int64 {
-	t.Helper()
-	var total int64
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		fi, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
-	}
-	return total
-}
-
-// TestDurableResetSurvivesReopen: Reset empties the disk too.
-func TestDurableResetSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	s := openDurable(t, dir)
-	buildMixedWorkload(s, nil, 3, 40)
-	s.Reset()
-	if err := s.Err(); err != nil {
-		t.Fatalf("Err after Reset: %v", err)
-	}
-	s.Add(space.Config{9, 9}, 1)
-	s.Close()
-	s2 := openDurable(t, dir)
-	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Fatalf("recovered Len %d after Reset+1 add, want 1", s2.Len())
-	}
-}
-
 // TestDurableFailStop: once the device fails, no later write is applied
 // or acknowledged, and Err explains why.
 func TestDurableFailStop(t *testing.T) {
 	fs := faultfs.New()
-	s, err := Open(Options{Durability: &DurabilityOptions{Dir: "state", FS: fs}})
+	s, err := Open(DurabilityOptions{Dir: "state", FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,28 +171,30 @@ func TestDurableOpenRefusesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := Open(Options{Durability: &DurabilityOptions{Dir: dir}}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(DurabilityOptions{Dir: dir}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("Open over corrupt segment: %v, want wal.ErrCorrupt", err)
 	}
 }
 
-// TestDurableConstructorContract: NewWithOptions must refuse a
-// Durability option (recovery can fail; only Open can report that), and
-// Open without one must stay the plain in-memory constructor.
+// TestDurableConstructorContract: New is the in-memory store, whose
+// durability surface is inert (no error, Close is a no-op and writes
+// keep working after it), and Open is the durable one, whose writes
+// stop at Close.
 func TestDurableConstructorContract(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewWithOptions accepted Options.Durability")
-		}
-	}()
-	s, err := Open(Options{})
-	if err != nil {
+	s := New()
+	if s.Err() != nil || s.Close() != nil || s.Close() != nil {
+		t.Error("in-memory store: durable surface should be inert")
+	}
+	if !s.Add(space.Config{1}, 1) {
+		t.Error("in-memory store refused a write after Close")
+	}
+	d := openDurable(t, t.TempDir())
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Durable() || s.Dir() != "" || s.Err() != nil || s.Close() != nil {
-		t.Error("in-memory Open: durable surface should be inert")
+	if d.Add(space.Config{1}, 1) {
+		t.Error("durable store acknowledged a write after Close")
 	}
-	NewWithOptions(Options{Durability: &DurabilityOptions{Dir: "x"}})
 }
 
 // TestAllocsDurableAddBatch gates the WAL write path: group commit must
@@ -299,7 +213,7 @@ func TestAllocsDurableAddBatch(t *testing.T) {
 
 	// SyncNone keeps the gate off fsync latency; the sync itself
 	// allocates nothing.
-	s, err := Open(Options{Durability: &DurabilityOptions{Dir: t.TempDir(), Sync: wal.SyncNone}})
+	s, err := Open(DurabilityOptions{Dir: t.TempDir(), Sync: wal.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}

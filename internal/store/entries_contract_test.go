@@ -7,14 +7,12 @@ import (
 	"repro/internal/space"
 )
 
-// These tests pin the Entries contract the WAL snapshot format depends
-// on: Entries() (and Snapshot.Entries()) exposes exactly one Entry per
-// configuration — the latest value — at the position of the FIRST write
-// of that configuration (overwrites keep the original sequence stamp;
-// see shardBuilder.insertEntry). Compact must not change the sequence
-// at all: the snapshot a durable store cuts during Compact is literally
-// Entries(), so any reordering or resurrection of a superseded version
-// here would corrupt every recovery after it.
+// These tests pin the Entries contract: Entries() (and
+// Snapshot.Entries()) exposes exactly one Entry per configuration — the
+// latest value — at the position of the FIRST write of that
+// configuration (overwrites keep the original sequence stamp; see
+// shardBuilder.insertEntry). Superseded versions stay in storage but
+// must never leak through the API.
 
 // entriesString renders an entry sequence for exact comparison.
 func entriesString(es []Entry) string { return fmt.Sprint(es) }
@@ -22,7 +20,7 @@ func entriesString(es []Entry) string { return fmt.Sprint(es) }
 // TestEntriesOverwriteWinnerOrder pins the ordering rule: overwriting a
 // configuration keeps its ORIGINAL insertion position while exposing
 // the new value, and the superseded value is gone from Entries()
-// immediately — not only after Compact. (The position rule is what lets
+// immediately. (The position rule is what lets
 // WAL replay reconstruct the order: re-adding Entries() front to back
 // reproduces both the values and the sequence stamps.)
 func TestEntriesOverwriteWinnerOrder(t *testing.T) {
@@ -41,14 +39,6 @@ func TestEntriesOverwriteWinnerOrder(t *testing.T) {
 		t.Fatalf("Versions = %d, want 4 (superseded version still stored)", s.Versions())
 	}
 
-	// Compact drops the superseded version from storage but must leave
-	// the Entries sequence bit-identical.
-	if d := s.Compact(); d != 1 {
-		t.Fatalf("Compact dropped %d versions, want 1", d)
-	}
-	if got := s.Entries(); entriesString(got) != entriesString(want) {
-		t.Fatalf("Entries changed across Compact:\n got %v\nwant %v", got, want)
-	}
 }
 
 // TestEntriesNeverExposeSuperseded walks a store through repeated
@@ -97,24 +87,17 @@ func TestEntriesNeverExposeSuperseded(t *testing.T) {
 	latest[key(space.Config{9, 9})] = 101
 	check("after AddBatch with interior duplicate")
 
-	s.Compact()
-	check("after Compact")
-	if s.Versions() != s.Len() {
-		t.Fatalf("after Compact: Versions %d != Len %d", s.Versions(), s.Len())
-	}
-	// Overwrites keep working against compacted storage.
+	// Overwrites keep working after a bulk write.
 	s.Add(space.Config{0, 0}, 200)
 	latest[key(space.Config{0, 0})] = 200
-	check("overwrite after Compact")
+	check("overwrite after AddBatch")
 }
 
-// TestSnapshotEntriesEpochAcrossCompact pins the snapshot side of the
-// contract: a Snapshot captured before overwrites and before Compact
-// keeps answering Entries() at its own epoch, while a snapshot cut
-// after Compact matches the live store exactly. The durable store's
-// Compact writes Snapshot-epoch contents to disk, so these two must
-// never drift.
-func TestSnapshotEntriesEpochAcrossCompact(t *testing.T) {
+// TestSnapshotEntriesEpoch pins the snapshot side of the contract: a
+// Snapshot captured before overwrites keeps answering Entries() at its
+// own epoch, while a snapshot cut after them matches the live store
+// exactly.
+func TestSnapshotEntriesEpoch(t *testing.T) {
 	s := New()
 	for i := 0; i < 8; i++ {
 		s.Add(space.Config{i}, float64(i))
@@ -129,18 +112,10 @@ func TestSnapshotEntriesEpochAcrossCompact(t *testing.T) {
 		t.Fatal("pre-overwrite snapshot Entries changed when the live store was overwritten")
 	}
 
-	liveBefore := entriesString(s.Entries())
-	s.Compact()
+	live := entriesString(s.Entries())
 	post := s.Snapshot()
-
-	if entriesString(old.Entries()) != oldEntries {
-		t.Fatal("pre-compact snapshot Entries changed across Compact")
-	}
-	if got := entriesString(s.Entries()); got != liveBefore {
-		t.Fatalf("live Entries changed across Compact:\n got %s\nwant %s", got, liveBefore)
-	}
-	if got := entriesString(post.Entries()); got != liveBefore {
-		t.Fatalf("post-compact Snapshot.Entries diverges from Store.Entries:\n got %s\nwant %s", got, liveBefore)
+	if got := entriesString(post.Entries()); got != live {
+		t.Fatalf("post-overwrite Snapshot.Entries diverges from Store.Entries:\n got %s\nwant %s", got, live)
 	}
 	if old.Len() != 8 || post.Len() != 8 || s.Len() != 8 {
 		t.Fatalf("Len drifted: old %d post %d live %d, want 8", old.Len(), post.Len(), s.Len())

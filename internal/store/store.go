@@ -36,34 +36,9 @@ type Store struct {
 	recBuf []wal.Record // encode scratch reused across batches
 }
 
-// Options configures a Store. The zero value is an in-memory store.
-type Options struct {
-	// Durability, when non-nil, backs the store with a write-ahead
-	// segment log so its contents survive restarts. Durable stores must
-	// be created with Open (recovery can fail); NewWithOptions panics if
-	// this field is set. Nil keeps the store purely in-memory.
-	Durability *DurabilityOptions
-}
-
 // New creates an empty in-memory store. Neighbour queries measure the
-// paper's L1 distance.
+// paper's L1 distance. Durable stores are created with Open.
 func New() *Store {
-	return NewWithOptions(Options{})
-}
-
-// NewWithOptions creates an empty in-memory store. Durable stores are
-// created with Open; NewWithOptions panics if opt.Durability is set,
-// because recovery has failure modes a panic-free constructor cannot
-// report.
-func NewWithOptions(opt Options) *Store {
-	if opt.Durability != nil {
-		panic("store: NewWithOptions cannot open a durable store; use store.Open")
-	}
-	return newMem()
-}
-
-// newMem builds the in-memory core shared by both constructors.
-func newMem() *Store {
 	s := new(Store)
 	for i := range s.shards {
 		s.shards[i].state.Store(emptyShardState)
@@ -282,22 +257,6 @@ func (s *Store) loadStatesInto(buf *Neighborhood) []*shardState {
 	return states
 }
 
-// AllSamples returns the whole store as a Neighborhood (distances zeroed),
-// the form consumed by global variogram identification.
-func (s *Store) AllSamples() *Neighborhood {
-	entries := entriesStates(s.loadStates())
-	nb := &Neighborhood{
-		Coords: make([][]float64, len(entries)),
-		Values: make([]float64, len(entries)),
-		Dists:  make([]float64, len(entries)),
-	}
-	for i, e := range entries {
-		nb.Coords[i] = e.Config.Floats()
-		nb.Values[i] = e.Lambda
-	}
-	return nb
-}
-
 // Snapshot freezes the current contents. The snapshot is immutable: later
 // Adds to the store — including overwrites of configurations it contains —
 // are invisible to it, at zero copying cost.
@@ -305,34 +264,18 @@ func (s *Store) Snapshot() Snapshot {
 	return Snapshot{states: s.loadStates()}
 }
 
-// Reset empties the store. Concurrent readers observe either the old or
-// the new (empty) state per shard. On a durable store the log is
-// truncated behind an empty snapshot, so the emptiness survives a
-// restart (a rotation failure is sticky via Err, like any write).
-func (s *Store) Reset() {
-	if s.log == nil {
-		s.resetMem()
-		return
-	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	s.resetMem()
-	if s.walErr != nil || s.closed {
-		return
-	}
-	if err := s.log.Rotate(nil); err != nil {
-		s.walErr = err
-	}
-}
-
-func (s *Store) resetMem() {
+// Versions returns the number of entry versions held in memory,
+// including the superseded versions that overwrites append: re-adding a
+// configuration appends a new version in O(1) instead of replacing the
+// old one in place. Versions() == Len() when every stored configuration
+// was added exactly once.
+func (s *Store) Versions() int {
+	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n := sh.b.live
-		sh.b = shardBuilder{}
-		sh.state.Store(emptyShardState)
+		n += len(sh.b.entries)
 		sh.mu.Unlock()
-		s.count.Add(int64(-n))
 	}
+	return n
 }

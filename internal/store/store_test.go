@@ -135,32 +135,6 @@ func TestEntriesCopyAndOrder(t *testing.T) {
 	}
 }
 
-func TestAllSamples(t *testing.T) {
-	s := New()
-	s.Add(space.Config{1, 1}, -1)
-	s.Add(space.Config{2, 2}, -2)
-	nb := s.AllSamples()
-	if nb.Len() != 2 {
-		t.Errorf("AllSamples = %d", nb.Len())
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := New()
-	s.Add(space.Config{1}, 1)
-	s.Reset()
-	if s.Len() != 0 {
-		t.Error("Reset did not clear")
-	}
-	if _, ok := s.Lookup(space.Config{1}); ok {
-		t.Error("Reset left index entries")
-	}
-	s.Add(space.Config{1}, 2)
-	if v, _ := s.Lookup(space.Config{1}); v != 2 {
-		t.Error("store unusable after Reset")
-	}
-}
-
 func TestMetricUsedForNeighbors(t *testing.T) {
 	// The neighbour distance is L1: a diagonal offset is at distance 2,
 	// where L∞ would put it at 1 and L2 at √2.

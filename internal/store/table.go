@@ -15,9 +15,8 @@ const minTableSize = 8
 // see). Slots are written only under the shard writer lock and probed by
 // readers with atomic loads: a reader that observes an entry inserted
 // after its view was published filters it out by position, so the shared
-// mutation is invisible. Slots are never cleared — Reset replaces the
-// whole builder — which keeps reader probes terminating (the writer
-// regrows before the table can fill).
+// mutation is invisible. Slots are never cleared, which keeps reader
+// probes terminating (the writer regrows before the table can fill).
 //
 // It is the store's key index: one slot per distinct configuration,
 // holding its newest version.

@@ -26,9 +26,6 @@ import (
 //   - the contents are EXACTLY batches 0..k for some k — every config's
 //     value, including cross-batch overwrite winners, matches the
 //     deterministic schedule; no partial batch is ever visible.
-//
-// Every 5th batch the child also Compacts, so kills land inside
-// snapshot rotation and truncation, not just appends.
 
 const tortureEnv = "REPRO_STORE_TORTURE_DIR"
 
@@ -72,7 +69,7 @@ func tortureBatch(k int) []Entry {
 // tortureChild is the writer process. It never returns normally under
 // torture — the parent SIGKILLs it — but exits 0 if it outruns the cap.
 func tortureChild(dir string) {
-	s, err := Open(Options{Durability: &DurabilityOptions{Dir: filepath.Join(dir, "state")}})
+	s, err := Open(DurabilityOptions{Dir: filepath.Join(dir, "state")})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "torture child: recovery failed: %v\n", err)
 		os.Exit(7)
@@ -91,13 +88,6 @@ func tortureChild(dir string) {
 		if s.AddBatch(tortureBatch(k)) == 0 {
 			fmt.Fprintf(os.Stderr, "torture child: batch %d not acknowledged: %v\n", k, s.Err())
 			os.Exit(10)
-		}
-		if k > 0 && k%5 == 0 {
-			s.Compact()
-			if err := s.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "torture child: compact: %v\n", err)
-				os.Exit(11)
-			}
 		}
 		// The batch is durable (SyncBatch); record the acknowledgement
 		// durably too, so the parent can hold us to it.
@@ -137,7 +127,7 @@ func lastAcked(t *testing.T, dir string) int {
 // batches 0..k-1 for some k >= acked+1. Returns k.
 func verifyTortureState(t *testing.T, dir string, acked int) int {
 	t.Helper()
-	s, err := Open(Options{Durability: &DurabilityOptions{Dir: filepath.Join(dir, "state")}})
+	s, err := Open(DurabilityOptions{Dir: filepath.Join(dir, "state")})
 	if err != nil {
 		t.Fatalf("recovery after kill: %v", err)
 	}

@@ -1,6 +1,5 @@
 // Package wal is the durable backend of the configuration store: an
-// append-only, checksummed segment log with snapshot-based truncation
-// and crash recovery.
+// append-only, checksummed segment log with crash recovery.
 //
 // # Write path: group commit
 //
@@ -24,27 +23,19 @@
 //     the expected residue of a crash mid-append. Nothing beyond it was
 //     ever acknowledged, so recovery truncates the tail and continues.
 //   - INTERIOR CORRUPTION — a checksum failure or truncation with
-//     further data beyond it, a gap in the segment sequence, a damaged
-//     snapshot, a header from the wrong version — means acknowledged
+//     further data beyond it, a gap in the segment sequence (which must
+//     start at 1), a header from the wrong version — means acknowledged
 //     records are unreadable. Open refuses with ErrCorrupt rather than
-//     silently dropping committed data.
+//     silently dropping committed data. So does a snapshot file
+//     (snap-*.snap) left by an older version of the log, which cut them
+//     to truncate the log: the log no longer reads them, and skipping one
+//     would lose its contents.
 //
-// Recovered state is surfaced through Replay in commit order (snapshot
-// first, then each logged batch); replaying is strictly cheaper than
-// re-simulating the configurations the log remembers, which is the
-// point: simulations dominate wall-clock, so a warm store that survives
-// restarts is a direct performance win.
-//
-// # Snapshots and truncation
-//
-// Rotate — driven by store.Compact — writes the complete current state
-// as a snapshot file (temp file, fsync, atomic rename), starts a fresh
-// segment, and deletes everything older. A snapshot with index k
-// supersedes all files with smaller indices; recovery loads the newest
-// snapshot and replays only the segments at or after it. Because the
-// snapshot is cut from the store's immutable epoch views after
-// compaction, superseded overwrite versions leave the disk at the same
-// moment they leave memory.
+// Recovered state is surfaced through Replay in commit order, one call
+// per logged batch; replaying is strictly cheaper than re-simulating the
+// configurations the log remembers, which is the point: simulations
+// dominate wall-clock, so a warm store that survives restarts is a
+// direct performance win.
 //
 // # Failure model
 //

@@ -204,129 +204,6 @@ func TestFaultPowerCutResidueSweep(t *testing.T) {
 	}
 }
 
-// TestFaultRotateWriteSweep injects write exhaustion at every byte
-// offset of a Rotate (snapshot + truncation). Whatever the failure
-// point, recovery must land in exactly one of the two consistent
-// worlds: the pre-rotate batches, or the rotated snapshot state (plus
-// nothing else) — never a mix, never a loss.
-func TestFaultRotateWriteSweep(t *testing.T) {
-	const nBatches = 5
-	state := faultBatch(42)
-
-	// Measure the writes of the rotate phase alone.
-	preFS := faultfs.New()
-	l, err := wal.Open(wal.Options{Dir: faultDir, FS: preFS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runAcked(t, l, nBatches) != nBatches {
-		t.Fatal("setup failed")
-	}
-	preBytes := preFS.BytesWritten()
-	if err := l.Rotate(state); err != nil {
-		t.Fatal(err)
-	}
-	rotateBytes := preFS.BytesWritten() - preBytes
-	l.Close()
-
-	step := int64(1)
-	if testing.Short() {
-		step = 5
-	}
-	for extra := int64(0); extra <= rotateBytes; extra += step {
-		extra := extra
-		t.Run(fmt.Sprintf("extra=%d", extra), func(t *testing.T) {
-			fs := faultfs.New()
-			l, err := wal.Open(wal.Options{Dir: faultDir, FS: fs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if runAcked(t, l, nBatches) != nBatches {
-				t.Fatal("setup failed")
-			}
-			fs.LimitWrites(extra)
-			rerr := l.Rotate(state)
-			if rerr != nil && !errors.Is(rerr, faultfs.ErrInjected) {
-				t.Fatalf("Rotate failed with a non-injected error: %v", rerr)
-			}
-			l.Close()
-			fs.PowerCut(0)
-			fs.ClearFaults()
-			got, l2 := recoverBatches(t, fs)
-			defer l2.Close()
-			if rerr == nil {
-				// Rotate acknowledged: the snapshot world is the only
-				// acceptable one.
-				if len(got) != 1 || len(got[0]) != len(state) {
-					t.Fatalf("after acknowledged Rotate recovered %d batches", len(got))
-				}
-				return
-			}
-			// Rotate failed: either world is consistent.
-			if len(got) == 1 && len(got[0]) == len(state) && got[0][0].Lambda == state[0].Lambda {
-				return // snapshot became durable before the fault — fine
-			}
-			checkExactPrefix(t, got, nBatches)
-		})
-	}
-}
-
-// TestFaultRotateSyncSweep does the same sweep over fsync failures
-// during Rotate.
-func TestFaultRotateSyncSweep(t *testing.T) {
-	const nBatches = 5
-	state := faultBatch(42)
-
-	preFS := faultfs.New()
-	l, err := wal.Open(wal.Options{Dir: faultDir, FS: preFS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runAcked(t, l, nBatches) != nBatches {
-		t.Fatal("setup failed")
-	}
-	preSyncs := preFS.Syncs()
-	if err := l.Rotate(state); err != nil {
-		t.Fatal(err)
-	}
-	rotateSyncs := preFS.Syncs() - preSyncs
-	l.Close()
-
-	for budget := 0; budget <= rotateSyncs; budget++ {
-		budget := budget
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			fs := faultfs.New()
-			l, err := wal.Open(wal.Options{Dir: faultDir, FS: fs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if runAcked(t, l, nBatches) != nBatches {
-				t.Fatal("setup failed")
-			}
-			fs.FailSyncsAfter(budget)
-			rerr := l.Rotate(state)
-			if rerr != nil && !errors.Is(rerr, faultfs.ErrInjected) {
-				t.Fatalf("Rotate failed with a non-injected error: %v", rerr)
-			}
-			l.Close()
-			fs.PowerCut(0)
-			fs.ClearFaults()
-			got, l2 := recoverBatches(t, fs)
-			defer l2.Close()
-			if rerr == nil {
-				if len(got) != 1 || len(got[0]) != len(state) {
-					t.Fatalf("after acknowledged Rotate recovered %d batches", len(got))
-				}
-				return
-			}
-			if len(got) == 1 && len(got[0]) == len(state) && got[0][0].Lambda == state[0].Lambda {
-				return
-			}
-			checkExactPrefix(t, got, nBatches)
-		})
-	}
-}
-
 // TestFaultSegmentRollSweep exercises the roll path (small SegmentSize)
 // under the write-budget sweep: a batch acknowledged right after a roll
 // must survive even though it lives in a file created moments before

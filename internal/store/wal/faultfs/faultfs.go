@@ -7,9 +7,8 @@
 //   - Written bytes are NOT durable until the file is fsynced; a power
 //     cut discards everything after the last synced offset (optionally
 //     keeping a few trailing bytes, to simulate a torn sector).
-//   - Created, renamed and removed names are NOT durable until their
-//     directory is fsynced; a power cut undoes pending directory
-//     operations in reverse order.
+//   - Created names are NOT durable until their directory is fsynced;
+//     a power cut undoes pending creations in reverse order.
 //   - Write and sync budgets turn the device read-only mid-operation:
 //     writes past the byte budget are short, syncs past the sync budget
 //     fail. Both mark every injected error with ErrInjected.
@@ -42,8 +41,8 @@ type FS struct {
 	mu    sync.Mutex
 	files map[string]*file
 	dirs  map[string]bool
-	// pending holds directory operations not yet made durable by
-	// SyncDir, newest last.
+	// pending holds file creations not yet made durable by SyncDir,
+	// newest last.
 	pending []dirOp
 
 	writeBudget int64 // bytes of Write allowed before faulting; -1 unlimited
@@ -62,21 +61,12 @@ type file struct {
 	synced int // durable prefix length
 }
 
+// dirOp is one file creation not yet made durable by SyncDir.
 type dirOp struct {
 	dir  string
-	kind opKind
-	name string // full path affected
-	old  string // rename: previous name
-	prev *file  // create over existing / remove: the file as it was
+	name string // full path created
+	prev *file  // the file it replaced, if any
 }
-
-type opKind int
-
-const (
-	opCreate opKind = iota
-	opRename
-	opRemove
-)
 
 // New returns an empty filesystem with no faults armed.
 func New() *FS {
@@ -128,8 +118,8 @@ func (fs *FS) Syncs() int {
 	return fs.syncs
 }
 
-// PowerCut simulates losing power: pending (un-fsynced) directory
-// operations are undone newest-first, every file is truncated to its
+// PowerCut simulates losing power: pending (un-fsynced) file creations
+// are undone newest-first, every file is truncated to its
 // durable prefix — keeping up to keepUnsynced additional trailing bytes
 // per file, the torn-sector residue — and every open handle goes dead.
 // The filesystem stays usable for a subsequent recovery.
@@ -138,21 +128,10 @@ func (fs *FS) PowerCut(keepUnsynced int) {
 	defer fs.mu.Unlock()
 	for i := len(fs.pending) - 1; i >= 0; i-- {
 		op := fs.pending[i]
-		switch op.kind {
-		case opCreate:
-			if op.prev != nil {
-				fs.files[op.name] = op.prev
-			} else {
-				delete(fs.files, op.name)
-			}
-		case opRename:
-			f := fs.files[op.name]
-			delete(fs.files, op.name)
-			if f != nil {
-				fs.files[op.old] = f
-			}
-		case opRemove:
+		if op.prev != nil {
 			fs.files[op.name] = op.prev
+		} else {
+			delete(fs.files, op.name)
 		}
 	}
 	fs.pending = nil
@@ -166,19 +145,6 @@ func (fs *FS) PowerCut(keepUnsynced int) {
 	// Open handles hold *file pointers; bump the generation instead of
 	// chasing them: every handle checks its fs generation on use.
 	fs.generation++
-}
-
-// Files returns the current file names, sorted — a debugging aid for
-// matrix tests.
-func (fs *FS) Files() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // --- wal.FS implementation ---
@@ -224,7 +190,7 @@ func (fs *FS) Create(name string) (wal.File, error) {
 	prev := fs.files[name]
 	f := &file{}
 	fs.files[name] = f
-	fs.pending = append(fs.pending, dirOp{dir: path.Dir(name), kind: opCreate, name: name, prev: prev})
+	fs.pending = append(fs.pending, dirOp{dir: path.Dir(name), name: name, prev: prev})
 	return &handle{fs: fs, f: f, gen: fs.generation}, nil
 }
 
@@ -240,31 +206,6 @@ func (fs *FS) OpenAppend(name string, size int64) (wal.File, error) {
 	}
 	f.synced = min(f.synced, len(f.data))
 	return &handle{fs: fs, f: f, gen: fs.generation}, nil
-}
-
-func (fs *FS) Rename(oldname, newname string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[oldname]
-	if !ok {
-		return fmt.Errorf("faultfs: %s: %w", oldname, os.ErrNotExist)
-	}
-	delete(fs.files, oldname)
-	fs.files[newname] = f
-	fs.pending = append(fs.pending, dirOp{dir: path.Dir(newname), kind: opRename, name: newname, old: oldname})
-	return nil
-}
-
-func (fs *FS) Remove(name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return fmt.Errorf("faultfs: %s: %w", name, os.ErrNotExist)
-	}
-	delete(fs.files, name)
-	fs.pending = append(fs.pending, dirOp{dir: path.Dir(name), kind: opRemove, name: name, prev: f})
-	return nil
 }
 
 func (fs *FS) SyncDir(dir string) error {

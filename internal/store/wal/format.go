@@ -16,15 +16,9 @@ import (
 //	    payload | kind u8 (1 = batch) | count u32 | entry* |
 //	    entry   | nv u32 | coord i64 × nv | lambda f64 bits u64 |
 //
-//	snapshot file  snap-<index:%016x>.snap
-//	    header  | magic "RWALSNP1" (8) | version u32 | reserved u32 | index u64 |
-//	    exactly ONE record in the same framing, kind 2 (snapshot), holding
-//	    the complete store contents in insertion order.
-//
-// A snapshot with index k supersedes every segment and snapshot with a
-// smaller index: recovery loads snap-k and replays segments k..max. The
-// crc32c (Castagnoli) checksum covers the payload only; the length field
-// is implicitly validated by the checksum because a record is only
+// Segments are numbered from 1 and recovery replays them all in order.
+// The crc32c (Castagnoli) checksum covers the payload only; the length
+// field is implicitly validated by the checksum because a record is only
 // accepted when the declared span both fits the file and checks out.
 const (
 	headerLen     = 24
@@ -34,13 +28,11 @@ const (
 	// never drive a multi-gigabyte allocation.
 	maxRecordLen = 1 << 30
 
-	kindBatch    = 1
-	kindSnapshot = 2
+	kindBatch = 1
 )
 
 var (
-	segMagic  = [8]byte{'R', 'W', 'A', 'L', 'S', 'E', 'G', '1'}
-	snapMagic = [8]byte{'R', 'W', 'A', 'L', 'S', 'N', 'P', '1'}
+	segMagic = [8]byte{'R', 'W', 'A', 'L', 'S', 'E', 'G', '1'}
 
 	crcTable = crc32.MakeTable(crc32.Castagnoli)
 )
@@ -57,19 +49,19 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// appendHeader appends a file header for the given magic and index.
-func appendHeader(b []byte, magic [8]byte, index uint64) []byte {
-	b = append(b, magic[:]...)
+// appendHeader appends a segment header for the given index.
+func appendHeader(b []byte, index uint64) []byte {
+	b = append(b, segMagic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, formatVersion)
 	b = binary.LittleEndian.AppendUint32(b, 0) // reserved
 	b = binary.LittleEndian.AppendUint64(b, index)
 	return b
 }
 
-// checkHeader validates a file header against the magic and the index
-// encoded in the file's name. The caller guarantees len(data) >= headerLen.
-func checkHeader(data []byte, magic [8]byte, wantIndex uint64) error {
-	for i, c := range magic {
+// checkHeader validates a segment header against the index encoded in
+// the file's name. The caller guarantees len(data) >= headerLen.
+func checkHeader(data []byte, wantIndex uint64) error {
+	for i, c := range segMagic {
 		if data[i] != c {
 			return corruptf("bad magic %q", data[:8])
 		}
@@ -99,13 +91,13 @@ func recordLen(batch []Record) int {
 	return n
 }
 
-// appendRecord appends one framed record (length, crc32c, payload)
-// holding the batch under the given kind byte. It allocates nothing when
-// b has capacity, which is what keeps group commit at O(1) allocations
-// per batch — and at most one exact-size allocation when it does not:
-// growing through the per-coordinate appends instead would memmove the
-// multi-megabyte buffer of a bulk batch several times over.
-func appendRecord(b []byte, kind byte, batch []Record) []byte {
+// appendRecord appends one framed batch record (length, crc32c,
+// payload). It allocates nothing when b has capacity, which is what
+// keeps group commit at O(1) allocations per batch — and at most one
+// exact-size allocation when it does not: growing through the
+// per-coordinate appends instead would memmove the multi-megabyte
+// buffer of a bulk batch several times over.
+func appendRecord(b []byte, batch []Record) []byte {
 	if need := recordLen(batch); cap(b)-len(b) < need {
 		nb := make([]byte, len(b), len(b)+need)
 		copy(nb, b)
@@ -113,7 +105,7 @@ func appendRecord(b []byte, kind byte, batch []Record) []byte {
 	}
 	start := len(b)
 	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // length + crc placeholder
-	b = append(b, kind)
+	b = append(b, kindBatch)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(batch)))
 	for _, r := range batch {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Config)))
@@ -186,7 +178,7 @@ func scanSegment(data []byte, wantIndex uint64, last bool) (batches [][]Record, 
 		}
 		return nil, 0, false, corruptf("segment %d: header truncated at %d bytes", wantIndex, len(data))
 	}
-	if err := checkHeader(data, segMagic, wantIndex); err != nil {
+	if err := checkHeader(data, wantIndex); err != nil {
 		return nil, 0, false, err
 	}
 	off := headerLen
@@ -228,34 +220,4 @@ func scanSegment(data []byte, wantIndex uint64, last bool) (batches [][]Record, 
 		off = end
 	}
 	return batches, off, false, nil
-}
-
-// parseSnapshot decodes a snapshot file. Snapshots are written to a
-// temporary name, fsynced and atomically renamed into place, so — unlike
-// a segment tail — a damaged snapshot is never the benign residue of a
-// crash: any validation failure is ErrCorrupt.
-func parseSnapshot(data []byte, wantIndex uint64) ([]Record, error) {
-	if len(data) < headerLen+recHdrLen {
-		return nil, corruptf("snapshot %d: truncated at %d bytes", wantIndex, len(data))
-	}
-	if err := checkHeader(data, snapMagic, wantIndex); err != nil {
-		return nil, err
-	}
-	length := binary.LittleEndian.Uint32(data[headerLen:])
-	crc := binary.LittleEndian.Uint32(data[headerLen+4:])
-	payload := data[headerLen+recHdrLen:]
-	if uint64(length) != uint64(len(payload)) {
-		return nil, corruptf("snapshot %d: record length %d, file holds %d payload bytes", wantIndex, length, len(payload))
-	}
-	if crc32.Checksum(payload, crcTable) != crc {
-		return nil, corruptf("snapshot %d: checksum mismatch", wantIndex)
-	}
-	kind, batch, err := decodeRecordPayload(payload)
-	if err != nil {
-		return nil, err
-	}
-	if kind != kindSnapshot {
-		return nil, corruptf("snapshot %d: record kind %d, want snapshot", wantIndex, kind)
-	}
-	return batch, nil
 }

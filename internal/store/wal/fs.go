@@ -6,8 +6,8 @@ import (
 )
 
 // File is the write surface the log needs from one open file. Segments
-// are append-only and snapshots are written once, so reads never go
-// through an open File — recovery reads whole files via FS.ReadFile.
+// are append-only, so reads never go through an open File — recovery
+// reads whole files via FS.ReadFile.
 type File interface {
 	Write(p []byte) (n int, err error)
 	// Sync flushes the file's written data to stable storage; a record
@@ -30,10 +30,8 @@ type FS interface {
 	// OpenAppend opens an existing file for appending after truncating it
 	// to size bytes — how recovery discards a torn tail before reuse.
 	OpenAppend(name string, size int64) (File, error)
-	Rename(oldname, newname string) error
-	Remove(name string) error
-	// SyncDir flushes directory metadata so created/renamed/removed
-	// names survive a crash.
+	// SyncDir flushes directory metadata so created names survive a
+	// crash.
 	SyncDir(dir string) error
 }
 
@@ -77,10 +75,6 @@ func (osFS) OpenAppend(name string, size int64) (File, error) {
 	}
 	return f, nil
 }
-
-func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
-
-func (osFS) Remove(name string) error { return os.Remove(name) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

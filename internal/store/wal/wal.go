@@ -30,9 +30,7 @@ const (
 	SyncBatch SyncPolicy = iota
 	// SyncNone never fsyncs on the append path; the operating system
 	// flushes at its leisure. A crash may lose the most recent appends
-	// (but recovery still yields a consistent prefix). Snapshots are
-	// always fsynced regardless of policy, because log truncation
-	// depends on them.
+	// (but recovery still yields a consistent prefix).
 	SyncNone
 )
 
@@ -62,9 +60,9 @@ var ErrClosed = errors.New("wal: log closed")
 // before accepting new appends.
 var errUnreplayed = errors.New("wal: recovered records must be consumed through Replay before appending")
 
-// Log is an append-only, checksummed segment log with snapshot-based
-// truncation. All methods are safe for concurrent use; appends are
-// serialised, which is what makes one Append a group commit.
+// Log is an append-only, checksummed segment log. All methods are safe
+// for concurrent use; appends are serialised, which is what makes one
+// Append a group commit.
 //
 // After any write or sync failure the log turns fail-stop: the failed
 // append was never acknowledged, and every later operation returns the
@@ -85,18 +83,17 @@ type Log struct {
 	closed   bool
 
 	replayed       bool
-	pendingSnap    []Record
 	pendingBatches [][]Record
 }
 
-// Open scans dir, validates the snapshot and segment chain, truncates a
-// torn tail off the final segment, and returns a log positioned for
-// appending. Recovered state is pending until Replay is called.
+// Open scans dir, validates the segment chain, truncates a torn tail off
+// the final segment, and returns a log positioned for appending.
+// Recovered state is pending until Replay is called.
 //
 // Open refuses (with ErrCorrupt) any damage other than a torn final
 // record: an interior checksum failure, a gap in the segment sequence,
-// or an invalid snapshot all mean acknowledged data is gone, which is
-// not recoverable silently.
+// or a leftover snapshot file all mean acknowledged data would be lost,
+// which is not recoverable silently.
 func Open(opts Options) (*Log, error) {
 	l := &Log{
 		fs:     opts.FS,
@@ -116,65 +113,28 @@ func Open(opts Options) (*Log, error) {
 	if err := l.fs.MkdirAll(l.dir); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", l.dir, err)
 	}
-	segs, snaps, err := l.scanDir()
+	segs, err := l.scanDir()
 	if err != nil {
 		return nil, err
 	}
-	// Load the newest snapshot; older snapshots and the segments they
-	// superseded are deleted below.
-	var snapIdx uint64
-	if len(snaps) > 0 {
-		snapIdx = snaps[len(snaps)-1]
-		data, err := l.fs.ReadFile(l.path(snapName(snapIdx)))
-		if err != nil {
-			return nil, fmt.Errorf("wal: reading snapshot %d: %w", snapIdx, err)
-		}
-		l.pendingSnap, err = parseSnapshot(data, snapIdx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	live := segs[:0]
-	for _, idx := range segs {
-		if idx < snapIdx {
-			_ = l.fs.Remove(l.path(segName(idx))) // superseded by the snapshot
-			continue
-		}
-		live = append(live, idx)
-	}
-	for _, idx := range snaps {
-		if idx != snapIdx {
-			_ = l.fs.Remove(l.path(snapName(idx)))
-		}
-	}
-	if len(live) == 0 {
-		// Fresh log, or a crash between writing a snapshot and creating
-		// its segment: start the chain at the snapshot's index.
-		start := snapIdx
-		if start == 0 {
-			start = 1
-		}
-		if err := l.startSegment(start, true); err != nil {
+	if len(segs) == 0 {
+		if err := l.startSegment(1, true); err != nil {
 			return nil, err
 		}
 		return l, nil
 	}
-	// The chain must be contiguous from the snapshot (or from 1 when no
-	// snapshot exists — segments are created starting at 1).
-	first := snapIdx
-	if first == 0 {
-		first = 1
+	// Segments are created starting at 1, and the chain must be
+	// contiguous.
+	if segs[0] != 1 {
+		return nil, corruptf("first segment is %d, want 1", segs[0])
 	}
-	if live[0] != first {
-		return nil, corruptf("first segment is %d, want %d", live[0], first)
-	}
-	for i := 1; i < len(live); i++ {
-		if live[i] != live[i-1]+1 {
-			return nil, corruptf("segment %d missing", live[i-1]+1)
+	for i := 1; i < len(segs); i++ {
+		if segs[i] != segs[i-1]+1 {
+			return nil, corruptf("segment %d missing", segs[i-1]+1)
 		}
 	}
-	for i, idx := range live {
-		last := i == len(live)-1
+	for i, idx := range segs {
+		last := i == len(segs)-1
 		data, err := l.fs.ReadFile(l.path(segName(idx)))
 		if err != nil {
 			return nil, fmt.Errorf("wal: reading segment %d: %w", idx, err)
@@ -211,38 +171,32 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
-// scanDir classifies the directory contents, deleting leftover temp
-// files from an interrupted snapshot write. Returned slices are sorted.
-func (l *Log) scanDir() (segs, snaps []uint64, err error) {
+// scanDir returns the segment indices in dir, sorted. A snapshot file
+// left by an older version of the log is refused: the log no longer
+// reads snapshots, and skipping one would silently drop the contents it
+// holds.
+func (l *Log) scanDir() (segs []uint64, err error) {
 	names, err := l.fs.ReadDir(l.dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: reading %s: %w", l.dir, err)
+		return nil, fmt.Errorf("wal: reading %s: %w", l.dir, err)
 	}
 	for _, name := range names {
 		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			_ = l.fs.Remove(l.path(name))
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
 			idx, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
 			if perr != nil {
-				return nil, nil, corruptf("unparseable segment name %q", name)
+				return nil, corruptf("unparseable segment name %q", name)
 			}
 			segs = append(segs, idx)
 		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			idx, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), 16, 64)
-			if perr != nil {
-				return nil, nil, corruptf("unparseable snapshot name %q", name)
-			}
-			snaps = append(snaps, idx)
+			return nil, corruptf("snapshot file %q is not supported", name)
 		}
 	}
 	sort.Slice(segs, func(a, b int) bool { return segs[a] < segs[b] })
-	sort.Slice(snaps, func(a, b int) bool { return snaps[a] < snaps[b] })
-	return segs, snaps, nil
+	return segs, nil
 }
 
-// Replay hands the recovered state to fn in commit order: the snapshot
-// contents (as one batch) first, then every logged batch. Passing nil
+// Replay hands the recovered batches to fn in commit order. Passing nil
 // discards the recovered records. Replay is required before the first
 // Append when recovery found data; it is a no-op the second time.
 func (l *Log) Replay(fn func(batch []Record) error) error {
@@ -252,15 +206,10 @@ func (l *Log) Replay(fn func(batch []Record) error) error {
 		return nil
 	}
 	l.replayed = true
-	snap, batches := l.pendingSnap, l.pendingBatches
-	l.pendingSnap, l.pendingBatches = nil, nil
+	batches := l.pendingBatches
+	l.pendingBatches = nil
 	if fn == nil {
 		return nil
-	}
-	if len(snap) > 0 {
-		if err := fn(snap); err != nil {
-			return err
-		}
 	}
 	for _, b := range batches {
 		if err := fn(b); err != nil {
@@ -282,7 +231,7 @@ func (l *Log) Append(batch []Record) error {
 	if err := l.writable(); err != nil {
 		return err
 	}
-	l.buf = appendRecord(l.buf[:0], kindBatch, batch)
+	l.buf = appendRecord(l.buf[:0], batch)
 	if l.segSize > headerLen && l.segSize+int64(len(l.buf)) > l.segMax {
 		if err := l.roll(); err != nil {
 			l.broken = err
@@ -299,88 +248,6 @@ func (l *Log) Append(batch []Record) error {
 			return l.broken
 		}
 	}
-	return nil
-}
-
-// Sync flushes outstanding appends to stable storage, the manual commit
-// point under SyncNone.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.broken != nil {
-		return l.broken
-	}
-	if err := l.f.Sync(); err != nil {
-		l.broken = fmt.Errorf("wal: sync: %w", err)
-		return l.broken
-	}
-	return nil
-}
-
-// Rotate cuts a snapshot of the complete state and truncates the log
-// behind it: the snapshot is written to a temporary file, fsynced and
-// atomically renamed (regardless of the sync policy — truncation must
-// never outrun durability), a fresh segment is started, and every older
-// segment and snapshot is deleted. The store calls this from Compact, so
-// the on-disk log sheds superseded overwrite versions at the same moment
-// the in-memory store does. state must be the full contents in
-// insertion order; replaying the snapshot alone reproduces the store.
-func (l *Log) Rotate(state []Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.writable(); err != nil {
-		return err
-	}
-	newIdx := l.segIndex + 1
-	l.buf = appendHeader(l.buf[:0], snapMagic, newIdx)
-	l.buf = appendRecord(l.buf, kindSnapshot, state)
-	tmp := l.path(snapName(newIdx) + ".tmp")
-	f, err := l.fs.Create(tmp)
-	if err != nil {
-		return l.fail(fmt.Errorf("wal: creating snapshot: %w", err))
-	}
-	n, err := f.Write(l.buf)
-	if err == nil && n < len(l.buf) {
-		err = io.ErrShortWrite
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return l.fail(fmt.Errorf("wal: writing snapshot: %w", err))
-	}
-	if err := l.fs.Rename(tmp, l.path(snapName(newIdx))); err != nil {
-		return l.fail(fmt.Errorf("wal: publishing snapshot: %w", err))
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		return l.fail(fmt.Errorf("wal: syncing %s: %w", l.dir, err))
-	}
-	// The snapshot is durable; everything before it is now garbage. The
-	// old segment is closed unsynced — it is about to be deleted.
-	oldIdx := l.segIndex
-	if err := l.f.Close(); err != nil {
-		return l.fail(fmt.Errorf("wal: closing segment %d: %w", oldIdx, err))
-	}
-	if err := l.startSegment(newIdx, false); err != nil {
-		return l.fail(err)
-	}
-	for idx := oldIdx; idx > 0; idx-- {
-		if l.fs.Remove(l.path(segName(idx))) != nil {
-			break // reached the end of the contiguous chain
-		}
-	}
-	for idx := newIdx - 1; idx > 0; idx-- {
-		if l.fs.Remove(l.path(snapName(idx))) != nil {
-			break
-		}
-	}
-	_ = l.fs.SyncDir(l.dir) // deletions are advisory; stale files are re-reaped on Open
 	return nil
 }
 
@@ -409,9 +276,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // writable gates mutating operations; callers hold l.mu.
 func (l *Log) writable() error {
 	if l.closed {
@@ -420,16 +284,10 @@ func (l *Log) writable() error {
 	if l.broken != nil {
 		return l.broken
 	}
-	if !l.replayed && (len(l.pendingSnap) > 0 || len(l.pendingBatches) > 0) {
+	if !l.replayed && len(l.pendingBatches) > 0 {
 		return errUnreplayed
 	}
 	return nil
-}
-
-// fail records a sticky failure; callers hold l.mu.
-func (l *Log) fail(err error) error {
-	l.broken = err
-	return err
 }
 
 // roll finishes the current segment and starts the next one; callers
@@ -472,7 +330,7 @@ func (l *Log) startSegment(idx uint64, syncAlways bool) error {
 
 // writeHeader writes the segment header to l.f; callers hold l.mu.
 func (l *Log) writeHeader(idx uint64) error {
-	hdr := appendHeader(make([]byte, 0, headerLen), segMagic, idx)
+	hdr := appendHeader(make([]byte, 0, headerLen), idx)
 	if err := l.write(hdr); err != nil {
 		return err
 	}
@@ -496,5 +354,3 @@ func (l *Log) write(p []byte) error {
 func (l *Log) path(name string) string { return filepath.Join(l.dir, name) }
 
 func segName(idx uint64) string { return fmt.Sprintf("wal-%016x.seg", idx) }
-
-func snapName(idx uint64) string { return fmt.Sprintf("snap-%016x.snap", idx) }

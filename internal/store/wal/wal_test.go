@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/raceflag"
@@ -149,7 +150,7 @@ func segmentLayout(t *testing.T, dir string, nBatches int) (path string, bounds 
 		if err := l.Append(b); err != nil {
 			t.Fatal(err)
 		}
-		off += int64(len(appendRecord(nil, kindBatch, b)))
+		off += int64(len(appendRecord(nil, b)))
 		bounds = append(bounds, off)
 	}
 	if err := l.Close(); err != nil {
@@ -322,72 +323,30 @@ func TestMissingInteriorSegmentRefused(t *testing.T) {
 	}
 }
 
-// TestRotateTruncatesAndRecovers pins the snapshot/truncation cycle:
-// after Rotate the old segments are gone, recovery starts from the
-// snapshot, and post-rotate appends replay after it.
-func TestRotateTruncatesAndRecovers(t *testing.T) {
+// TestOpenRefusesLeftoverSnapshot: the log reads segments only, so a
+// snapshot file in the state directory (older versions of the log cut
+// them) is refused rather than skipped — skipping it would reopen the
+// store without the contents the snapshot holds.
+func TestOpenRefusesLeftoverSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if err := l.Append(testBatch(i, 4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Pretend the store compacted to this exact state.
-	state := testBatch(99, 11)
-	if err := l.Rotate(state); err != nil {
-		t.Fatalf("Rotate: %v", err)
-	}
-	if err := l.Append(testBatch(5, 4)); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
-		t.Error("segment 1 survived Rotate")
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapName(2))); err != nil {
-		t.Errorf("snapshot 2 missing after Rotate: %v", err)
-	}
-	got, l2 := replayAll(t, dir)
-	defer l2.Close()
-	if len(got) != 2 {
-		t.Fatalf("recovered %d batches, want snapshot + 1 append", len(got))
-	}
-	if !sameBatch(got[0], state) {
-		t.Error("snapshot contents differ")
-	}
-	if !sameBatch(got[1], testBatch(5, 4)) {
-		t.Error("post-rotate append differs")
-	}
-
-	// A second rotate from the reopened log keeps working.
-	if err := l2.Rotate(testBatch(77, 3)); err != nil {
-		t.Fatalf("second Rotate: %v", err)
-	}
-	if err := l2.Append(testBatch(6, 1)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRotateEmptyState allows compacting an empty store.
-func TestRotateEmptyState(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := Open(Options{Dir: dir})
-	if err := l.Rotate(nil); err != nil {
-		t.Fatalf("Rotate(nil): %v", err)
-	}
 	if err := l.Append(testBatch(0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	got, l2 := replayAll(t, dir)
-	defer l2.Close()
-	if len(got) != 1 || !sameBatch(got[0], testBatch(0, 2)) {
-		t.Fatalf("recovered %v, want just the post-rotate batch", got)
+	snap := filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", 2))
+	if err := os.WriteFile(snap, snapshotImage(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(Options{Dir: dir})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open with a leftover snapshot: %v, want ErrCorrupt", err)
+	}
+	if !strings.Contains(err.Error(), filepath.Base(snap)) {
+		t.Errorf("error %q does not name the snapshot file", err)
 	}
 }
 
@@ -403,9 +362,6 @@ func TestSyncNonePolicy(t *testing.T) {
 		if err := l.Append(testBatch(i, 2)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.Sync(); err != nil { // manual commit point
-		t.Fatal(err)
 	}
 	l.Close()
 	got, l2 := replayAll(t, dir)
@@ -423,9 +379,6 @@ func TestClosedLogRefusesUse(t *testing.T) {
 	if err := l.Append(testBatch(0, 1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Append on closed log: %v", err)
 	}
-	if err := l.Sync(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Sync on closed log: %v", err)
-	}
 	if err := l.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("double Close: %v", err)
 	}
@@ -442,7 +395,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		testBatch(3, 9),
 	}
 	for i, b := range batches {
-		enc := appendRecord(nil, kindBatch, b)
+		enc := appendRecord(nil, b)
 		kind, dec, err := decodeRecordPayload(enc[recHdrLen:])
 		if err != nil {
 			t.Fatalf("batch %d: decode: %v", i, err)

@@ -41,49 +41,6 @@ type Bin struct {
 	Count int     // |N(d)|
 }
 
-// Empirical computes the binned empirical semivariogram from a variogram
-// cloud. Distances are grouped into nBins equal-width bins over
-// (0, maxDist]; pairs at zero distance contribute to a dedicated first
-// bin (they estimate the nugget). Bins with no pairs are omitted.
-func Empirical(pairs []Pair, nBins int, maxDist float64) []Bin {
-	if nBins <= 0 || maxDist <= 0 || len(pairs) == 0 {
-		return nil
-	}
-	sumSq := make([]float64, nBins+1) // index 0: zero-distance pairs
-	sumD := make([]float64, nBins+1)
-	count := make([]int, nBins+1)
-	width := maxDist / float64(nBins)
-	for _, p := range pairs {
-		if p.Dist > maxDist || p.Dist < 0 || math.IsNaN(p.Dist) {
-			continue
-		}
-		var idx int
-		if p.Dist == 0 {
-			idx = 0
-		} else {
-			idx = 1 + int((p.Dist-1e-12)/width)
-			if idx > nBins {
-				idx = nBins
-			}
-		}
-		sumSq[idx] += p.Sq
-		sumD[idx] += p.Dist
-		count[idx]++
-	}
-	var bins []Bin
-	for i := 0; i <= nBins; i++ {
-		if count[i] == 0 {
-			continue
-		}
-		bins = append(bins, Bin{
-			Dist:  sumD[i] / float64(count[i]),
-			Gamma: sumSq[i] / (2 * float64(count[i])),
-			Count: count[i],
-		})
-	}
-	return bins
-}
-
 // EmpiricalExact computes the empirical semivariogram grouping pairs by
 // exact distance value rather than by bins. On the integer configuration
 // lattices of the paper (L1 distances are small integers) this is the
@@ -110,15 +67,4 @@ func EmpiricalExact(pairs []Pair) []Bin {
 	}
 	sort.Slice(bins, func(i, j int) bool { return bins[i].Dist < bins[j].Dist })
 	return bins
-}
-
-// MaxDist returns the largest pair distance, or 0 for an empty cloud.
-func MaxDist(pairs []Pair) float64 {
-	var m float64
-	for _, p := range pairs {
-		if p.Dist > m {
-			m = p.Dist
-		}
-	}
-	return m
 }

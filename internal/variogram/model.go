@@ -176,21 +176,3 @@ func (k Kind) String() string {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
-
-// ParseKind converts a family name to its Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "power":
-		return Power, nil
-	case "linear":
-		return Linear, nil
-	case "spherical":
-		return Spherical, nil
-	case "exponential":
-		return Exponential, nil
-	case "gaussian":
-		return Gaussian, nil
-	default:
-		return 0, fmt.Errorf("variogram: unknown model kind %q", s)
-	}
-}

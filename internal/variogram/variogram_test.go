@@ -60,43 +60,6 @@ func TestEmpiricalExactEq4(t *testing.T) {
 	}
 }
 
-func TestEmpiricalBinned(t *testing.T) {
-	pairs := []Pair{
-		{Dist: 0, Sq: 2},   // nugget bin
-		{Dist: 0.6, Sq: 4}, // bin 1 of 2 over (0, 2]
-		{Dist: 1.7, Sq: 8}, // bin 2
-		{Dist: 5, Sq: 100}, // beyond maxDist: dropped
-	}
-	bins := Empirical(pairs, 2, 2)
-	if len(bins) != 3 {
-		t.Fatalf("got %d bins: %+v", len(bins), bins)
-	}
-	if bins[0].Dist != 0 || !almostEqual(bins[0].Gamma, 1, 1e-12) {
-		t.Errorf("nugget bin = %+v", bins[0])
-	}
-	if !almostEqual(bins[1].Gamma, 2, 1e-12) || !almostEqual(bins[2].Gamma, 4, 1e-12) {
-		t.Errorf("bins = %+v", bins)
-	}
-}
-
-func TestEmpiricalEdgeCases(t *testing.T) {
-	if Empirical(nil, 4, 10) != nil {
-		t.Error("empty cloud should give nil bins")
-	}
-	if Empirical([]Pair{{Dist: 1, Sq: 1}}, 0, 10) != nil {
-		t.Error("zero bins should give nil")
-	}
-}
-
-func TestMaxDist(t *testing.T) {
-	if MaxDist([]Pair{{Dist: 1}, {Dist: 7}, {Dist: 3}}) != 7 {
-		t.Error("MaxDist wrong")
-	}
-	if MaxDist(nil) != 0 {
-		t.Error("MaxDist of empty should be 0")
-	}
-}
-
 func TestFitPowerRecoversAlpha(t *testing.T) {
 	// Synthesise a perfect power-law field gamma(h) = 2.5 h^1.5 and
 	// check the NR least-squares recovers alpha.
@@ -212,18 +175,6 @@ func TestFitInsufficientBounded(t *testing.T) {
 		if _, err := Fit(kind, nil, 0); !errors.Is(err, ErrInsufficientData) {
 			t.Errorf("%s fitted empty cloud", kind)
 		}
-	}
-}
-
-func TestKindParseRoundTrip(t *testing.T) {
-	for _, k := range []Kind{Power, Linear, Spherical, Exponential, Gaussian} {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if _, err := ParseKind("cubic"); err == nil {
-		t.Error("unknown kind parsed")
 	}
 }
 

@@ -41,7 +41,7 @@ for doc in README.md docs/*.md; do
 done
 
 # Every package-qualified exported identifier the docs cite
-# (store.Options.Durability, simpool.UnavailableError, ...) must resolve
+# (store.DurabilityOptions.Dir, simpool.UnavailableError, ...) must resolve
 # through go doc, which finds types, fields, functions and methods
 # offline, so a deleted name cannot leave a stale reference behind. The
 # qualifiers are the base names of the packages under internal/.
