@@ -12,8 +12,7 @@ import (
 // BenchmarkInfillRound measures one sequential-infill round at a fixed
 // support size n: the store has grown by one freshly simulated point and
 // the min+1 competition predicts 4 sibling candidates on the n+1-point
-// support. The first candidate factorises that support from scratch (no
-// cached system matches it exactly); the remaining 3 hit the cache.
+// support, each Predict building that support's system.
 func BenchmarkInfillRound(b *testing.B) {
 	model := &variogram.ExponentialModel{Sill: 40, Range: 6, Nugget: 0.1}
 	const pool = 256
@@ -70,8 +69,8 @@ func BenchmarkInfillRound(b *testing.B) {
 			}
 		})
 		// Predict-fraction sub-measurement: the K=8 candidate predictions
-		// of one round against the warm cached factor, blocked vs a loop
-		// of Predict calls. Measured under a spherical
+		// of one round against one support, blocked (one system build) vs
+		// a loop of Predict calls (one build each). Measured under a spherical
 		// (cheap-γ) model so the rows isolate the triangular-solve
 		// fraction the blocked kernels accelerate — under the exponential
 		// model above, math.Exp in the RHS build (identical work either

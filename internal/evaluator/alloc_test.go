@@ -73,10 +73,10 @@ func TestAllocsEvaluateExactHit(t *testing.T) {
 	}
 }
 
-// TestAllocsEvaluateInterpolated gates the kriging hit path end to end —
-// neighbourhood search on the pooled query scratch, cache-hit predict on
-// the pooled kriging scratch: at most one allocation per steady-state
-// interpolated query.
+// TestAllocsEvaluateInterpolated gates the kriging path end to end —
+// neighbourhood search on the pooled query scratch, the kriging system
+// built and solved in the pooled kriging scratch: at most one allocation
+// per steady-state interpolated query.
 func TestAllocsEvaluateInterpolated(t *testing.T) {
 	skipUnderRace(t)
 	ev, _ := allocEvaluator(t)

@@ -293,9 +293,16 @@ func (e *Evaluator) Err() error { return e.store.Err() }
 // returns the number of entries that were new configurations. Preloaded
 // values count as simulator truth for later queries (exact hits and
 // kriging support) but do not touch the activity counters: Stats keeps
-// measuring only this evaluator's own work.
-func (e *Evaluator) Preload(entries []store.Entry) int {
-	return e.store.AddBatch(entries)
+// measuring only this evaluator's own work. An entry whose configuration
+// does not have Nv variables fails the whole batch before anything is
+// stored.
+func (e *Evaluator) Preload(entries []store.Entry) (int, error) {
+	for i, en := range entries {
+		if len(en.Config) != e.Nv() {
+			return 0, fmt.Errorf("evaluator: preload entry %d has %d variables, evaluator has %d", i, len(en.Config), e.Nv())
+		}
+	}
+	return e.store.AddBatch(entries), nil
 }
 
 // Stats returns a snapshot of the activity counters. While evaluations
@@ -424,9 +431,8 @@ func (e *Evaluator) gatherSupport(view storeView, cfg space.Config, qs *queryScr
 }
 
 // krigeOne kriges cfg from the support nb as a group of one (see krige;
-// a nil stats is the gate-waived brownout mode). The kriging system
-// cache stores defensive copies of whatever it retains, so qs's buffers
-// are free for the next query.
+// a nil stats is the gate-waived brownout mode). The interpolator
+// retains nothing, so qs's buffers are free for the next query.
 func (e *Evaluator) krigeOne(nb *store.Neighborhood, cfg space.Config, stats *counters, qs *queryScratch) Result {
 	qs.x = cfgFloats(qs.x[:0], cfg)
 	qs.one[0] = qs.x

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/space"
+	"repro/internal/store"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -65,8 +66,8 @@ func TestRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ev2.Preload(loaded.Entries()); n != len(rec.Trace) {
-		t.Errorf("Preload loaded %d entries, want %d", n, len(rec.Trace))
+	if n, err := ev2.Preload(loaded.Entries()); err != nil || n != len(rec.Trace) {
+		t.Errorf("Preload loaded %d entries (err %v), want %d", n, err, len(rec.Trace))
 	}
 	want := ev.Store().Entries()
 	got := ev2.Store().Entries()
@@ -89,6 +90,37 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 	if res.Source != Simulated || res.Lambda != -16 || calls != before {
 		t.Errorf("revisit after restore: %+v (simulator calls %d -> %d)", res, before, calls)
+	}
+}
+
+// TestPreloadRejectsDimensionMismatch preloads a batch holding one
+// 3-variable entry into a 2-variable evaluator: Preload must return an
+// error and store none of the batch, and the next Evaluate must answer
+// normally (it used to panic in the neighbour scan on the stray entry).
+func TestPreloadRejectsDimensionMismatch(t *testing.T) {
+	sim := SimulatorFunc{NumVars: 2, Fn: func(c space.Config) (float64, error) {
+		return -float64(c[0] + c[1]), nil
+	}}
+	ev, err := New(sim, Options{D: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := ev.Preload([]store.Entry{
+		{Config: space.Config{1, 3}, Lambda: -4},
+		{Config: space.Config{1, 2, 3}, Lambda: -6},
+	})
+	if err == nil || n != 0 {
+		t.Fatalf("Preload of a 3-variable entry = (%d, %v), want an error", n, err)
+	}
+	if got := ev.Store().Len(); got != 0 {
+		t.Fatalf("rejected Preload stored %d entries, want 0", got)
+	}
+	res, err := ev.Evaluate(space.Config{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lambda != -3 || res.Source != Simulated {
+		t.Fatalf("Evaluate after a rejected Preload = %+v, want simulated -3", res)
 	}
 }
 

@@ -18,57 +18,44 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestAllocsOrdinaryPredictCacheHit is the zero-allocation gate of the
-// kriging hot path: once the factored system is cached, Predict must not
-// touch the heap (pooled scratch, in-place solves).
-func TestAllocsOrdinaryPredictCacheHit(t *testing.T) {
+// TestAllocsOrdinaryPredict is the zero-allocation gate of the kriging
+// hot path: every Predict builds its system in pooled scratch (fitting
+// the default power model inside the Γ assembly) and solves in place, so
+// it must not touch the heap, first call included.
+func TestAllocsOrdinaryPredict(t *testing.T) {
 	skipUnderRace(t)
 	r := rng.New(21)
 	xs, ys := drawSupport(r, 20, 3)
-	o := &Ordinary{Model: &variogram.ExponentialModel{Sill: 30, Range: 6, Nugget: 0.1}}
 	q := []float64{4.5, 5.5, 6.5}
-	if _, err := o.Predict(xs, ys, q); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		if _, err := o.Predict(xs, ys, q); err != nil {
-			t.Fatal(err)
+	for name, o := range map[string]*Ordinary{
+		"fixed model":     {Model: &variogram.ExponentialModel{Sill: 30, Range: 6, Nugget: 0.1}},
+		"power fit":       {},
+		"power fit β=1.8": {PowerBeta: 1.8},
+	} {
+		if got := testing.AllocsPerRun(200, func() {
+			if _, err := o.Predict(xs, ys, q); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 0 {
+			t.Errorf("%s: Ordinary.Predict allocates %.2f per run, want 0", name, got)
 		}
-	}); got > 0 {
-		t.Errorf("cache-hit Ordinary.Predict allocates %.2f per run, want 0", got)
-	}
-	// The fitted-model default must be just as clean on a hit: the model
-	// is cached inside the factored system.
-	fitted := &Ordinary{}
-	if _, err := fitted.Predict(xs, ys, q); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		if _, err := fitted.Predict(xs, ys, q); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 0 {
-		t.Errorf("cache-hit fitted Ordinary.Predict allocates %.2f per run, want 0", got)
 	}
 }
 
-// TestAllocsSimplePredictCacheHit mirrors the gate for simple kriging's
-// Cholesky-factored covariance systems.
-func TestAllocsSimplePredictCacheHit(t *testing.T) {
+// TestAllocsSimplePredict mirrors the gate for simple kriging's
+// Cholesky-factored covariance systems under a fixed model.
+func TestAllocsSimplePredict(t *testing.T) {
 	skipUnderRace(t)
 	r := rng.New(22)
 	xs, ys := drawSupport(r, 20, 3)
 	s := &Simple{Model: &variogram.SphericalModel{Sill: 30, Range: 8, Nugget: 0.1}}
 	q := []float64{4.5, 5.5, 6.5}
-	if _, err := s.Predict(xs, ys, q); err != nil {
-		t.Fatal(err)
-	}
 	if got := testing.AllocsPerRun(200, func() {
 		if _, err := s.Predict(xs, ys, q); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 0 {
-		t.Errorf("cache-hit Simple.Predict allocates %.2f per run, want 0", got)
+		t.Errorf("Simple.Predict allocates %.2f per run, want 0", got)
 	}
 }
 
@@ -112,11 +99,11 @@ func TestAllocsLeaveOneOut(t *testing.T) {
 	}
 }
 
-// TestAllocsPredictBatchWarm is the batch analogue of the cache-hit
-// gates: a warm PredictBatch/PredictVarBatch against a cached factor
-// must be allocation-free regardless of K — all block scratch (RHS
-// block, weight block, permutation buffers) is pooled.
-func TestAllocsPredictBatchWarm(t *testing.T) {
+// TestAllocsPredictBatch is the batch analogue of the predict gates: a
+// PredictBatch/PredictVarBatch of K=64 queries must be allocation-free,
+// first call included — the system, the right-hand-side and weight
+// blocks and the permutation buffers are all pooled.
+func TestAllocsPredictBatch(t *testing.T) {
 	skipUnderRace(t)
 	r := rng.New(23)
 	xs, ys := drawSupport(r, 20, 3)
@@ -132,34 +119,32 @@ func TestAllocsPredictBatchWarm(t *testing.T) {
 	out := make([]float64, k)
 	outVar := make([]float64, k)
 
-	o := &Ordinary{Model: &variogram.ExponentialModel{Sill: 30, Range: 6, Nugget: 0.1}}
-	if err := o.PredictBatch(xs, ys, queries, out); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		if err := o.PredictBatch(xs, ys, queries, out); err != nil {
-			t.Fatal(err)
+	for name, o := range map[string]*Ordinary{
+		"fixed model": {Model: &variogram.ExponentialModel{Sill: 30, Range: 6, Nugget: 0.1}},
+		"power fit":   {},
+	} {
+		if got := testing.AllocsPerRun(200, func() {
+			if err := o.PredictBatch(xs, ys, queries, out); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 0 {
+			t.Errorf("%s: Ordinary.PredictBatch (K=%d) allocates %.2f per run, want 0", name, k, got)
 		}
-	}); got > 0 {
-		t.Errorf("warm Ordinary.PredictBatch (K=%d) allocates %.2f per run, want 0", k, got)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		if err := o.PredictVarBatch(xs, ys, queries, out, outVar); err != nil {
-			t.Fatal(err)
+		if got := testing.AllocsPerRun(200, func() {
+			if err := o.PredictVarBatch(xs, ys, queries, out, outVar); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 0 {
+			t.Errorf("%s: Ordinary.PredictVarBatch (K=%d) allocates %.2f per run, want 0", name, k, got)
 		}
-	}); got > 0 {
-		t.Errorf("warm Ordinary.PredictVarBatch (K=%d) allocates %.2f per run, want 0", k, got)
 	}
 
 	s := &Simple{Model: &variogram.ExponentialModel{Sill: 30, Range: 6, Nugget: 0.1}}
-	if err := s.PredictBatch(xs, ys, queries, out); err != nil {
-		t.Fatal(err)
-	}
 	if got := testing.AllocsPerRun(200, func() {
 		if err := s.PredictBatch(xs, ys, queries, out); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 0 {
-		t.Errorf("warm Simple.PredictBatch (K=%d) allocates %.2f per run, want 0", k, got)
+		t.Errorf("Simple.PredictBatch (K=%d) allocates %.2f per run, want 0", k, got)
 	}
 }

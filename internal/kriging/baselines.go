@@ -138,9 +138,8 @@ func (c *Capped) Predict(xs [][]float64, ys []float64, x []float64) (float64, er
 		subX[i] = xs[sc.sorter.cands[i].i]
 		subY[i] = ys[sc.sorter.cands[i].i]
 	}
-	// The truncated views alias the scratch; every Interpolator in this
-	// package copies what it retains (the system cache stores defensive
-	// copies), so handing them to Inner is safe.
+	// The truncated views alias the scratch; no Interpolator in this
+	// package retains its support, so handing them to Inner is safe.
 	return c.Inner.Predict(subX, subY, x)
 }
 

@@ -9,11 +9,11 @@ import (
 )
 
 // Blocked batch prediction is the one implementation of Eq. 10: K
-// queries against ONE shared support solve as a single column-major
-// multi-RHS block through the cached factor (linalg SolveBatchInto,
-// BLAS-3 shape), and Predict/PredictVar are its K=1 case. The per-query
-// costs a loop of single predictions pays K times — fingerprint + cache
-// lookup, scratch pool round-trip, interface dispatch per variogram
+// queries against ONE shared support build its system once and solve as
+// a single column-major multi-RHS block (linalg SolveBatchInto, BLAS-3
+// shape), and Predict/PredictVar are its K=1 case. The per-query costs a
+// loop of single predictions pays K times — fitting and factoring the
+// system, scratch pool round-trip, interface dispatch per variogram
 // evaluation — are paid once per batch, and the triangular sweeps share
 // each factor-row load across four columns.
 //
@@ -29,8 +29,9 @@ import (
 //   - the 4-wide output sweep (linalg.Dot4) is bit-identical per column
 //     to linalg.Dot.
 //
-// All block scratch comes from the predict pool: a warm batch (cached
-// factor) performs zero heap allocations regardless of K.
+// The system and all block scratch come from the predict pool: with a
+// fixed model or the default power fit, a batch performs zero heap
+// allocations regardless of K.
 
 // batchDims validates a batch call's shapes; outs are the caller-owned
 // output slices (all must have one element per query).
@@ -56,14 +57,20 @@ func batchDims(xs [][]float64, ys []float64, queries [][]float64, outs ...[]floa
 func (o *Ordinary) PredictBatch(xs [][]float64, ys []float64, queries [][]float64, out []float64) error {
 	s := predictPool.Get().(*predictScratch)
 	defer predictPool.Put(s)
-	// Variance sink; this frame's scratch only lends its vars field —
-	// the inner call draws its own scratch from the pool.
-	return o.PredictVarBatch(xs, ys, queries, out, growFloats(&s.vars, len(queries)))
+	return o.predictVarBatch(s, xs, ys, queries, out, growFloats(&s.vars, len(queries)))
 }
 
 // PredictVarBatch is PredictBatch returning the ordinary-kriging
 // variance estimate alongside each value (PredictVar is its K=1 case).
 func (o *Ordinary) PredictVarBatch(xs [][]float64, ys []float64, queries [][]float64, outVal, outVar []float64) error {
+	s := predictPool.Get().(*predictScratch)
+	defer predictPool.Put(s)
+	return o.predictVarBatch(s, xs, ys, queries, outVal, outVar)
+}
+
+// predictVarBatch builds the support's system in s and answers the
+// queries from it.
+func (o *Ordinary) predictVarBatch(s *predictScratch, xs [][]float64, ys []float64, queries [][]float64, outVal, outVar []float64) error {
 	n, k, err := batchDims(xs, ys, queries, outVal, outVar)
 	if err != nil {
 		return err
@@ -77,79 +84,79 @@ func (o *Ordinary) PredictVarBatch(xs [][]float64, ys []float64, queries [][]flo
 		}
 		return nil
 	}
-	sys, err := o.cache.system(o, xs, ys)
+	sys, err := o.system(s, xs, ys)
 	if err != nil {
 		return err
 	}
-	return o.solveBatch(sys, xs, ys, queries, outVal, outVar)
+	return o.solveBatch(s, sys, xs, ys, queries, outVal, outVar)
 }
 
 // solveBatch answers the queries from the factored saddle system of the
-// support (xs, ys), which must hold at least two points.
-func (o *Ordinary) solveBatch(sys *factored, xs [][]float64, ys []float64, queries [][]float64, outVal, outVar []float64) error {
+// support (xs, ys), which must hold at least two points, using the
+// right-hand-side and weight blocks of s.
+func (o *Ordinary) solveBatch(s *predictScratch, sys factored, xs [][]float64, ys []float64, queries [][]float64, outVal, outVar []float64) error {
 	n, k := len(xs), len(queries)
-	dist := o.dist()
-	defaultDist := o.Dist == nil
-	s := predictPool.Get().(*predictScratch)
-	defer predictPool.Put(s)
 	m := n + 1
-	// All K right-hand sides, column-major: distances first, then the
-	// devirtualised variogram sweep in place, then the constraint row.
-	// When the interpolator runs on the default metric the distance call
-	// is devirtualised too (same function, direct and inlinable — the
-	// arithmetic is identical to a call through the dist closure).
 	rhs := growFloats(&s.rhs, m*k)
-	for j, q := range queries {
-		col := rhs[j*m : (j+1)*m]
-		if defaultDist {
-			for i := 0; i < n; i++ {
-				col[i] = L1Distance(q, xs[i])
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				col[i] = dist(q, xs[i])
-			}
-		}
-		variogram.GammaInto(sys.model, col[:n], col[:n])
-		col[n] = 1
+	gammaColumns(rhs, m, sys.model, o.Dist, xs, queries)
+	for j := 0; j < k; j++ {
+		rhs[j*m+n] = 1 // the constraint row
 	}
 	w := growFloats(&s.w, m*k)
 	if err := sys.solveBatchInto(w, rhs, k); err != nil {
 		return fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
-	// Output sweep, four queries at a time: the value dots share the ys
-	// vector across columns (Dot4 is bit-identical to per-column Dot).
-	var vals [4]float64
-	for j := 0; j < k; j += 4 {
-		lim := k - j
-		if lim > 4 {
-			lim = 4
+	weightDots(outVal, ys, w, m)
+	for j, val := range outVal {
+		if math.IsNaN(val) || math.IsInf(val, 0) {
+			return ErrDegenerate
 		}
-		if lim == 4 {
-			vals[0], vals[1], vals[2], vals[3] = linalg.Dot4(ys,
-				w[j*m:j*m+n], w[(j+1)*m:(j+1)*m+n], w[(j+2)*m:(j+2)*m+n], w[(j+3)*m:(j+3)*m+n])
-		} else {
-			for t := 0; t < lim; t++ {
-				vals[t] = linalg.Dot(w[(j+t)*m:(j+t)*m+n], ys)
-			}
+		wc, rc := w[j*m:(j+1)*m], rhs[j*m:(j+1)*m]
+		varEst := linalg.Dot(wc[:n], rc[:n])
+		varEst += wc[n]
+		if varEst < 0 {
+			varEst = 0
 		}
-		for t := 0; t < lim; t++ {
-			jj := j + t
-			wc := w[jj*m : (jj+1)*m]
-			rc := rhs[jj*m : (jj+1)*m]
-			val := vals[t]
-			varEst := linalg.Dot(wc[:n], rc[:n])
-			varEst += wc[n]
-			if varEst < 0 {
-				varEst = 0
-			}
-			if math.IsNaN(val) || math.IsInf(val, 0) {
-				return ErrDegenerate
-			}
-			outVal[jj], outVar[jj] = val, varEst
-		}
+		outVar[j] = varEst
 	}
 	return nil
+}
+
+// gammaColumns fills the support block of each right-hand side, column
+// j of rhs (stride m): rhs[j*m+i] = γ(dist(queries[j], xs[i])). A nil
+// dist is L1, called directly rather than through a closure (the same
+// arithmetic, inlinable), and the variogram sweep is devirtualised by
+// variogram.GammaInto.
+func gammaColumns(rhs []float64, m int, model variogram.Model, dist Distance, xs, queries [][]float64) {
+	n := len(xs)
+	for j, q := range queries {
+		col := rhs[j*m : j*m+n]
+		if dist == nil {
+			for i := range col {
+				col[i] = L1Distance(q, xs[i])
+			}
+		} else {
+			for i := range col {
+				col[i] = dist(q, xs[i])
+			}
+		}
+		variogram.GammaInto(model, col, col)
+	}
+}
+
+// weightDots writes out[j] = w_j · ys for the weight columns w_j of w
+// (stride m), four columns at a time sharing the ys vector (Dot4 is
+// bit-identical to per-column Dot).
+func weightDots(out, ys, w []float64, m int) {
+	n := len(ys)
+	j := 0
+	for ; j+3 < len(out); j += 4 {
+		out[j], out[j+1], out[j+2], out[j+3] = linalg.Dot4(ys,
+			w[j*m:j*m+n], w[(j+1)*m:(j+1)*m+n], w[(j+2)*m:(j+2)*m+n], w[(j+3)*m:(j+3)*m+n])
+	}
+	for ; j < len(out); j++ {
+		out[j] = linalg.Dot(w[j*m:j*m+n], ys)
+	}
 }
 
 // centeredDot returns mean + Σ w[i]·(ys[i]-mean) with the same paired
@@ -171,9 +178,9 @@ func centeredDot(mean float64, w, ys []float64) float64 {
 	return mean + (s0 + s1)
 }
 
-// PredictBatch predicts all queries against one shared support through
-// the cached covariance factor in one blocked solve (Predict is its K=1
-// case).
+// PredictBatch predicts all queries against one shared support: it
+// builds the covariance system once and answers every query in one
+// blocked solve (Predict is its K=1 case).
 func (s *Simple) PredictBatch(xs [][]float64, ys []float64, queries [][]float64, out []float64) error {
 	n, k, err := batchDims(xs, ys, queries, out)
 	if err != nil {
@@ -196,7 +203,9 @@ func (s *Simple) PredictBatch(xs [][]float64, ys []float64, queries [][]float64,
 		}
 		return nil
 	}
-	sys, err := s.cache.system(s, xs, ys)
+	sc := predictPool.Get().(*predictScratch)
+	defer predictPool.Put(sc)
+	sys, err := s.system(sc, xs, ys)
 	if err != nil {
 		return err
 	}
@@ -206,30 +215,10 @@ func (s *Simple) PredictBatch(xs [][]float64, ys []float64, queries [][]float64,
 		}
 		return nil
 	}
-	dist := s.dist()
-	sc := predictPool.Get().(*predictScratch)
-	defer predictPool.Put(sc)
 	rhs := growFloats(&sc.rhs, n*k)
-	defaultDist := s.Dist == nil
-	for j, q := range queries {
-		col := rhs[j*n : (j+1)*n]
-		if defaultDist {
-			for i := 0; i < n; i++ {
-				col[i] = L1Distance(q, xs[i])
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				col[i] = dist(q, xs[i])
-			}
-		}
-		variogram.GammaInto(sys.model, col, col)
-		for i := 0; i < n; i++ {
-			cv := sys.sill - col[i]
-			if cv < 0 {
-				cv = 0
-			}
-			col[i] = cv
-		}
+	gammaColumns(rhs, n, sys.model, s.Dist, xs, queries)
+	for i, g := range rhs {
+		rhs[i] = max(sys.sill-g, 0)
 	}
 	w := growFloats(&sc.w, n*k)
 	if err := sys.solveBatchInto(w, rhs, k); err != nil {
@@ -248,8 +237,7 @@ func (s *Simple) PredictBatch(xs [][]float64, ys []float64, queries [][]float64,
 // PredictBatch predicts all queries against one shared support. The
 // drift system depends on the support alone, so the batch assembles and
 // factorises it ONCE and solves all K right-hand sides in one blocked
-// call — the biggest single win of the batch API, since Universal has no
-// factor cache and a loop of Predict calls refactorises per query.
+// call, where a loop of Predict calls refactorises per query.
 // linalg.Factorize is deterministic, so results stay bit-identical to
 // predicting each query alone; a degenerate drift system falls back to
 // ordinary kriging.
@@ -283,18 +271,10 @@ func (u *Universal) PredictBatch(xs [][]float64, ys []float64, queries [][]float
 	dims := driftDims(xs, n-2)
 	m := 1 + len(dims)
 	size := n + m
-	g := linalg.NewMatrix(size, size)
-	var scale float64
-	for j := 0; j < n; j++ {
-		for i := j + 1; i < n; i++ {
-			gv := model.Gamma(dist(xs[j], xs[i]))
-			g.Set(j, i, gv)
-			g.Set(i, j, gv)
-			if gv > scale {
-				scale = gv
-			}
-		}
-	}
+	sc := predictPool.Get().(*predictScratch)
+	defer predictPool.Put(sc)
+	g := sc.matrix(size)
+	scale := assembleGamma(g, model, xs, dist)
 	jitter := 1e-12 * (scale + 1)
 	for j := 0; j < n; j++ {
 		g.Set(j, j, u.Nugget+jitter)
@@ -305,64 +285,30 @@ func (u *Universal) PredictBatch(xs [][]float64, ys []float64, queries [][]float
 			g.Set(n+1+i, j, xs[j][d])
 		}
 	}
-	sc := predictPool.Get().(*predictScratch)
-	defer predictPool.Put(sc)
-	f, err := linalg.Factorize(g)
-	if err != nil {
+	if err := linalg.Factorize(&sc.lu, g); err != nil {
 		// A degenerate drift system (e.g. supports on a line queried
 		// diagonally) falls back to ordinary kriging on the same model
-		// rather than failing the evaluation, factored once and uncached.
+		// rather than failing the evaluation.
 		ord := Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget}
-		sys, err := ord.factor(xs, ys)
-		if err != nil {
-			return err
-		}
-		return ord.solveBatch(sys, xs, ys, queries, out, growFloats(&sc.vars, k))
+		return ord.predictVarBatch(sc, xs, ys, queries, out, growFloats(&sc.vars, k))
 	}
 	rhs := growFloats(&sc.rhs, size*k)
-	defaultDist := u.Dist == nil
+	gammaColumns(rhs, size, model, u.Dist, xs, queries)
 	for j, q := range queries {
 		col := rhs[j*size : (j+1)*size]
-		if defaultDist {
-			for i := 0; i < n; i++ {
-				col[i] = L1Distance(q, xs[i])
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				col[i] = dist(q, xs[i])
-			}
-		}
-		variogram.GammaInto(model, col[:n], col[:n])
 		col[n] = 1
 		for i, d := range dims {
 			col[n+1+i] = q[d]
 		}
 	}
 	w := growFloats(&sc.w, size*k)
-	if err := f.SolveBatchInto(w, rhs, k); err != nil {
+	if err := sc.lu.SolveBatchInto(w, rhs, k); err != nil {
 		return fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
-	var vals [4]float64
-	for j := 0; j < k; j += 4 {
-		lim := k - j
-		if lim > 4 {
-			lim = 4
-		}
-		if lim == 4 {
-			vals[0], vals[1], vals[2], vals[3] = linalg.Dot4(ys,
-				w[j*size:j*size+n], w[(j+1)*size:(j+1)*size+n],
-				w[(j+2)*size:(j+2)*size+n], w[(j+3)*size:(j+3)*size+n])
-		} else {
-			for t := 0; t < lim; t++ {
-				vals[t] = linalg.Dot(w[(j+t)*size:(j+t)*size+n], ys)
-			}
-		}
-		for t := 0; t < lim; t++ {
-			val := vals[t]
-			if math.IsNaN(val) || math.IsInf(val, 0) {
-				return ErrDegenerate
-			}
-			out[j+t] = val
+	weightDots(out, ys, w, size)
+	for _, val := range out {
+		if math.IsNaN(val) || math.IsInf(val, 0) {
+			return ErrDegenerate
 		}
 	}
 	return nil

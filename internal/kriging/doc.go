@@ -5,29 +5,26 @@
 // inverse-distance and nearest-neighbour baselines used by the ablation
 // benches.
 //
-// # Factored-system caching
+// # Building the system
 //
-// Building a kriging system for n support points costs O(n³): fit a
-// semivariogram, assemble the matrix, factorise. Every prediction solves
-// a system factored from scratch for exactly its support. The
-// interpolators keep the last DefaultCacheSize factored systems keyed by
-// the exact support (coordinates and values, verified on every hit), so
-// every further prediction over the same neighbourhood — the min+1
-// competition's sibling candidates, leave-one-out cross validation,
-// batch evaluation — reuses the factors and pays only the O(n²)
-// right-hand-side assembly and triangular solves. A support that differs
-// from a cached one in any point, however it was reached, is factored
-// afresh: a cached λ never depends on what the cache saw before.
-// Positive definite covariance systems (simple kriging with a bounded
-// model) factor by Cholesky; the ordinary-kriging saddle matrix of Eq. 9
-// is symmetric indefinite and takes pivoted LU. Cached and uncached
-// predictions are bit-identical.
+// Every call builds the kriging system of exactly its support: identify
+// the semivariogram (a fixed Model, or a fit to the support), assemble
+// the matrix, factorise. For n support points that costs O(n³), and n is
+// small: the paper campaigns cap supports at ten points. The default power
+// fit needs only two running sums over the support pairs, so it runs
+// inside the Γ assembly loop and reuses each pair's h^β for the Γ entry,
+// bit-for-bit the arithmetic of variogram.FitPower. The matrix, its
+// factors and the fitted model live in pooled per-goroutine scratch, so
+// with a fixed model or the default power fit a prediction allocates
+// nothing. Positive definite covariance systems (simple kriging with a
+// bounded model) factor by Cholesky; the ordinary-kriging saddle matrix
+// of Eq. 9 is symmetric indefinite and takes pivoted LU.
 //
 // # Blocked batch prediction
 //
 // K queries sharing one support answer through PredictBatch /
-// PredictVarBatch (ordinary, simple and universal kriging): one cache
-// lookup, all K right-hand sides assembled into one pooled column-major
+// PredictVarBatch (ordinary, simple and universal kriging): one system
+// build, all K right-hand sides assembled into one pooled column-major
 // block, one blocked multi-RHS solve (linalg SolveBatchInto, 4-wide
 // shared-coefficient kernels — SSE2 on amd64), and a 4-wide output
 // sweep. This is the only implementation of Eq. 10: Predict and
@@ -35,11 +32,8 @@
 // predicting that query alone — the property wall in batch_test.go
 // checks it against a single-query reference implementation — so
 // callers (the evaluator's support groups) can group queries freely.
+// A batch is allocation-free regardless of K.
 //
-// Cache-hit predictions are allocation-free: per-query vectors come
-// from pooled scratch and the factors solve in place; a warm
-// PredictBatch is allocation-free regardless of K.
-//
-// The interpolators are safe for concurrent use: the cache is the only
-// mutable state, it is mutex-guarded, and cached systems are immutable.
+// The interpolators hold only their configuration and are safe for
+// concurrent use; a prediction depends on its support and query alone.
 package kriging

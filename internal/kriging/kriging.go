@@ -52,18 +52,11 @@ func L2Distance(a, b []float64) float64 {
 }
 
 // Ordinary is the ordinary-kriging interpolator of Eqs. 7-10. For each
-// prediction it fits (or reuses) a semivariogram model over the support,
+// call it fits (or takes) a semivariogram model over the support,
 // assembles the augmented matrix Γ of Eq. 9 and the vector γ_i of Eq. 8,
 // and returns λ̂(e_i) = γ_i · Γ⁻¹ · λ (Eq. 10), solved by LU rather than
-// an explicit inverse.
-//
-// Repeated predictions over the same support (the min+1 competition,
-// leave-one-out cross validation, batch evaluation) reuse the fitted
-// variogram and the LU factors of Γ from a cache of the last
-// DefaultCacheSize supports, dropping the per-query cost from O(n³) to
-// O(n²) with bit-identical results. The cache keys on the support alone,
-// so configuration fields must not be mutated after the first
-// prediction — build a fresh interpolator per configuration instead.
+// an explicit inverse. A batch of queries sharing one support
+// (PredictBatch, PredictVarBatch) factors Γ once for all of them.
 type Ordinary struct {
 	// Dist is the separation measure; nil means L1 (the paper's).
 	Dist Distance
@@ -85,8 +78,6 @@ type Ordinary struct {
 	// regularise nearly-coincident supports. Zero selects a tiny
 	// scale-relative default.
 	Nugget float64
-
-	cache systemCache
 }
 
 // Name implements Interpolator.
@@ -99,18 +90,13 @@ func (o *Ordinary) dist() Distance {
 	return L1Distance
 }
 
+// model returns the semivariogram of the support (xs, ys) when it is not
+// the default power fit, which system fuses into the Γ assembly.
 func (o *Ordinary) model(xs [][]float64, ys []float64) (variogram.Model, error) {
 	if o.Model != nil {
 		return o.Model, nil
 	}
-	if o.FitKind == variogram.Power && o.PowerBeta != 0 {
-		return variogram.FitPower(variogram.CloudFromSamples(xs, ys, o.dist()), o.PowerBeta, o.Nugget)
-	}
-	m, err := variogram.FitSamples(o.FitKind, xs, ys, o.dist(), o.Nugget)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return variogram.FitSamples(o.FitKind, xs, ys, o.dist(), o.Nugget)
 }
 
 // Predict implements Interpolator.
@@ -130,29 +116,27 @@ func (o *Ordinary) PredictVar(xs [][]float64, ys []float64, x []float64) (value,
 	return v[0], ve[0], err
 }
 
-// factor fits (or takes) the variogram and factors the Eq. 9 saddle
-// system of exactly this support from scratch. Predictions reach it
-// through the cache; Universal's degenerate-drift fallback calls it
-// directly.
-func (o *Ordinary) factor(xs [][]float64, ys []float64) (*factored, error) {
-	model, err := o.model(xs, ys)
-	if err != nil {
-		return nil, err
-	}
+// system fits (or takes) the variogram and factors the Eq. 9 saddle
+// system of exactly this support into s's buffers. The support must hold
+// at least two points.
+func (o *Ordinary) system(s *predictScratch, xs [][]float64, ys []float64) (factored, error) {
 	n := len(xs)
-	dist := o.dist()
 	// Assemble the (n+1)×(n+1) system of Eq. 9.
-	g := linalg.NewMatrix(n+1, n+1)
+	g := s.matrix(n + 1)
+	var model variogram.Model
 	var scale float64
-	for j := 0; j < n; j++ {
-		for k := j + 1; k < n; k++ {
-			gv := model.Gamma(dist(xs[j], xs[k]))
-			g.Set(j, k, gv)
-			g.Set(k, j, gv)
-			if gv > scale {
-				scale = gv
-			}
+	if o.Model == nil && o.FitKind == variogram.Power {
+		var err error
+		if scale, err = o.assemblePower(s, g, xs, ys); err != nil {
+			return factored{}, err
 		}
+		model = &s.power
+	} else {
+		var err error
+		if model, err = o.model(xs, ys); err != nil {
+			return factored{}, err
+		}
+		scale = assembleGamma(g, model, xs, o.dist())
 	}
 	// Lagrange row/column of ones, corner zero (Eq. 9).
 	for j := 0; j < n; j++ {
@@ -169,9 +153,92 @@ func (o *Ordinary) factor(xs [][]float64, ys []float64) (*factored, error) {
 	// The saddle structure of Eq. 9 (zero Lagrange corner) is symmetric
 	// indefinite, so it takes the pivoted-LU path; the positive definite
 	// covariance systems of simple kriging go through Cholesky instead.
-	f, err := linalg.Factorize(g)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDegenerate, err)
+	if err := linalg.Factorize(&s.lu, g); err != nil {
+		return factored{}, fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
-	return &factored{model: model, lu: f}, nil
+	return factored{model: model, lu: &s.lu}, nil
+}
+
+// assembleGamma fills the off-diagonal support block of g with the
+// semivariances between support points and returns the largest of them.
+func assembleGamma(g *linalg.Matrix, model variogram.Model, xs [][]float64, dist Distance) float64 {
+	var scale float64
+	for j := range xs {
+		for k := j + 1; k < len(xs); k++ {
+			gv := model.Gamma(dist(xs[j], xs[k]))
+			g.Set(j, k, gv)
+			g.Set(k, j, gv)
+			if gv > scale {
+				scale = gv
+			}
+		}
+	}
+	return scale
+}
+
+// assemblePower fits the power model γ(h) = α·h^β (β from PowerBeta) to
+// the support into s.power and fills the off-diagonal entries of Γ with
+// it, returning the largest of them. It is variogram.FitPower over
+// variogram.CloudFromSamples fused into one pair loop: the two
+// least-squares sums run in the cloud's pair order under FitPower's
+// zero-distance and NaN rules, and each pair's h^β serves both its sums
+// and its Γ entry, so Γ is bit-for-bit the unfused one.
+func (o *Ordinary) assemblePower(s *predictScratch, g *linalg.Matrix, xs [][]float64, ys []float64) (float64, error) {
+	beta := o.PowerBeta
+	if beta <= 0 || beta >= 2 {
+		beta = variogram.DefaultBeta
+	}
+	nug := o.Nugget
+	dist := o.dist()
+	n := len(xs)
+	var num, den float64
+	used := 0
+	for j := 0; j < n; j++ {
+		for k := j + 1; k < n; k++ {
+			h := dist(xs[j], xs[k])
+			// Γ holds h^β until α is known; -1 marks γ(h <= 0) = nugget.
+			hb := -1.0
+			if !(h <= 0) {
+				hb = math.Pow(h, beta)
+			}
+			g.Set(j, k, hb)
+			dv := ys[j] - ys[k]
+			sq := dv * dv
+			if h <= 0 || math.IsNaN(h) || math.IsNaN(sq) {
+				continue
+			}
+			gamma := sq / 2
+			if gamma > nug {
+				gamma -= nug
+			} else {
+				gamma = 0
+			}
+			num += gamma * hb
+			den += hb * hb
+			used++
+		}
+	}
+	if used == 0 || den == 0 {
+		return 0, variogram.ErrInsufficientData
+	}
+	alpha := num / den
+	if alpha < 0 {
+		alpha = 0
+	}
+	s.power = variogram.PowerModel{Alpha: alpha, Beta: beta, Nugget: nug}
+	var scale float64
+	for j := 0; j < n; j++ {
+		for k := j + 1; k < n; k++ {
+			gv := nug
+			if hb := g.At(j, k); !(hb < 0) {
+				gv = nug + alpha*hb
+			}
+			g.Set(j, k, gv)
+			g.Set(k, j, gv)
+			if gv > scale {
+				scale = gv
+			}
+		}
+	}
+	return scale, nil
 }

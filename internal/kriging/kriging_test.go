@@ -90,7 +90,7 @@ func TestOrdinary1DLinearInterior(t *testing.T) {
 // x and returns the weights μ_k followed by the Lagrange multiplier.
 func ordinaryWeights(o *Ordinary, xs [][]float64, ys []float64, x []float64) ([]float64, error) {
 	n := len(xs)
-	sys, err := o.cache.system(o, xs, ys)
+	sys, err := o.system(new(predictScratch), xs, ys)
 	if err != nil {
 		return nil, err
 	}

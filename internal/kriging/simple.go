@@ -17,11 +17,10 @@ import (
 // derived from the fitted semivariogram via C(h) = sill - γ(h), taking
 // the largest semivariance observed across the support separations as the
 // sill (query covariances below that ceiling are clamped at zero). The
-// support-only sill makes C a function of the support alone, so its
-// Cholesky factorisation (with a pivoted-LU fallback for supports that
-// defeat the truncated-covariance model) is cached and reused across
-// predictions that share a neighbourhood, exactly as for Ordinary —
-// configuration fields must not be mutated after the first prediction.
+// support-only sill makes C a function of the support alone, so a batch
+// of queries sharing a support (PredictBatch) factors it once, by
+// Cholesky with a pivoted-LU fallback for supports that defeat the
+// truncated-covariance model.
 type Simple struct {
 	// Dist is the separation measure; nil means L1.
 	Dist Distance
@@ -36,8 +35,6 @@ type Simple struct {
 	KnownMean bool
 	// Nugget regularises the covariance diagonal.
 	Nugget float64
-
-	cache systemCache
 }
 
 // Name implements Interpolator.
@@ -58,16 +55,16 @@ func (s *Simple) Predict(xs [][]float64, ys []float64, x []float64) (float64, er
 	return v[0], err
 }
 
-// factor builds and factors the covariance system C = sill - Γ of
-// exactly this support from scratch; predictions reach it through the
-// cache.
-func (s *Simple) factor(xs [][]float64, ys []float64) (*factored, error) {
+// system builds and factors the covariance system C = sill - Γ of
+// exactly this support into sc's buffers. The support must hold at least
+// two points.
+func (s *Simple) system(sc *predictScratch, xs [][]float64, ys []float64) (factored, error) {
 	dist := s.dist()
 	model := s.Model
 	if model == nil {
 		m, err := variogram.FitSamples(s.FitKind, xs, ys, dist, s.Nugget)
 		if err != nil {
-			return nil, err
+			return factored{}, err
 		}
 		model = m
 	}
@@ -88,12 +85,12 @@ func (s *Simple) factor(xs [][]float64, ys []float64) (*factored, error) {
 			}
 		}
 	}
-	sys := &factored{model: model, sill: sill}
+	sys := factored{model: model, sill: sill}
 	if sill == 0 {
 		// Flat field; Predict answers with the mean without solving.
 		return sys, nil
 	}
-	c := linalg.NewMatrix(n, n)
+	c := sc.matrix(n)
 	for j := 0; j < n; j++ {
 		c.Set(j, j, sill-model.Gamma(0)+1e-12*sill+s.Nugget)
 		for k := j + 1; k < n; k++ {
@@ -106,14 +103,13 @@ func (s *Simple) factor(xs [][]float64, ys []float64) (*factored, error) {
 	// the natural factorisation; a truncated-sill support can defeat
 	// positive definiteness, in which case pivoted LU still solves the
 	// (symmetric indefinite) system.
-	if chol, err := linalg.FactorizeCholesky(c); err == nil {
-		sys.chol = chol
+	if err := linalg.FactorizeCholesky(&sc.chol, c); err == nil {
+		sys.chol = &sc.chol
 	} else {
-		f, err := linalg.Factorize(c)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDegenerate, err)
+		if err := linalg.Factorize(&sc.lu, c); err != nil {
+			return factored{}, fmt.Errorf("%w: %v", ErrDegenerate, err)
 		}
-		sys.lu = f
+		sys.lu = &sc.lu
 	}
 	return sys, nil
 }

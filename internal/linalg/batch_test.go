@@ -33,7 +33,7 @@ func TestSolveBatchMatchesSolveInto(t *testing.T) {
 				b[i] = r.NormScaled(0, 3)
 			}
 
-			chol, err := FactorizeCholesky(a)
+			chol, err := factorizeCholesky(a)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -54,7 +54,7 @@ func TestSolveBatchMatchesSolveInto(t *testing.T) {
 				}
 			}
 
-			lu, err := Factorize(a)
+			lu, err := factorize(a)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -82,7 +82,7 @@ func TestSolveBatchAliasedCholesky(t *testing.T) {
 	r := rng.New(84)
 	const n, k = 9, 6
 	a := randomSPD(r, n)
-	chol, err := FactorizeCholesky(a)
+	chol, err := factorizeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestSolveBatchShapeErrors(t *testing.T) {
 	r := rng.New(85)
 	const n = 7
 	a := randomSPD(r, n)
-	chol, err := FactorizeCholesky(a)
+	chol, err := factorizeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lu, err := Factorize(a)
+	lu, err := factorize(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestAllocsSolveBatch(t *testing.T) {
 	r := rng.New(86)
 	const n, k = 12, 8
 	a := randomSPD(r, n)
-	chol, err := FactorizeCholesky(a)
+	chol, err := factorizeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lu, err := Factorize(a)
+	lu, err := factorize(a)
 	if err != nil {
 		t.Fatal(err)
 	}

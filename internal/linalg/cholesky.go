@@ -6,21 +6,27 @@ import (
 )
 
 // Cholesky holds the lower-triangular factor L of a symmetric positive
-// definite matrix A = L·Lᵀ.
+// definite matrix A = L·Lᵀ. Only the lower triangle of l is meaningful.
+// The zero value is an empty factor, ready for FactorizeCholesky.
 type Cholesky struct {
-	l *Matrix
+	l Matrix
 	n int
 }
 
-// FactorizeCholesky computes the Cholesky factorisation of the symmetric
-// positive definite matrix a. Only the lower triangle of a is read.
-// It returns ErrSingular when the matrix is not positive definite.
-func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
+// FactorizeCholesky computes into c the Cholesky factorisation of the
+// symmetric positive definite matrix a, reusing c's buffer like
+// Factorize. Only the lower triangle of a is read, and a is not
+// modified. It returns ErrSingular when the matrix is not positive
+// definite, and c then solves nothing until the next successful
+// factorisation.
+func FactorizeCholesky(c *Cholesky, a *Matrix) error {
+	c.n = 0
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: Cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
+		return fmt.Errorf("%w: Cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
 	}
 	n := a.Rows
-	l := NewMatrix(n, n)
+	l := &c.l
+	l.reshape(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			s := a.At(i, j)
@@ -31,7 +37,7 @@ func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
 				// !(s > 0) rather than s <= 0: a NaN pivot (non-finite
 				// input) must be rejected, not passed to Sqrt.
 				if !(s > 0) {
-					return nil, fmt.Errorf("%w: non-positive diagonal at %d", ErrSingular, i)
+					return fmt.Errorf("%w: non-positive diagonal at %d", ErrSingular, i)
 				}
 				l.Set(i, i, math.Sqrt(s))
 			} else {
@@ -39,7 +45,8 @@ func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
 			}
 		}
 	}
-	return &Cholesky{l: l, n: n}, nil
+	c.n = n
+	return nil
 }
 
 // SolveInto solves A·x = b into dst, allocation-free. dst may alias b

@@ -25,7 +25,7 @@ func TestCholeskyKnown(t *testing.T) {
 		{12, 37, -43},
 		{-16, -43, 98},
 	})
-	c, err := FactorizeCholesky(a)
+	c, err := factorizeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestCholeskyKnown(t *testing.T) {
 func TestCholeskyReconstruction(t *testing.T) {
 	r := rng.New(5)
 	a := randomSPD(r, 6)
-	c, err := FactorizeCholesky(a)
+	c, err := factorizeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	llt := mul(c.l, transpose(c.l))
+	llt := mul(&c.l, transpose(&c.l))
 	for i := range a.Data {
 		if !almostEqual(llt.Data[i], a.Data[i], 1e-8*(1+math.Abs(a.Data[i]))) {
 			t.Fatal("L·Lᵀ does not reconstruct A")
@@ -63,7 +63,7 @@ func TestCholeskySolve(t *testing.T) {
 	r := rng.New(6)
 	a := randomSPD(r, 5)
 	b := []float64{1, -2, 3, -4, 5}
-	c, err := FactorizeCholesky(a)
+	c, err := factorizeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +84,19 @@ func TestCholeskyNotPD(t *testing.T) {
 		{1, 2},
 		{2, 1}, // eigenvalues 3 and -1
 	})
-	if _, err := FactorizeCholesky(a); !errors.Is(err, ErrSingular) {
+	if _, err := factorizeCholesky(a); !errors.Is(err, ErrSingular) {
 		t.Errorf("indefinite matrix: err = %v, want ErrSingular", err)
 	}
 }
 
 func TestCholeskyNonSquare(t *testing.T) {
-	if _, err := FactorizeCholesky(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
+	if _, err := factorizeCholesky(newMatrix(2, 3)); !errors.Is(err, ErrShape) {
 		t.Error("non-square accepted")
 	}
 }
 
 func TestCholeskySolveWrongRHS(t *testing.T) {
-	c, err := FactorizeCholesky(identity(3))
+	c, err := factorizeCholesky(identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPropertyCholeskyMatchesLU(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormScaled(0, 3)
 		}
-		c, err := FactorizeCholesky(a)
+		c, err := factorizeCholesky(a)
 		if err != nil {
 			return false // SPD construction guarantees success
 		}
@@ -160,7 +160,7 @@ func TestPropertyCholeskyMatchesLU(t *testing.T) {
 func TestCholeskySolveInto(t *testing.T) {
 	r := rng.New(45)
 	a := randomSPD(r, 9)
-	c, err := FactorizeCholesky(a)
+	c, err := factorizeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,10 +89,10 @@ func FuzzSolveBatch(f *testing.F) {
 			}
 		}
 
-		if chol, err := FactorizeCholesky(a); err == nil {
+		if chol, err := factorizeCholesky(a); err == nil {
 			check("cholesky", chol.SolveBatchInto, chol.SolveInto)
 		}
-		if lu, err := Factorize(a); err == nil {
+		if lu, err := factorize(a); err == nil {
 			check("lu", lu.SolveBatchInto, lu.SolveInto)
 		}
 	})

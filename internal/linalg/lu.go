@@ -7,22 +7,33 @@ import (
 
 // LU holds an LU factorisation with partial pivoting: P·A = L·U where L is
 // unit lower triangular and U is upper triangular, both packed into lu.
+// The zero value is an empty factor, ready for Factorize.
 type LU struct {
-	lu  *Matrix
+	lu  Matrix
 	piv []int // row permutation: piv[i] is the original row in position i
 	n   int
 }
 
-// Factorize computes the LU decomposition of the square matrix a using
-// Doolittle's method with partial (row) pivoting. The input is not
-// modified. It returns ErrSingular when a pivot is exactly zero.
-func Factorize(a *Matrix) (*LU, error) {
+// Factorize computes into f the LU decomposition of the square matrix a
+// using Doolittle's method with partial (row) pivoting. It reuses f's
+// buffers, so refactoring an f that has held a system at least as large
+// allocates nothing. The input is not modified. It returns ErrSingular
+// when a pivot is exactly zero, and f then solves nothing until the next
+// successful Factorize.
+func Factorize(f *LU, a *Matrix) error {
+	f.n = 0
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
+		return fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
 	}
 	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	lu := &f.lu
+	lu.reshape(n, n)
+	copy(lu.Data, a.Data)
+	if cap(f.piv) < n {
+		f.piv = make([]int, n)
+	}
+	piv := f.piv[:n]
+	f.piv = piv
 	for i := range piv {
 		piv[i] = i
 	}
@@ -36,7 +47,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 		if mx == 0 {
-			return nil, fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
+			return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
 		}
 		if p != k {
 			// Swap full rows p and k.
@@ -59,7 +70,8 @@ func Factorize(a *Matrix) (*LU, error) {
 			axpyUnrolled(-f, rk[k+1:n], ri[k+1:n])
 		}
 	}
-	return &LU{lu: lu, piv: piv, n: n}, nil
+	f.n = n
+	return nil
 }
 
 // SolveInto solves A·x = b into dst, allocation-free. dst must not alias

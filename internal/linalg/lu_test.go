@@ -56,19 +56,19 @@ func TestLUSingular(t *testing.T) {
 		{1, 2},
 		{2, 4},
 	})
-	if _, err := Factorize(a); !errors.Is(err, ErrSingular) {
+	if _, err := factorize(a); !errors.Is(err, ErrSingular) {
 		t.Errorf("singular matrix: err = %v, want ErrSingular", err)
 	}
 }
 
 func TestLUNonSquare(t *testing.T) {
-	if _, err := Factorize(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
+	if _, err := factorize(newMatrix(2, 3)); !errors.Is(err, ErrShape) {
 		t.Errorf("non-square: err = %v, want ErrShape", err)
 	}
 }
 
 func TestLUSolveWrongRHS(t *testing.T) {
-	f, err := Factorize(identity(3))
+	f, err := factorize(identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLUSolveInto(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		a.Set(i, i, a.At(i, i)+7)
 	}
-	f, err := Factorize(a)
+	f, err := factorize(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,75 @@ func TestLUSolveInto(t *testing.T) {
 	}
 }
 
-// TestSolveIntoAllocs proves repeated solves against warm factors are
-// allocation-free — the contract the kriging predict scratch relies on.
+// TestFactorizeReusesBuffers refactors one LU and one Cholesky value
+// through systems of shrinking, growing and failing shape: every solve
+// must match a fresh factor of the same matrix bit for bit, and a failed
+// factorisation must leave the value refusing solves rather than
+// answering from the previous system.
+func TestFactorizeReusesBuffers(t *testing.T) {
+	r := rng.New(49)
+	var f LU
+	var c Cholesky
+	for _, n := range []int{9, 3, 12, 5} {
+		spd := randomSPD(r, n)
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = r.NormScaled(0, 2)
+		}
+		if err := Factorize(&f, spd); err != nil {
+			t.Fatal(err)
+		}
+		if err := FactorizeCholesky(&c, spd); err != nil {
+			t.Fatal(err)
+		}
+		freshLU, err := factorize(spd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshChol, err := factorizeCholesky(spd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name          string
+			reused, fresh interface{ SolveInto(dst, b []float64) error }
+		}{{"lu", &f, freshLU}, {"cholesky", &c, freshChol}} {
+			got, err := solve(tc.reused, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := solve(tc.fresh, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d: reused factor x[%d] = %v, fresh %v", tc.name, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	singular := fromRows([][]float64{{1, 2}, {2, 4}})
+	if err := Factorize(&f, singular); !errors.Is(err, ErrSingular) {
+		t.Fatalf("singular LU: err = %v, want ErrSingular", err)
+	}
+	if err := FactorizeCholesky(&c, singular); !errors.Is(err, ErrSingular) {
+		t.Fatalf("singular Cholesky: err = %v, want ErrSingular", err)
+	}
+	for name, fac := range map[string]interface{ SolveInto(dst, b []float64) error }{"lu": &f, "cholesky": &c} {
+		if _, err := solve(fac, []float64{1, 1}); !errors.Is(err, ErrShape) {
+			t.Errorf("%s: solve after a failed factorisation: err = %v, want ErrShape", name, err)
+		}
+	}
+}
+
+// TestSolveIntoAllocs proves repeated solves against warm factors, and
+// refactoring into them, are allocation-free — the contract the kriging
+// predict scratch relies on.
 func TestSolveIntoAllocs(t *testing.T) {
 	r := rng.New(48)
 	spd := randomSPD(r, 12)
-	c, err := FactorizeCholesky(spd)
+	c, err := factorizeCholesky(spd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +212,7 @@ func TestSolveIntoAllocs(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		gen.Set(i, i, gen.At(i, i)+12)
 	}
-	f, err := Factorize(gen)
+	f, err := factorize(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +234,15 @@ func TestSolveIntoAllocs(t *testing.T) {
 		}
 	}); got > 0 {
 		t.Errorf("LU.SolveInto allocates %.1f per run, want 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if err := FactorizeCholesky(c, spd); err != nil {
+			t.Fatal(err)
+		}
+		if err := Factorize(f, gen); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 0 {
+		t.Errorf("refactoring into warm factors allocates %.1f per run, want 0", got)
 	}
 }

@@ -19,25 +19,19 @@ type Matrix struct {
 	Data       []float64 // len == Rows*Cols, row-major
 }
 
-// NewMatrix allocates a zeroed r×c matrix.
-func NewMatrix(r, c int) *Matrix {
-	if r < 0 || c < 0 {
-		panic("linalg: negative dimension")
-	}
-	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
+// reshape makes m an r×c matrix, reallocating Data only on growth. The
+// contents are unspecified.
+func (m *Matrix) reshape(r, c int) {
+	if cap(m.Data) < r*c {
+		m.Data = make([]float64, r*c)
+	}
+	m.Rows, m.Cols, m.Data = r, c, m.Data[:r*c]
 }
 
 // String renders the matrix for debugging.

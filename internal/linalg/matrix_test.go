@@ -10,31 +10,42 @@ import (
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func randomMatrix(r *rng.Stream, n int) *Matrix {
-	m := NewMatrix(n, n)
+	m := newMatrix(n, n)
 	for i := range m.Data {
 		m.Data[i] = r.NormScaled(0, 1)
 	}
 	return m
 }
 
-func TestNewMatrixZeroed(t *testing.T) {
-	m := NewMatrix(3, 4)
-	if m.Rows != 3 || m.Cols != 4 {
-		t.Fatalf("shape = %dx%d", m.Rows, m.Cols)
-	}
-	for _, v := range m.Data {
-		if v != 0 {
-			t.Fatal("new matrix not zeroed")
-		}
-	}
-}
-
 // The helpers below are the test-side matrix algebra the factorisation
 // tests check residuals and reconstructions with.
 
+// newMatrix allocates a zeroed r×c matrix.
+func newMatrix(r, c int) *Matrix {
+	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
+}
+
+// factorize returns a fresh LU factor of a.
+func factorize(a *Matrix) (*LU, error) {
+	f := new(LU)
+	if err := Factorize(f, a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// factorizeCholesky returns a fresh Cholesky factor of a.
+func factorizeCholesky(a *Matrix) (*Cholesky, error) {
+	c := new(Cholesky)
+	if err := FactorizeCholesky(c, a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // fromRows builds a matrix from equal-length rows.
 func fromRows(rows [][]float64) *Matrix {
-	m := NewMatrix(len(rows), len(rows[0]))
+	m := newMatrix(len(rows), len(rows[0]))
 	for i, row := range rows {
 		if len(row) != m.Cols {
 			panic("fromRows: ragged rows")
@@ -45,7 +56,7 @@ func fromRows(rows [][]float64) *Matrix {
 }
 
 func identity(n int) *Matrix {
-	m := NewMatrix(n, n)
+	m := newMatrix(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 1)
 	}
@@ -53,7 +64,7 @@ func identity(n int) *Matrix {
 }
 
 func transpose(m *Matrix) *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
+	out := newMatrix(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			out.Set(j, i, m.At(i, j))
@@ -63,7 +74,7 @@ func transpose(m *Matrix) *Matrix {
 }
 
 func mul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
+	out := newMatrix(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
 			var s float64
@@ -103,20 +114,11 @@ func solve(f interface{ SolveInto(dst, b []float64) error }, b []float64) ([]flo
 
 // solveLU factors a and solves a·x = b.
 func solveLU(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
+	f, err := factorize(a)
 	if err != nil {
 		return nil, err
 	}
 	return solve(f, b)
-}
-
-func TestCloneIndependent(t *testing.T) {
-	a := fromRows([][]float64{{1, 2}, {3, 4}})
-	b := a.Clone()
-	b.Set(0, 0, 99)
-	if a.At(0, 0) == 99 {
-		t.Fatal("Clone shares backing storage")
-	}
 }
 
 func TestStringRenders(t *testing.T) {

@@ -5,8 +5,8 @@
 # under -race; see internal/raceflag).
 #
 # Gates enforced:
-#   - linalg:    SolveInto on warm factors            (0 allocs)
-#   - kriging:   cache-hit Ordinary/Simple Predict    (0 allocs)
+#   - linalg:    SolveInto on warm factors, refactoring (0 allocs)
+#   - kriging:   Ordinary/Simple Predict, PredictBatch (0 allocs)
 #                IDW/Nearest/Capped baselines         (0 allocs)
 #   - store:     warm NeighborsInto / NearestKInto    (0 allocs)
 #                durable AddBatch over in-memory      (O(1) per batch)

@@ -33,11 +33,11 @@ go test ./internal/bench -run '^$' -benchmem -count 3 -benchtime 1x \
 go test ./internal/bench -run '^$' -benchmem -count 3 -benchtime 10x \
     -bench 'CoalescedServiceSweep/' | tee -a "$OUT"
 
-# CPU-bound batch-predict rows: fixed 100 iterations keeps the full
-# blocked/sequential x n x K grid under a second per pass; the blocked
-# rows are time-gated, everything is zero-alloc-gated (policy in
-# bench_gates.json).
-go test ./internal/bench -run '^$' -benchmem -count 3 -benchtime 100x \
+# CPU-bound batch-predict rows (K predictions against one already-built
+# factor): fixed 100 iterations keeps the full blocked/sequential x n x K
+# grid under a second per pass; the blocked rows are time-gated,
+# everything is zero-alloc-gated (policy in bench_gates.json).
+go test ./internal/kriging -run '^$' -benchmem -count 3 -benchtime 100x \
     -bench 'PredictBatch/' | tee -a "$OUT"
 
 # Remote simulator pool: real worker processes (spawned outside the
