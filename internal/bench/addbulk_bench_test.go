@@ -18,7 +18,7 @@ import (
 // per insert), so the 100k bulk load took ~60 s at 16 shards; the
 // builder/epoch scheme lands it around 100 ms (~600×), with the per-Add
 // loop within 2× of the batch call (its extra cost is one view
-// publication per entry instead of one per shard).
+// publication per entry instead of one per batch).
 //
 //	go test ./internal/bench -run '^$' -bench AddBulk -benchtime 1x
 func BenchmarkAddBulk(b *testing.B) {

@@ -57,7 +57,7 @@ func BenchmarkAddBulkWAL(b *testing.B) {
 
 // BenchmarkRecovery measures reopening a state directory: replaying a
 // logged 100k-entry campaign (committed in 100-entry batches, the
-// EvaluateAll commit granularity) back into the sharded store. The
+// EvaluateAll commit granularity) back into the store. The
 // acceptance bar is < 1 s for 100k entries — recovery must be a blip
 // at campaign start, not a second campaign.
 //

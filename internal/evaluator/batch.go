@@ -196,8 +196,8 @@ func (g *Engine) EvaluateAll(ctx context.Context, cfgs []space.Config, workers i
 	// Store updates happen once everything succeeded, in input order,
 	// keeping the store contents (and NearestK tie-breaking in later
 	// queries) deterministic. The whole commit goes through the bulk
-	// write path: one view publication per shard instead of one per
-	// simulation result, and one entry per distinct configuration.
+	// write path: one view publication instead of one per simulation
+	// result, and one entry per distinct configuration.
 	commit := make([]store.Entry, 0, len(cfgs))
 	for idx := range cfgs {
 		if simulated[idx] {

@@ -52,18 +52,18 @@
 //
 // # Concurrency
 //
-// An Evaluator is safe for concurrent use: the support store is sharded
-// (see internal/store), the activity counters are atomic, and EvaluateAll
-// runs whole queries — decision, kriging and simulation — on a bounded
-// worker pool against a point-in-time store snapshot, producing results
-// that are deterministic regardless of worker count. The Oracle adapter
-// exposes both the single-query and the batched path to the optimisers
-// in internal/optim.
+// An Evaluator is safe for concurrent use: the support store publishes
+// lock-free views (see internal/store), the activity counters are
+// atomic, and EvaluateAll runs whole queries — decision, kriging and
+// simulation — on a bounded worker pool against a point-in-time store
+// snapshot, producing results that are deterministic regardless of
+// worker count. The Oracle adapter exposes both the single-query and the
+// batched path to the optimisers in internal/optim.
 //
 // # Bulk ingestion
 //
 // Whole-campaign writes ride the store's amortized bulk path
-// (store.AddBatch, one view publication per shard): EvaluateAll commits
+// (store.AddBatch, one view publication per batch): EvaluateAll commits
 // a successful batch's simulation results in input order through it,
 // the replay passes bulk-load their support stores from the recorded
 // trace, and Preload warm-starts an evaluator from a previous campaign

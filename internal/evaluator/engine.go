@@ -32,13 +32,13 @@ type flight struct {
 
 // inflight is the single-flight table: at most one live simulation per
 // configuration. It is keyed by the store's config hash (the same
-// hashing that routes shard inserts and exact lookups), with chained
-// equality checks so hash collisions merely share a bucket, never a
-// result. Batch members never enter it: EvaluateAll's pre-pass answers a
-// repeat inside one batch once, and a batch commits its simulations only
-// after the whole batch has succeeded, so a batch flight could not
-// resolve with a stored value (and resolving it at commit time would let
-// two batches that share configurations wait on each other forever).
+// hashing that keys exact lookups), with chained equality checks so hash
+// collisions merely share a bucket, never a result. Batch members never
+// enter it: EvaluateAll's pre-pass answers a repeat inside one batch
+// once, and a batch commits its simulations only after the whole batch
+// has succeeded, so a batch flight could not resolve with a stored value
+// (and resolving it at commit time would let two batches that share
+// configurations wait on each other forever).
 type inflight struct {
 	enabled bool
 	mu      sync.Mutex

@@ -1,6 +1,7 @@
 // Package fnv1a provides the 64-bit FNV-1a hash as allocation-free
-// primitives shared by the hot paths that key on it (shard selection in
-// internal/store, support fingerprints in internal/kriging). The
+// primitives shared by the paths that key on it: the store's
+// configuration hash (internal/store), the evaluator's support keys and
+// the sleep simulator's seeded noise (internal/bench). The
 // standard library's hash/fnv covers the same function behind the
 // hash.Hash64 interface, which forces byte-slice conversions and escapes
 // on paths where this package stays on the stack.

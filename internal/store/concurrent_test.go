@@ -9,7 +9,7 @@ import (
 
 // TestConcurrentAddLookup hammers one store from 32 goroutines with
 // disjoint key ranges and checks the final contents are exact. Run with
-// -race to validate the copy-on-write publication protocol.
+// -race to validate the publication protocol.
 func TestConcurrentAddLookup(t *testing.T) {
 	const goroutines = 32
 	const perG = 100
@@ -128,9 +128,9 @@ func TestZeroSnapshot(t *testing.T) {
 	}
 }
 
-// TestShardedInsertionOrder checks that Neighbors and Entries report
-// entries oldest-first even though they land in different shards.
-func TestShardedInsertionOrder(t *testing.T) {
+// TestInsertionOrder checks that Neighbors and Entries report entries
+// oldest-first.
+func TestInsertionOrder(t *testing.T) {
 	s := New()
 	const n = 50
 	for i := 0; i < n; i++ {

@@ -5,37 +5,38 @@
 //
 // # Concurrency: builder writes, epoch-published views
 //
-// The store is safe for concurrent use. Configurations hash across
-// DefaultShardCount shards; each shard's writer mutates a private builder
-// under the shard lock — an append-only entries array with capacity
-// doubling plus incrementally updated hash tables — and publishes an
-// immutable view through an atomic pointer, so Lookup, Neighbors and
-// the other read paths never take a lock. A view is pinned by its
-// entries length (its epoch): later inserts append beyond every older
-// view's length and are filtered out of shared-table probes by
-// position, which makes inserts amortized O(1) instead of the
-// O(shard size) of a copy-on-write scheme. Re-adding a configuration
-// appends an O(1) replacement version that keeps the original sequence
-// stamp; views that contain the replacement skip the superseded
-// version, while older views (and Snapshots) keep reporting the value
-// current at their epoch. A monotone sequence number stamped on every
-// entry preserves the global insertion order the sequential pseudo-code
-// relies on (neighbourhoods and Entries are always reported
-// oldest-first, so NearestK tie-breaking stays deterministic).
+// The store is safe for concurrent use. Writers serialise on one mutex
+// and mutate a private builder — an append-only entries array with
+// capacity doubling plus an incrementally updated key table — and
+// publish an immutable view through an atomic pointer, so Lookup,
+// Neighbors and the other read paths never take a lock. One writer lock
+// costs nothing the workloads notice: live writers are simulations, and
+// bulk loads go through AddBatch. A view is pinned by its entries length
+// (its epoch): later inserts append beyond every older view's length and
+// are filtered out of shared-table probes by position, which makes
+// inserts amortized O(1) instead of the O(store size) of a copy-on-write
+// scheme. Re-adding a configuration appends an O(1) replacement version
+// that keeps the original sequence stamp; views that contain the
+// replacement skip the superseded version, while older views (and
+// Snapshots) keep reporting the value current at their epoch. A
+// monotone sequence number stamped on every entry preserves the
+// insertion order the sequential pseudo-code relies on (neighbourhoods
+// and Entries are always reported oldest-first, so NearestK
+// tie-breaking stays deterministic); it differs from the append order
+// once a configuration has been overwritten.
 //
 // AddBatch is the bulk-write path: it stamps a batch in input order and
-// publishes each touched shard once, so ingesting a replayed trace, a
-// restored campaign or a batch-evaluation commit costs one publication
-// per shard rather than one per entry, with results indistinguishable
-// from a loop of Adds. Concurrent readers observe, per shard, either
-// the pre-batch or the post-batch view — a consistent prefix, never a
-// torn intermediate.
+// publishes one view, so ingesting a replayed trace, a restored campaign
+// or a batch-evaluation commit costs one publication rather than one
+// per entry, with results indistinguishable from a loop of Adds. A
+// batch is all-or-nothing for readers: they observe either the
+// pre-batch or the post-batch view, never a torn intermediate.
 //
 // # Radius queries: the linear scan
 //
-// Neighbors(w, d) is the pseudo-code's scan: every live entry of every
-// shard view within L1 distance d of w is a hit, the hits are sorted by
-// the global sequence, and the neighbourhood comes back oldest-first.
+// Neighbors(w, d) is the pseudo-code's scan: every live entry of the
+// view within L1 distance d of w is a hit, the hits are sorted by the
+// sequence, and the neighbourhood comes back oldest-first.
 // NearestK(w, d, k) runs the same scan and, when more than k entries are
 // in range, orders the hits by (distance, sequence) and keeps the first
 // k — exactly Neighbors(w, d).NearestK(k). The scan is pruned by a lower
@@ -50,10 +51,9 @@
 // so warm steady-state queries allocate nothing; the plain forms are
 // thin allocating wrappers.
 //
-// Snapshot freezes the current contents in O(shards): the batch
-// evaluator uses it to make all interpolation decisions of one batch
-// against the store as it stood on entry, regardless of concurrent
-// writers. Snapshots are immune to later overwrites of the entries they
+// Snapshot freezes the current contents in O(1): the batch evaluator
+// uses it to make all interpolation decisions of one batch against the
+// store as it stood on entry, regardless of concurrent writers. Snapshots are immune to later overwrites of the entries they
 // contain.
 //
 // # Persistence: Open and the write-ahead log
@@ -62,9 +62,10 @@
 // Open(DurabilityOptions{Dir: dir}) returns a store whose writes are
 // durable: every Add/AddBatch appends one checksummed, fsynced record to
 // a write-ahead segment log (internal/store/wal) before touching memory
-// — group commit, O(1) allocations per batch — and reopening the same
-// directory replays the log back into the sharded structure,
-// bit-identical query surface included. Recovery truncates a torn final
+// — group commit, O(1) allocations per batch. Logging and applying share
+// the writer lock, so the log's record order is the sequence order, and
+// reopening the same directory replays the log back through the
+// AddBatch path, bit-identical query surface included. Recovery truncates a torn final
 // record (the residue of a crash mid-append) and refuses interior
 // corruption with wal.ErrCorrupt. The log is never truncated:
 // superseded overwrite versions stay on disk and in memory (Versions

@@ -47,7 +47,7 @@ func Open(d DurabilityOptions) (*Store, error) {
 		for _, r := range recs {
 			batch = append(batch, Entry{Config: space.Config(r.Config), Lambda: r.Lambda})
 		}
-		s.addBatchMem(batch)
+		s.applyBatch(batch)
 		return nil
 	})
 	if err != nil {
@@ -61,13 +61,13 @@ func Open(d DurabilityOptions) (*Store, error) {
 // Err returns the sticky durability failure, if any. A durable store is
 // fail-stop: after a write or fsync error the failed write (and every
 // later one) is not applied, not acknowledged, and this reports why.
-// In-memory stores always return nil.
+// In-memory stores always return nil, without taking the writer lock.
 func (s *Store) Err() error {
 	if s.log == nil {
 		return nil
 	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.walErr
 }
 
@@ -78,8 +78,8 @@ func (s *Store) Close() error {
 	if s.log == nil {
 		return nil
 	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
@@ -91,47 +91,25 @@ func (s *Store) Close() error {
 	return err
 }
 
-// addDurable logs one entry as a single-record batch, then applies it.
-// walMu spans both steps so the log's record order always matches the
-// in-memory sequence stamps (recovery replays in log order).
-func (s *Store) addDurable(c space.Config, lambda float64) (added bool) {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
+// appendLog logs one write — an Add or a whole batch — as one log record
+// (one fsync under SyncBatch). It reports false, so the caller applies
+// nothing, once the store is closed or has failed; a failure here
+// becomes the sticky error. Callers hold mu.
+func (s *Store) appendLog(recs []wal.Record, op string) bool {
 	if s.walErr != nil || s.closed {
 		return false
 	}
-	recs := s.recBuf[:0]
-	recs = append(recs, wal.Record{Config: []int(c), Lambda: lambda})
-	s.recBuf = recs
 	if err := s.log.Append(recs); err != nil {
-		s.walErr = fmt.Errorf("store: durable add: %w", err)
+		s.walErr = fmt.Errorf("store: durable %s: %w", op, err)
 		return false
 	}
-	return s.addMem(c, lambda)
-}
-
-// addBatchDurable group-commits the batch — one log record, one fsync —
-// then applies it through the in-memory bulk path.
-func (s *Store) addBatchDurable(entries []Entry) (added int) {
-	if len(entries) == 0 {
-		return 0
-	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if s.walErr != nil || s.closed {
-		return 0
-	}
-	if err := s.log.Append(s.records(entries)); err != nil {
-		s.walErr = fmt.Errorf("store: durable batch: %w", err)
-		return 0
-	}
-	return s.addBatchMem(entries)
+	return true
 }
 
 // records converts entries into the log's record type, reusing the
 // store's scratch slice: the conversion is header-only (the coordinate
 // slices are shared, not copied), so a warm durable store logs a batch
-// with zero allocations here. Callers hold walMu.
+// with zero allocations here. Callers hold mu.
 func (s *Store) records(entries []Entry) []wal.Record {
 	recs := s.recBuf[:0]
 	if cap(recs) < len(entries) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -117,6 +118,58 @@ func TestDurableReopenEquivalence(t *testing.T) {
 	s3 := openDurable(t, dir)
 	defer s3.Close()
 	assertStoresIdentical(t, "second reopen vs mem", s3, mem)
+}
+
+// TestDurableConcurrentReopen pins "log order = sequence order" under
+// concurrent writers: eight goroutines mix Adds of fresh configurations,
+// AddBatches and overwrites of a shared pool on one durable store, and
+// the store recovered from its log must be identical to the one that
+// wrote it — insertion order and overwrite winners included. Recovery
+// replays the log in record order, so a write whose record and
+// sequence stamp were taken in different orders would flip them.
+func TestDurableConcurrentReopen(t *testing.T) {
+	const goroutines, ops = 8, 300
+	dir := t.TempDir()
+	s, err := Open(DurabilityOptions{Dir: dir, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := make([]space.Config, 16)
+	for i := range shared {
+		shared[i] = space.Config{i, 20 - i, i % 5, 10}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rng.New(uint64(g) + 1)
+			for i := 0; i < ops; i++ {
+				switch i % 4 {
+				case 0: // overwrite a shared configuration
+					s.Add(shared[r.Intn(len(shared))], r.Float64())
+				case 1: // batch mixing fresh and shared configurations
+					s.AddBatch([]Entry{
+						{Config: randConfig(r, 4, 0, 20), Lambda: r.Float64()},
+						{Config: shared[r.Intn(len(shared))], Lambda: r.Float64()},
+						{Config: randConfig(r, 4, 0, 20), Lambda: r.Float64()},
+					})
+				default:
+					s.Add(randConfig(r, 4, 0, 20), r.Float64())
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	re := openDurable(t, dir)
+	defer re.Close()
+	assertStoresIdentical(t, "reopened vs writer", re, s)
+	if re.Versions() != s.Versions() {
+		t.Fatalf("Versions %d after reopen, want %d", re.Versions(), s.Versions())
+	}
 }
 
 // TestDurableFailStop: once the device fails, no later write is applied

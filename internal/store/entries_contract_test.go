@@ -11,7 +11,7 @@ import (
 // Snapshot.Entries()) exposes exactly one Entry per configuration — the
 // latest value — at the position of the FIRST write of that
 // configuration (overwrites keep the original sequence stamp; see
-// shardBuilder.insertEntry). Superseded versions stay in storage but
+// builder.insertItem). Superseded versions stay in storage but
 // must never leak through the API.
 
 // entriesString renders an entry sequence for exact comparison.

@@ -8,7 +8,7 @@ import (
 )
 
 // ExampleStore_AddBatch bulk-loads a batch of simulated results in one
-// call — one view publication per shard instead of one per entry, the
+// call — one view publication instead of one per entry, the
 // path to use when restoring a persisted campaign or committing a batch
 // of simulations. Semantics match a loop of Add calls exactly: entries
 // land in input order and a repeated configuration keeps the last value

@@ -18,8 +18,8 @@ func configFromBytes(data []byte) space.Config {
 	return c
 }
 
-// FuzzHashConfig hardens the hash both layers key identity on (shard
-// routing, exact lookup, single-flight coalescing, WAL replay identity):
+// FuzzHashConfig hardens the hash both layers key identity on (exact
+// lookup, single-flight coalescing, WAL replay identity):
 // arbitrary coordinate vectors must never panic, must hash equal for
 // equal content regardless of backing array, and must hash a proper
 // prefix differently from its extension (the length is part of the

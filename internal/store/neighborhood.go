@@ -19,20 +19,13 @@ type Neighborhood struct {
 	// Dists holds the distance of each support point to the query.
 	Dists []float64
 
-	// q is the per-buffer query scratch: candidate hits and the
-	// shard-state capture live here between queries so repeated *Into
-	// calls on one buffer are allocation-free.
-	q queryScratch
+	// q is the per-buffer query scratch: candidate hits live here
+	// between queries so repeated *Into calls on one buffer are
+	// allocation-free.
+	q hitSorter
 }
 
-// queryScratch is the reusable per-query state of the radius and
-// k-nearest queries.
-type queryScratch struct {
-	sorter hitSorter     // candidate hits + final ordering mode
-	states []*shardState // Store.*Into shard-state capture
-}
-
-// hitSorter orders collected hits either by global insertion sequence
+// hitSorter orders collected hits either by insertion sequence
 // (radius queries) or by (distance, sequence) (k-nearest queries, the
 // order a stable-by-distance sort of an insertion-ordered neighbourhood
 // produces). Sorting goes through a pointer receiver into the pooled
@@ -52,21 +45,21 @@ func (s *hitSorter) Less(a, b int) bool {
 }
 
 // hit is one in-range entry collected during a radius query, carried with
-// its distance until the global seq sort restores insertion order.
+// its distance until the seq sort restores insertion order.
 type hit struct {
-	e    *shardEntry
+	e    *item
 	dist float64
 }
 
-// finishHitsInto sorts the collected hits into global insertion order
+// finishHitsInto sorts the collected hits into insertion order
 // (sequence numbers are unique within a view, so the order is total) and
 // packs them into the caller's buffer, allocation-free once the buffer
 // is warm.
 func finishHitsInto(buf *Neighborhood) *Neighborhood {
-	buf.q.sorter.byDist = false
-	sort.Sort(&buf.q.sorter)
+	buf.q.byDist = false
+	sort.Sort(&buf.q)
 	buf.reset()
-	for _, h := range buf.q.sorter.hits {
+	for _, h := range buf.q.hits {
 		buf.appendHit(h)
 	}
 	return buf
@@ -78,13 +71,13 @@ func finishHitsInto(buf *Neighborhood) *Neighborhood {
 // are ordered by (distance, sequence) — what a stable-by-distance sort
 // of an insertion-ordered neighbourhood yields — and truncated to k.
 func finishNearestKInto(buf *Neighborhood, k int) *Neighborhood {
-	hits := buf.q.sorter.hits
+	hits := buf.q.hits
 	if len(hits) <= k {
 		return finishHitsInto(buf)
 	}
-	buf.q.sorter.byDist = true
-	sort.Sort(&buf.q.sorter)
-	hits = buf.q.sorter.hits[:k]
+	buf.q.byDist = true
+	sort.Sort(&buf.q)
+	hits = buf.q.hits[:k]
 	buf.reset()
 	for _, h := range hits {
 		buf.appendHit(h)
@@ -111,8 +104,8 @@ func (nb *Neighborhood) appendHit(h hit) {
 
 // releaseScratch drops the collection scratch — used by the allocating
 // wrapper APIs so a returned Neighborhood does not pin candidate entries
-// (or shard states) beyond the coordinates it exposes.
-func (nb *Neighborhood) releaseScratch() { nb.q = queryScratch{} }
+// beyond the coordinates it exposes.
+func (nb *Neighborhood) releaseScratch() { nb.q = hitSorter{} }
 
 // NearestK returns the k closest support points (ties kept in insertion
 // order), or the whole neighbourhood when k <= 0 or k >= Len. Capping the

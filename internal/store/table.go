@@ -12,7 +12,7 @@ const minTableSize = 8
 // table is an insert-only open-addressing hash index shared by every
 // view published since its creation (a regrow starts a new table; older
 // views keep the smaller one, which already covers every entry they can
-// see). Slots are written only under the shard writer lock and probed by
+// see). Slots are written only under the store's writer lock and probed by
 // readers with atomic loads: a reader that observes an entry inserted
 // after its view was published filters it out by position, so the shared
 // mutation is invisible. Slots are never cleared, which keeps reader
@@ -22,17 +22,18 @@ const minTableSize = 8
 // holding its newest version.
 type table struct {
 	mask  uint64
-	slots []atomic.Pointer[shardEntry]
+	slots []atomic.Pointer[item]
 }
 
 func newTable(size int) *table {
-	return &table{mask: uint64(size - 1), slots: make([]atomic.Pointer[shardEntry], size)}
+	return &table{mask: uint64(size - 1), slots: make([]atomic.Pointer[item], size)}
 }
 
 // start maps a hash to its initial probe slot. The raw FNV hash cannot
-// be used as-is: every entry of one shard shares its low bits (that is
-// how it was routed to the shard), so a 64-bit finalizer decorrelates
-// them first.
+// be masked as-is: FNV-1a's multiply carries only upward, so its low k
+// bits depend only on the low k bits of each coordinate, and
+// configurations that agree modulo 2^k would share a probe start. A
+// 64-bit finalizer folds the high bits down first.
 func (t *table) start(hash uint64) uint64 {
 	hash ^= hash >> 33
 	hash *= 0xff51afd7ed558ccd
@@ -86,7 +87,7 @@ func tableSizeFor(n int) int {
 }
 
 // findConfig returns the newest version of cfg, or nil.
-func (t *table) findConfig(hash uint64, cfg space.Config) *shardEntry {
+func (t *table) findConfig(hash uint64, cfg space.Config) *item {
 	for i := t.start(hash); ; i = (i + 1) & t.mask {
 		e := t.slots[i].Load()
 		if e == nil {
@@ -99,7 +100,7 @@ func (t *table) findConfig(hash uint64, cfg space.Config) *shardEntry {
 }
 
 // storeConfig publishes e as the newest version of its configuration.
-func (t *table) storeConfig(hash uint64, e *shardEntry) {
+func (t *table) storeConfig(hash uint64, e *item) {
 	for i := t.start(hash); ; i = (i + 1) & t.mask {
 		old := t.slots[i].Load()
 		if old == nil || (old.hash == hash && old.cfg.Equal(e.cfg)) {
