@@ -7,8 +7,9 @@
 // Configuration is environment-driven (see internal/config): EVALD_ADDR,
 // EVALD_BENCH, EVALD_SIZE, EVALD_SEED, EVALD_WORKERS, EVALD_MAX_SIMS,
 // EVALD_STATE_DIR, EVALD_D, EVALD_NNMIN, EVALD_MAX_SUPPORT,
-// EVALD_API_KEYS, EVALD_DRAIN_GRACE, EVALD_REQUEST_TIMEOUT,
-// EVALD_SIM_WORKERS, EVALD_SIM_WORKER_CAP, EVALD_DISABLE_SHED.
+// EVALD_DISABLE_COALESCING, EVALD_API_KEYS, EVALD_DRAIN_GRACE,
+// EVALD_REQUEST_TIMEOUT, EVALD_SIM_WORKERS, EVALD_SIM_WORKER_CAP,
+// EVALD_DISABLE_SHED.
 // With no environment at all it serves the small FIR benchmark on :8080,
 // unauthenticated, simulating in-process; EVALD_SIM_WORKERS moves
 // simulation onto a pool of remote simd workers (see cmd/simd and

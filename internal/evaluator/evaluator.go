@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,8 +150,10 @@ type Options struct {
 var ErrBadOptions = errors.New("evaluator: invalid options")
 
 func (o *Options) validate() error {
-	if o.D < 0 {
-		return fmt.Errorf("%w: negative distance %v", ErrBadOptions, o.D)
+	// NaN fails every comparison, so it would silently turn kriging off
+	// (no point is ever within radius NaN); +Inf is an unbounded radius.
+	if o.D < 0 || math.IsNaN(o.D) {
+		return fmt.Errorf("%w: distance %v, want >= 0", ErrBadOptions, o.D)
 	}
 	if o.NnMin < 0 {
 		return fmt.Errorf("%w: negative NnMin %d", ErrBadOptions, o.NnMin)
@@ -158,8 +161,8 @@ func (o *Options) validate() error {
 	if o.MaxSupport < 0 {
 		return fmt.Errorf("%w: negative MaxSupport %d", ErrBadOptions, o.MaxSupport)
 	}
-	if o.MaxVariance < 0 {
-		return fmt.Errorf("%w: negative MaxVariance %v", ErrBadOptions, o.MaxVariance)
+	if o.MaxVariance < 0 || math.IsNaN(o.MaxVariance) {
+		return fmt.Errorf("%w: MaxVariance %v, want >= 0", ErrBadOptions, o.MaxVariance)
 	}
 	if (o.Transform == nil) != (o.Untransform == nil) {
 		return fmt.Errorf("%w: Transform and Untransform must be set together", ErrBadOptions)

@@ -192,14 +192,19 @@ func TestOptionsValidation(t *testing.T) {
 	sim := newPlaneSim()
 	cases := []Options{
 		{D: -1},
+		{D: math.NaN()},
 		{NnMin: -1},
 		{MaxSupport: -1},
+		{MaxVariance: math.NaN()},
 		{Transform: NegPowerToDB}, // missing Untransform
 	}
 	for i, o := range cases {
 		if _, err := New(sim, o); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("case %d: err = %v, want ErrBadOptions", i, err)
 		}
+	}
+	if _, err := New(sim, Options{D: math.Inf(1)}); err != nil {
+		t.Errorf("unbounded radius: err = %v, want nil", err)
 	}
 }
 

@@ -107,8 +107,8 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestDrainGateRefusesDeterministically pins the app-level half of the
-// drain independent of listener teardown timing: once StartDraining is
-// called, API routes answer 503 with Retry-After while the health probe
+// drain independent of listener teardown timing: once the drain starts,
+// API routes answer 503 with Retry-After while the health probe
 // keeps reporting liveness and readiness flips.
 func TestDrainGateRefusesDeterministically(t *testing.T) {
 	s, ts := newTestServer(t, Options{}, nil)
@@ -116,7 +116,7 @@ func TestDrainGateRefusesDeterministically(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("readyz before drain = %d", status)
 	}
-	s.StartDraining()
+	s.drain.Start(0)
 	status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", `{"config":[2,2]}`, nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("evaluate during drain = %d (%v), want 503", status, body)
@@ -137,7 +137,7 @@ func TestDrainGateRefusesDeterministically(t *testing.T) {
 func waitDraining(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !s.draining.Load() {
+	for !s.drain.Draining() {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}

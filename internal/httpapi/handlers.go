@@ -2,14 +2,13 @@ package httpapi
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/evaluator"
+	"repro/internal/httpx"
 	"repro/internal/space"
 )
 
@@ -110,43 +109,6 @@ type workerGauge struct {
 	P99MS       float64 `json:"p99_ms"`
 }
 
-// errorResponse is the uniform error body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
-}
-
-// decode parses a JSON body with unknown fields rejected and a 1 MiB
-// cap, answering 400 (or 413) itself when the body is malformed.
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body over 1 MiB")
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON body: "+err.Error())
-		return false
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
-		return false
-	}
-	return true
-}
-
 // requestContext maps the request-scoped deadline onto a context: the
 // body's timeout_ms wins, then the server default; zero means the
 // connection context alone governs the request.
@@ -196,26 +158,15 @@ func errStatus(err error) (int, string) {
 	}
 }
 
-// retryAfterSeconds renders a wait as a Retry-After header value:
-// whole seconds, rounded up, never below 1 (a 503 with Retry-After: 0
-// invites an immediate retry storm).
-func retryAfterSeconds(d time.Duration) string {
-	secs := (int64(d) + int64(time.Second) - 1) / int64(time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
 // writeEvalError maps an evaluation failure onto the response,
 // attaching the computed Retry-After on capacity refusals.
 func writeEvalError(w http.ResponseWriter, err error) {
 	status, msg := errStatus(err)
 	if status == http.StatusServiceUnavailable {
 		wait, _ := evaluator.RetryAfter(err)
-		w.Header().Set("Retry-After", retryAfterSeconds(wait))
+		w.Header().Set("Retry-After", httpx.RetryAfter(wait))
 	}
-	writeError(w, status, msg)
+	httpx.WriteError(w, status, msg)
 }
 
 func toResponse(res evaluator.Result) evaluateResponse {
@@ -233,12 +184,12 @@ func toResponse(res evaluator.Result) evaluateResponse {
 // admission-bounded simulation.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req evaluateRequest
-	if !decode(w, r, &req) {
+	if !httpx.Decode(w, r, &req) {
 		return
 	}
 	cfg := space.Config(req.Config)
 	if err := s.checkConfig(cfg); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpx.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -258,7 +209,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 		info.degraded = res.Degraded
 	}
-	writeJSON(w, http.StatusOK, toResponse(res))
+	httpx.WriteJSON(w, http.StatusOK, toResponse(res))
 }
 
 // handleBatch answers POST /v1/batch with Engine.EvaluateAll semantics:
@@ -268,15 +219,15 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 // in input order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decode(w, r, &req) {
+	if !httpx.Decode(w, r, &req) {
 		return
 	}
 	if len(req.Configs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
+		httpx.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(req.Configs) > s.maxBatch {
-		writeError(w, http.StatusBadRequest,
+		httpx.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d configs over the %d limit", len(req.Configs), s.maxBatch))
 		return
 	}
@@ -284,7 +235,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, c := range req.Configs {
 		cfgs[i] = space.Config(c)
 		if err := s.checkConfig(cfgs[i]); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("config %d: %v", i, err))
+			httpx.WriteError(w, http.StatusBadRequest, fmt.Sprintf("config %d: %v", i, err))
 			return
 		}
 	}
@@ -308,7 +259,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if info := infoFrom(r.Context()); info != nil {
 		info.coalesced, info.hasCoal = coalesced, true
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleStats answers GET /v1/stats.
@@ -329,7 +280,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		InFlight:            s.ev.InFlight(),
 		ActiveSims:          s.engine.ActiveSims(),
 		MaxSims:             s.engine.MaxSims(),
-		Draining:            s.draining.Load(),
+		Draining:            s.drain.Draining(),
 		NShed:               st.NShed,
 		NQueueExpired:       st.NQueueExpired,
 		NDegraded:           st.NDegraded,
@@ -352,27 +303,27 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz reports process liveness: 200 whenever the server can
 // run a handler at all, draining included (the process is alive while it
 // finishes its work).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz reports readiness to take new work: 503 once draining has
 // begun or after the durable store's sticky failure — either way the
 // load balancer should route elsewhere.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+	if s.drain.Draining() {
+		httpx.WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	if err := s.ev.Err(); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "state store failed: "+err.Error())
+		httpx.WriteError(w, http.StatusServiceUnavailable, "state store failed: "+err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"crypto/subtle"
 	"net/http"
-	"runtime/debug"
-	"strings"
 	"time"
+
+	"repro/internal/httpx"
 )
 
 // reqInfo is the per-request annotation record the handlers fill in and
@@ -26,47 +26,11 @@ func infoFrom(ctx context.Context) *reqInfo {
 	return info
 }
 
-// statusWriter captures the response status for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
 // api assembles the middleware stack of one API route, outermost first:
 // panic recovery, request logging, the drain gate, method dispatch,
 // API-key authentication and the tenant's concurrency quota.
 func (s *Server) api(method string, h http.HandlerFunc) http.Handler {
-	return s.recoverPanics(s.logRequests(s.drainGate(s.allowMethod(method, s.authenticate(s.withQuota(h))))))
-}
-
-// recoverPanics turns a handler panic into a 500 instead of tearing down
-// the whole connection (and, under http.Server semantics, leaving the
-// client with an aborted response).
-func (s *Server) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.logger.Error("panic in handler",
-					"path", r.URL.Path, "panic", rec, "stack", string(debug.Stack()))
-				writeError(w, http.StatusInternalServerError, "internal error")
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
+	return httpx.Recover(s.logger, s.logRequests(s.drain.Gate(httpx.AllowMethod(method, s.authenticate(s.withQuota(h))))))
 }
 
 // logRequests emits one structured line per request: method, path,
@@ -77,20 +41,17 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 func (s *Server) logRequests(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		info := &reqInfo{tenant: "anonymous"}
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &httpx.StatusWriter{ResponseWriter: w}
 		var r0, h0, t0, q0 uint64
 		if s.pool != nil {
 			r0, h0, t0, q0 = s.pool.RemoteSimCounts()
 		}
 		start := time.Now()
 		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, info)))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
 		attrs := []any{
 			"method", r.Method,
 			"path", r.URL.Path,
-			"status", sw.status,
+			"status", sw.Status(),
 			"latency", time.Since(start),
 			"tenant", info.tenant,
 		}
@@ -112,34 +73,6 @@ func (s *Server) logRequests(next http.Handler) http.Handler {
 	})
 }
 
-// drainGate refuses new API work once the server is draining; requests
-// already past the gate run to completion under http.Server.Shutdown.
-// The Retry-After is the drain grace remaining — once it elapses this
-// instance is gone and a replacement (or the load balancer) should be
-// answering, so it is the earliest moment a retry can do better.
-func (s *Server) drainGate(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", retryAfterSeconds(s.drainRemaining()))
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// allowMethod rejects every verb but the route's own with 405.
-func (s *Server) allowMethod(method string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
 // authenticate resolves the API key (Authorization: Bearer or X-API-Key)
 // to a tenant. With an empty tenant table authentication is disabled and
 // every request runs as "anonymous".
@@ -149,10 +82,8 @@ func (s *Server) authenticate(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		key := apiKey(r)
+		key := httpx.APIKey(w, r, "evald")
 		if key == "" {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="evald"`)
-			writeError(w, http.StatusUnauthorized, "missing API key")
 			return
 		}
 		// Linear scan with constant-time compares: tenant tables are
@@ -165,7 +96,7 @@ func (s *Server) authenticate(next http.Handler) http.Handler {
 			}
 		}
 		if tenant == nil {
-			writeError(w, http.StatusUnauthorized, "invalid API key")
+			httpx.WriteError(w, http.StatusUnauthorized, "invalid API key")
 			return
 		}
 		if info := infoFrom(r.Context()); info != nil {
@@ -176,17 +107,6 @@ func (s *Server) authenticate(next http.Handler) http.Handler {
 }
 
 type tenantKey struct{}
-
-// apiKey extracts the client credential from the request.
-func apiKey(r *http.Request) string {
-	if auth := r.Header.Get("Authorization"); auth != "" {
-		if rest, ok := strings.CutPrefix(auth, "Bearer "); ok {
-			return strings.TrimSpace(rest)
-		}
-		return ""
-	}
-	return strings.TrimSpace(r.Header.Get("X-API-Key"))
-}
 
 // withQuota holds one of the tenant's concurrent-request slots for the
 // duration of the handler. A tenant at its quota is refused immediately
@@ -208,8 +128,8 @@ func (s *Server) withQuota(next http.Handler) http.Handler {
 			// shedder's queue-wait estimate is the honest hint for when
 			// a slot is likely to open (floor of 1s when the engine has
 			// no estimate yet).
-			w.Header().Set("Retry-After", retryAfterSeconds(s.engine.EstimatedWait()))
-			writeError(w, http.StatusTooManyRequests, "tenant quota exhausted")
+			w.Header().Set("Retry-After", httpx.RetryAfter(s.engine.EstimatedWait()))
+			httpx.WriteError(w, http.StatusTooManyRequests, "tenant quota exhausted")
 			return
 		}
 		next.ServeHTTP(w, r)

@@ -388,8 +388,7 @@ func TestErrStatusTable(t *testing.T) {
 // at 1 when no grace is known.
 func TestDrainRetryAfterIsGraceRemaining(t *testing.T) {
 	s, ts := newTestServer(t, Options{}, nil)
-	s.drainGrace = 10 * time.Second
-	s.StartDraining()
+	s.drain.Start(10 * time.Second)
 	status, hdr, _ := doHdr(t, http.MethodGet, ts.URL+"/v1/stats", "", nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("draining status = %d, want 503", status)
@@ -399,7 +398,7 @@ func TestDrainRetryAfterIsGraceRemaining(t *testing.T) {
 	}
 
 	s2, ts2 := newTestServer(t, Options{}, nil)
-	s2.StartDraining() // no grace configured
+	s2.drain.Start(0) // no grace configured
 	_, hdr2, _ := doHdr(t, http.MethodGet, ts2.URL+"/v1/stats", "", nil)
 	if ra := retryAfterValue(t, hdr2); ra != 1 {
 		t.Errorf("no-grace Retry-After = %d, want floor 1", ra)

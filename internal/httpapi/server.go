@@ -20,14 +20,13 @@ package httpapi
 
 import (
 	"context"
-	"errors"
 	"log/slog"
 	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/evaluator"
+	"repro/internal/httpx"
 	"repro/internal/simpool"
 	"repro/internal/space"
 )
@@ -91,13 +90,8 @@ type Server struct {
 	pool           *simpool.Pool
 	tenants        []*tenantState
 	anonymous      bool
-	draining       atomic.Bool
-	// drainStart is when StartDraining flipped the gate (unix nanos;
-	// zero until then) and drainGrace how long in-flight work may run
-	// after it — together they price the drain gate's Retry-After.
-	drainStart atomic.Int64
-	drainGrace time.Duration
-	mux        *http.ServeMux
+	drain          httpx.Drain
+	mux            *http.ServeMux
 }
 
 type tenantState struct {
@@ -154,59 +148,19 @@ func New(opts Options) *Server {
 // Handler returns the fully assembled HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// StartDraining flips the server into drain mode: /readyz turns 503 so
-// load balancers stop routing here, and new API requests are refused
-// with 503 + Retry-After (the drain grace remaining) while requests
-// already in flight run to completion. Draining is one-way.
-func (s *Server) StartDraining() {
-	if s.draining.CompareAndSwap(false, true) {
-		s.drainStart.Store(time.Now().UnixNano())
-	}
-}
-
-// drainRemaining reports how much of the drain grace is left — the
-// drain gate's Retry-After source. Zero (mapped to the 1s header floor)
-// when no grace is configured or it has elapsed.
-func (s *Server) drainRemaining() time.Duration {
-	start := s.drainStart.Load()
-	if start == 0 || s.drainGrace <= 0 {
-		return 0
-	}
-	return s.drainGrace - time.Since(time.Unix(0, start))
-}
-
 // ServeListener serves the API on ln until ctx is cancelled, then drains
-// gracefully: stop accepting new work, wait up to grace for in-flight
-// requests (their simulations resolve through the engine as usual), and
-// finally close the evaluator so a durable store's write-ahead log is
+// gracefully: /readyz turns 503 so load balancers stop routing here, new
+// API requests are refused with 503 + Retry-After (the grace remaining),
+// requests in flight get up to grace to finish (their simulations
+// resolve through the engine as usual), and finally it closes the
+// evaluator so a durable store's write-ahead log is
 // cleanly synced. It returns once the drain is complete — nil on a clean
 // shutdown, the evaluator's sticky durability error if the state store
 // failed, or the server/listener error that stopped it.
 func (s *Server) ServeListener(ctx context.Context, ln net.Listener, grace time.Duration) error {
-	s.drainGrace = grace
-	hs := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	drained := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		s.StartDraining()
-		shCtx := context.Background()
-		if grace > 0 {
-			var cancel context.CancelFunc
-			shCtx, cancel = context.WithTimeout(shCtx, grace)
-			defer cancel()
-		}
-		drained <- hs.Shutdown(shCtx)
-	}()
-	err := hs.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		// Shutdown owns the outcome: wait for the in-flight requests to
-		// finish (or the grace deadline to cut them off) before closing
-		// the state store underneath them.
-		err = <-drained
-	}
+	// Serve returns only once in-flight requests are done, so the state
+	// store is never closed underneath them.
+	err := s.drain.Serve(ctx, ln, s.Handler(), grace)
 	if cerr := s.ev.Close(); err == nil {
 		err = cerr
 	}

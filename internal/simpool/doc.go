@@ -12,8 +12,8 @@
 //   - Worker is the server side: it wraps any Simulator behind
 //     POST /v1/simulate with per-worker concurrency slots, API-key
 //     authentication, strict JSON decoding, GET /healthz, a graceful
-//     drain gate and structured request logging — the same middleware
-//     discipline as internal/httpapi, without depending on it.
+//     drain gate and structured request logging, built from the
+//     internal/httpx plumbing that evald's internal/httpapi also uses.
 //
 //   - Pool is the client-side scheduler: per-worker outstanding-request
 //     accounting with least-loaded dispatch, bounded exponential backoff
@@ -52,8 +52,7 @@
 // evaluator's single-flight table already deduplicates at the request
 // layer, so no duplicate ever reaches the store.
 //
-// The package is stdlib-only (net/http + encoding/json), keeping the
-// module dependency-free, and imports nothing above internal/space: the
-// evaluator consumes a Pool purely through its ContextSimulator-shaped
-// method set.
+// Besides the standard library the package imports only internal/space
+// and internal/httpx, nothing above: the evaluator consumes a Pool
+// purely through its ContextSimulator-shaped method set.
 package simpool

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/space"
 )
 
@@ -647,7 +648,7 @@ func (p *Pool) flight(actx context.Context, w *worker, body []byte) (float64, ou
 // errBody extracts the {"error": ...} message from a worker response,
 // falling back to the raw bytes.
 func errBody(raw []byte) string {
-	var er errorResponse
+	var er httpx.ErrorBody
 	if json.Unmarshal(raw, &er) == nil && er.Error != "" {
 		return er.Error
 	}

@@ -51,11 +51,6 @@ type healthzResponse struct {
 	Served   uint64 `json:"served"`
 }
 
-// errorResponse is the uniform error body, mirroring internal/httpapi.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // Typed pool failures. All are terminal for the query that observes
 // them; the evaluator wraps them (errors.Is-transparently) and evald's
 // error mapping surfaces them as 502 — an upstream failure, never a

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -165,7 +166,7 @@ func TestWorkerHealthz(t *testing.T) {
 		t.Fatalf("healthz = %d %+v, want 200 ok nv=3 capacity=2", resp.StatusCode, hz)
 	}
 
-	w.StartDraining()
+	w.drain.Start(10 * time.Second)
 	resp, err = http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +178,10 @@ func TestWorkerHealthz(t *testing.T) {
 	r2, _ := postSimulate(t, srv.URL, "k3y", `{"config":[2,3,4]}`)
 	if r2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining simulate = %d, want 503", r2.StatusCode)
+	}
+	// The Retry-After is the drain grace remaining, not a constant.
+	if ra, err := strconv.Atoi(r2.Header.Get("Retry-After")); err != nil || ra < 5 || ra > 10 {
+		t.Errorf("draining Retry-After = %q, want within the 10s grace", r2.Header.Get("Retry-After"))
 	}
 }
 
