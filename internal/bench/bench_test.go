@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/evaluator"
 	"repro/internal/kriging"
+	"repro/internal/metrics"
+	"repro/internal/space"
 	"repro/internal/variogram"
 )
 
@@ -131,6 +133,65 @@ func TestReplayTraceVariants(t *testing.T) {
 	}
 	if live.Rows[0].N != res.Rows[0].N {
 		t.Error("mode change altered N")
+	}
+}
+
+// TestReplayLiveMatchesLiveEvaluator pins ModeLive's contract: its row
+// is what a separately built live evaluator reports when fed the same
+// trace values in trace order.
+func TestReplayLiveMatchesLiveEvaluator(t *testing.T) {
+	for _, name := range []string{"fir", "iir"} {
+		sp, err := SpecByName(name, Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := sp.Record(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ReplayTrace(sp, trace, Table1Options{Mode: evaluator.ModeLive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := make(map[string]float64, len(trace))
+		for _, tp := range trace {
+			truth[tp.Config.Key()] = tp.Lambda
+		}
+		for _, row := range res.Rows {
+			opts := evaluator.Options{D: row.D, NnMin: 1, MaxSupport: 10, Interp: &kriging.Ordinary{}}
+			applyDefaultDomain(sp, &opts)
+			ev, err := evaluator.New(evaluator.SimulatorFunc{NumVars: sp.Nv, Fn: func(c space.Config) (float64, error) {
+				return truth[c.Key()], nil
+			}}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eps metrics.Summary
+			seen := make(map[string]bool, len(trace))
+			for _, tp := range trace {
+				if seen[tp.Config.Key()] {
+					continue
+				}
+				seen[tp.Config.Key()] = true
+				r, err := ev.Evaluate(tp.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Source == evaluator.Interpolated {
+					eps.Add(metrics.EpsilonBits(-r.Lambda, -tp.Lambda))
+				}
+			}
+			st := ev.Stats()
+			if st.NInterp == 0 {
+				t.Errorf("%s d=%v: nothing kriged", name, row.D)
+			}
+			if row.Percent != st.PercentInterpolated() || row.MeanNeigh != st.MeanNeighbors() ||
+				row.MaxEps != eps.Max() || row.MeanEps != eps.Mean() {
+				t.Errorf("%s d=%v: replay p=%v j=%v max=%v mean=%v, live evaluator p=%v j=%v max=%v mean=%v",
+					name, row.D, row.Percent, row.MeanNeigh, row.MaxEps, row.MeanEps,
+					st.PercentInterpolated(), st.MeanNeighbors(), eps.Max(), eps.Mean())
+			}
+		}
 	}
 }
 

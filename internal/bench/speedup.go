@@ -21,15 +21,14 @@ import (
 // where t_o is the measured simulation time of one configuration and t_i
 // the measured kriging interpolation time.
 type SpeedupRow struct {
-	Name      string
-	D         float64
-	N         int
-	NSim      int
-	NInterp   int
-	TSim      time.Duration // t_o
-	TInterp   time.Duration // t_i
-	Speedup   float64
-	PaperNote string
+	Name    string
+	D       float64
+	N       int
+	NSim    int
+	NInterp int
+	TSim    time.Duration // t_o
+	TInterp time.Duration // t_i
+	Speedup float64
 }
 
 // MeasureSpeedup times one real simulation and one kriging interpolation

@@ -67,10 +67,6 @@ func RunBenchmark(ctx context.Context, sp *Spec, opts Table1Options) (*Benchmark
 func ReplayTrace(sp *Spec, trace evaluator.Trace, opts Table1Options) (*BenchmarkResult, error) {
 	res := &BenchmarkResult{Spec: sp, TraceLen: len(trace), Trajectory: trace}
 	for _, d := range opts.distances() {
-		interp := opts.Interp
-		if interp == nil {
-			interp = &kriging.Ordinary{}
-		}
 		nnMin := opts.NnMin
 		if nnMin == 0 {
 			nnMin = 1
@@ -86,17 +82,10 @@ func ReplayTrace(sp *Spec, trace evaluator.Trace, opts Table1Options) (*Benchmar
 			D:          d,
 			NnMin:      nnMin,
 			MaxSupport: maxSupport,
-			Interp:     interp,
+			Interp:     opts.Interp,
 		}
 		if !opts.LinearDomain {
-			switch sp.ErrKind {
-			case evaluator.ErrorBits:
-				evOpts.Transform = evaluator.NegPowerToDB
-				evOpts.Untransform = evaluator.DBToNegPower
-			case evaluator.ErrorRelative:
-				evOpts.Transform = evaluator.Identity
-				evOpts.Untransform = evaluator.ClampProb
-			}
+			applyDefaultDomain(sp, &evOpts)
 		}
 		row, err := evaluator.ReplayModed(trace, evOpts, sp.ErrKind, opts.Mode)
 		if err != nil {

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/evaluator"
 	"repro/internal/kriging"
@@ -93,8 +94,9 @@ func New(sim evaluator.Simulator, bounds space.Bounds, opts Options) (*Pipeline,
 	if (opts.Transform == nil) != (opts.Untransform == nil) {
 		return nil, errors.New("core: Transform and Untransform must be set together")
 	}
-	if opts.D < 0 {
-		return nil, fmt.Errorf("core: negative distance %v", opts.D)
+	// NaN fails every comparison, so it would silently turn kriging off.
+	if opts.D < 0 || math.IsNaN(opts.D) {
+		return nil, fmt.Errorf("core: distance %v, want >= 0", opts.D)
 	}
 	return &Pipeline{sim: sim, bounds: bounds, opts: opts}, nil
 }

@@ -58,6 +58,15 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+func TestNewRejectsNaNDistance(t *testing.T) {
+	// A NaN radius must fail at construction, before any pilot
+	// simulation is paid for.
+	sim := &fieldSim{nv: 2}
+	if _, err := New(sim, space.UniformBounds(2, 1, 4), Options{D: math.NaN()}); err == nil {
+		t.Error("NaN distance accepted")
+	}
+}
+
 func TestRunPilotSimulates(t *testing.T) {
 	p, sim := newPipeline(t, Options{D: 3})
 	if err := p.RunPilot(16, 1); err != nil {

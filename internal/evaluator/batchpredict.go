@@ -90,6 +90,9 @@ func (e *Evaluator) krige(xs [][]float64, ys []float64, qx [][]float64, out []Re
 				// A degenerate kriging system falls back to simulation; the
 				// paper's flow has no failure path because its supports are
 				// well spread, but a robust library must not abort the run.
+				if stats != nil {
+					stats.nKrigFall.Add(1)
+				}
 				continue
 			}
 		}

@@ -5,8 +5,9 @@
 // (lines 7-24 of Algorithms 1 and 2).
 //
 // The same component provides the replay protocol used to build Table I:
-// feed the recorded trajectory of a simulation-only optimisation run back
-// through the evaluator and compare every interpolated value against the
+// feed the recorded trajectory of a simulation-only optimisation run, in
+// trace order, through Evaluate of an in-memory Evaluator whose simulator
+// answers from the trace, and compare every kriged value against the
 // recorded truth.
 //
 // # Request lifecycle: context and cancellation
@@ -65,9 +66,10 @@
 // Whole-campaign writes ride the store's amortized bulk path
 // (store.AddBatch, one view publication per batch): EvaluateAll commits
 // a successful batch's simulation results in input order through it,
-// the replay passes bulk-load their support stores from the recorded
-// trace, and Preload warm-starts an evaluator from a previous campaign
-// — fed a trajectory persisted with SaveTrace and read back with
-// LoadTrace, the expensive simulation-only recording is paid once and every later
-// study starts from its store in milliseconds.
+// ModePaper replay (alone among the modes) bulk-loads its measurement
+// store from the recorded trace, and Preload warm-starts an evaluator
+// from a previous campaign — fed a trajectory persisted with SaveTrace
+// and read back with LoadTrace, the expensive simulation-only recording
+// is paid once and every later study starts from its store in
+// milliseconds.
 package evaluator

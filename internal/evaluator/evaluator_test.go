@@ -250,6 +250,23 @@ func TestKrigingFailureFallsBackToSimulation(t *testing.T) {
 	if res.Source != Simulated {
 		t.Error("failed interpolation did not fall back to simulation")
 	}
+	if n := ev.Stats().NKrigFallback; n != 1 {
+		t.Errorf("NKrigFallback = %d after one failed system, want 1", n)
+	}
+	// The batch path counts its fallbacks too.
+	bev, err := New(newPlaneSim(), Options{D: 5, NnMin: 1, Interp: failingInterp{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bev.EvaluateAll([]space.Config{{4, 4}, {6, 6}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bev.EvaluateAll([]space.Config{{5, 5}, {5, 4}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := bev.Stats().NKrigFallback; n != 2 {
+		t.Errorf("batch NKrigFallback = %d after two failed systems, want 2", n)
+	}
 }
 
 type failingInterp struct{}

@@ -57,14 +57,15 @@ func (k ErrorKind) String() string {
 	return "bits"
 }
 
-// ReplayMode selects how the replay computes each interpolation.
+// ReplayMode selects how the replay measures each interpolation; the
+// decisions are the live evaluator's in every mode.
 type ReplayMode int
 
 // Replay modes.
 const (
 	// ModePaper reproduces the paper's Table I protocol: the
-	// simulate-or-interpolate decision is made sequentially (a point can
-	// only be interpolated when strictly more than Nn,min *previously
+	// simulate-or-interpolate decision is the live evaluator's (a point
+	// is interpolated when strictly more than Nn,min *previously
 	// simulated* points lie within d), but the error measurement kriges
 	// each interpolated point from ALL other recorded configurations
 	// within d, using their true metric values — an offline "could this
@@ -81,10 +82,10 @@ const (
 	// simulated set (the configurations the accelerated run would truly
 	// have simulated), both earlier and later in the trace.
 	ModeFinalSim
-	// ModeLive uses only the points simulated *before* the query,
-	// exactly what a live optimisation run has at its disposal. The
-	// frontier points of a phase-1 descent then extrapolate, which is
-	// measurably worse; the ablation benches quantify the gap.
+	// ModeLive measures the live evaluator's own answers, kriged from
+	// the points simulated *before* the query. The frontier points of a
+	// phase-1 descent then extrapolate, which is measurably worse; the
+	// ablation benches quantify the gap.
 	ModeLive
 )
 
@@ -103,119 +104,107 @@ func (m ReplayMode) String() string {
 // ReplayRow is one Table I row: the statistics of replaying one recorded
 // trajectory with one distance d.
 type ReplayRow struct {
-	D            float64 // neighbourhood radius
-	N            int     // trajectory length
-	NInterp      int     // configurations interpolated
-	NSim         int     // configurations simulated
-	Percent      float64 // p(%)
-	MeanNeigh    float64 // j̄
-	MaxEps       float64 // max ε
-	MeanEps      float64 // µ ε
-	EpsInfCount  int     // interpolations whose ε was unbounded (P̂<=0)
-	ErrKind      ErrorKind
-	Decisions    int // evaluations downstream code would base decisions on
-	KrigFailures int // degenerate systems that fell back to simulation
+	D           float64 // neighbourhood radius
+	N           int     // trajectory length
+	NInterp     int     // configurations interpolated
+	NSim        int     // configurations simulated
+	Percent     float64 // p(%)
+	MeanNeigh   float64 // j̄
+	MaxEps      float64 // max ε
+	MeanEps     float64 // µ ε
+	EpsInfCount int     // interpolations whose ε was unbounded (P̂<=0)
+	ErrKind     ErrorKind
+	Decisions   int // evaluations downstream code would base decisions on
+	// KrigFailures is Stats.NKrigFallback (failed systems the evaluator
+	// then simulated) plus the measurement pass's failed systems.
+	KrigFailures int
 }
 
-// Replay feeds a recorded trajectory through the kriging decision rule
-// and measures the interpolation error of every kriged point against the
-// recorded truth. No simulator runs: "simulated" points take their value
-// from the trace, reproducing the paper's measurement protocol.
+// Replay feeds a recorded trajectory, in trace order, through Evaluate
+// of an in-memory Evaluator and measures the interpolation error of every
+// kriged point against the recorded truth. No simulator runs: "simulated"
+// points take their value from the trace, reproducing the paper's
+// measurement protocol.
 func Replay(trace Trace, opts Options, kind ErrorKind) (ReplayRow, error) {
 	return ReplayModed(trace, opts, kind, ModePaper)
 }
 
 // ReplayModed is Replay with an explicit support mode; see ReplayMode.
+// The counts come from the evaluator's Stats. ModePaper and ModeFinalSim
+// re-krige each kriged point in a measurement pass, and only ModePaper
+// bulk-loads a store of its own. opts.StateDir is ignored.
 func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (ReplayRow, error) {
-	if err := opts.validate(); err != nil {
-		return ReplayRow{}, err
-	}
-	if opts.Interp == nil {
-		return ReplayRow{}, fmt.Errorf("%w: Replay needs an explicit or default interpolator", ErrBadOptions)
+	if mode < ModePaper || mode > ModeLive {
+		return ReplayRow{}, fmt.Errorf("evaluator: unknown replay mode %d", mode)
 	}
 	// Deduplicate: a revisited configuration is a free exact lookup, not
 	// a new tested configuration in the paper's percentages.
-	seen := make(map[string]bool, len(trace))
+	truth := make(map[string]float64, len(trace))
 	var pts Trace
+	var nv int
 	for _, tp := range trace {
 		key := tp.Config.Key()
-		if seen[key] {
+		if _, ok := truth[key]; ok {
 			continue
 		}
-		seen[key] = true
+		truth[key] = tp.Lambda
 		pts = append(pts, tp)
+		nv = len(tp.Config)
+	}
+	opts.StateDir = ""
+	ev, err := New(SimulatorFunc{NumVars: nv, Fn: func(c space.Config) (float64, error) {
+		return truth[c.Key()], nil
+	}}, opts)
+	if err != nil {
+		return ReplayRow{}, err
 	}
 
-	row := ReplayRow{D: opts.D, ErrKind: kind, N: len(pts)}
-
-	// Pass 1 — the sequential simulate-or-interpolate decision of
-	// Algorithms 1-2: a point is interpolated when strictly more than
-	// Nn,min already-simulated points lie within d; interpolated points
-	// never enter the support store.
-	st := store.New()
-	interp := make([]bool, len(pts))
-	for i, tp := range pts {
-		if opts.D > 0 && st.Neighbors(tp.Config, opts.D).Len() > opts.NnMin {
-			interp[i] = true
-			row.NInterp++
-			continue
-		}
-		st.Add(tp.Config, tp.Lambda)
-		row.NSim++
-	}
-
-	// Pass 2 — value computation and error measurement, each point
-	// kriged like a live query with the gates waived. The support stores
-	// of this pass hold whole recorded sets, so they go through the
-	// amortized bulk-write path rather than per-Add publication.
-	ev := &Evaluator{opts: opts} // krigeOne reads only the options
-	var qs queryScratch
-	all := store.New()
-	if mode == ModePaper {
-		all.AddBatch(pts.Entries())
-	}
 	var eps metrics.Summary
-	var sumNeigh int
-	for i, tp := range pts {
-		if !interp[i] {
-			continue
+	var kriged Trace
+	for _, tp := range pts {
+		res, err := ev.Evaluate(tp.Config)
+		if err != nil {
+			return ReplayRow{}, err
 		}
-		var nb *store.Neighborhood
-		switch mode {
-		case ModePaper:
-			// All other recorded configurations within d, true values.
-			// The query itself is in the store at distance zero; the
-			// points are deduplicated, so dropping zero-distance entries
-			// removes exactly the query.
-			nb = all.Neighbors(tp.Config, opts.D)
-			nb = nb.WithoutZeroDistance()
-		case ModeFinalSim:
-			nb = st.Neighbors(tp.Config, opts.D)
-		case ModeLive:
-			// Rebuild the past-only support: simulated points that
-			// precede this query in the trace.
-			past := make([]store.Entry, 0, i)
-			for j := 0; j < i; j++ {
-				if !interp[j] {
-					past = append(past, store.Entry{Config: pts[j].Config, Lambda: pts[j].Lambda})
-				}
-			}
-			live := store.New()
-			live.AddBatch(past)
-			nb = live.Neighbors(tp.Config, opts.D)
-		default:
-			return ReplayRow{}, fmt.Errorf("evaluator: unknown replay mode %d", mode)
-		}
-		res := ev.krigeOne(nb.NearestK(opts.MaxSupport), tp.Config, nil, &qs)
 		if res.Source != Interpolated {
-			row.KrigFailures++
 			continue
 		}
-		sumNeigh += res.Neighbors
-		eps.Add(epsilon(kind, res.Lambda, tp.Lambda))
+		if mode == ModeLive {
+			eps.Add(epsilon(kind, res.Lambda, tp.Lambda))
+		} else {
+			kriged = append(kriged, tp)
+		}
 	}
-	if row.N > 0 {
-		row.Percent = 100 * float64(row.NInterp) / float64(row.N)
+	st := ev.Stats()
+	row := ReplayRow{
+		D: opts.D, ErrKind: kind, N: len(pts), Decisions: len(pts),
+		NInterp: st.NInterp, NSim: st.NSim, KrigFailures: st.NKrigFallback,
+		Percent: st.PercentInterpolated(),
+	}
+	sumNeigh := st.SumNeigh
+
+	if mode != ModeLive {
+		// Kriged with the gates waived. ModePaper's support is all other
+		// recorded points within d: the points are deduplicated, so
+		// dropping zero distances removes exactly the query, which the
+		// final store of ModeFinalSim never holds.
+		support := ev.Store()
+		if mode == ModePaper {
+			support = store.New()
+			support.AddBatch(pts.Entries())
+		}
+		var qs queryScratch
+		sumNeigh = 0
+		for _, tp := range kriged {
+			nb := support.Neighbors(tp.Config, opts.D).WithoutZeroDistance()
+			res := ev.krigeOne(nb.NearestK(opts.MaxSupport), tp.Config, nil, &qs)
+			if res.Source != Interpolated {
+				row.KrigFailures++
+				continue
+			}
+			sumNeigh += res.Neighbors
+			eps.Add(epsilon(kind, res.Lambda, tp.Lambda))
+		}
 	}
 	if row.NInterp > 0 {
 		row.MeanNeigh = float64(sumNeigh) / float64(row.NInterp)
@@ -223,7 +212,6 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 	row.MaxEps = eps.Max()
 	row.MeanEps = eps.Mean()
 	row.EpsInfCount = eps.InfCount()
-	row.Decisions = row.N
 	return row, nil
 }
 

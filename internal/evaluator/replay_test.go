@@ -1,6 +1,7 @@
 package evaluator
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -164,9 +165,99 @@ func TestReplayErrorBitsKind(t *testing.T) {
 	}
 }
 
-func TestReplayRequiresInterpolator(t *testing.T) {
-	if _, err := Replay(walkTrace(3), Options{D: 2}, ErrorRelative); err == nil {
-		t.Error("nil interpolator accepted")
+func TestReplayDefaultInterpolator(t *testing.T) {
+	// Replay takes its default interpolator from New, like every other
+	// entry point: a nil Interp is ordinary kriging.
+	tr := walkTrace(20)
+	for _, mode := range []ReplayMode{ModePaper, ModeFinalSim, ModeLive} {
+		def, err := ReplayModed(tr, Options{D: 3, NnMin: 1}, ErrorRelative, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ord, err := ReplayModed(tr, Options{D: 3, NnMin: 1, Interp: &kriging.Ordinary{}}, ErrorRelative, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def != ord {
+			t.Errorf("%v: nil Interp row %+v, ordinary kriging row %+v", mode, def, ord)
+		}
+	}
+}
+
+// refusingInterp is ordinary kriging that refuses every query whose
+// coordinate sum is divisible by 5. The refusal depends on the query
+// alone, so it does not matter in which order kriging systems are built.
+type refusingInterp struct{ o kriging.Ordinary }
+
+func (r *refusingInterp) Predict(xs [][]float64, ys []float64, x []float64) (float64, error) {
+	var sum float64
+	for _, v := range x {
+		sum += v
+	}
+	if math.Mod(sum, 5) == 0 {
+		return 0, errors.New("refused")
+	}
+	return r.o.Predict(xs, ys, x)
+}
+
+func (r *refusingInterp) Name() string { return "refusing" }
+
+// lattice2D walks an n×n grid row by row, reversing every other row, on
+// a smooth field.
+func lattice2D(n int) Trace {
+	var tr Trace
+	for i := 0; i < n; i++ {
+		for jj := 0; jj < n; jj++ {
+			j := jj
+			if i%2 == 1 {
+				j = n - 1 - jj
+			}
+			tr = append(tr, TracePoint{
+				Config: space.Config{i, j},
+				Lambda: float64(i*i) + 3*float64(j) + 1,
+			})
+		}
+	}
+	return tr
+}
+
+func TestReplayCountsLikeLiveEvaluatorWhenKrigingFails(t *testing.T) {
+	// A refused kriging system makes a live evaluator simulate and store
+	// the point; the replay must count it the same way, in every mode.
+	tr := lattice2D(8)
+	truth := make(map[string]float64, len(tr))
+	for _, tp := range tr {
+		truth[tp.Config.Key()] = tp.Lambda
+	}
+	opts := Options{D: 2, NnMin: 1, MaxSupport: 10, Interp: &refusingInterp{}}
+	ev, err := New(SimulatorFunc{NumVars: 2, Fn: func(c space.Config) (float64, error) {
+		return truth[c.Key()], nil
+	}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range tr {
+		mustEval(t, ev, tp.Config)
+	}
+	st := ev.Stats()
+	if st.NKrigFallback == 0 || st.NInterp == 0 {
+		t.Fatalf("trace exercises nothing: %+v", st)
+	}
+	for _, mode := range []ReplayMode{ModePaper, ModeFinalSim, ModeLive} {
+		row, err := ReplayModed(tr, opts, ErrorRelative, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.NInterp != st.NInterp || row.NSim != st.NSim || row.KrigFailures != st.NKrigFallback {
+			t.Errorf("%v: replay NInterp/NSim/KrigFailures = %d/%d/%d, live evaluator %d/%d/%d",
+				mode, row.NInterp, row.NSim, row.KrigFailures, st.NInterp, st.NSim, st.NKrigFallback)
+		}
+	}
+}
+
+func TestReplayRejectsUnknownMode(t *testing.T) {
+	if _, err := ReplayModed(walkTrace(3), Options{D: 2}, ErrorRelative, ReplayMode(7)); err == nil {
+		t.Error("unknown mode accepted")
 	}
 }
 

@@ -14,6 +14,8 @@ type Stats struct {
 	SumNeigh int // total support points over all interpolations
 	// NVarRejected counts interpolations rejected by variance gating.
 	NVarRejected int
+	// NKrigFallback counts failed kriging systems that fell back to simulation.
+	NKrigFallback int
 	// NBatchPredict counts the interpolations served through
 	// EvaluateAll's blocked shared-support batch path (always <=
 	// NInterp); NBatchPredict/NInterp is the batch-predict hit rate.
@@ -98,6 +100,7 @@ type counters struct {
 	nInterp      atomic.Int64
 	sumNeigh     atomic.Int64
 	nVarRejected atomic.Int64
+	nKrigFall    atomic.Int64
 	nBatchPred   atomic.Int64
 	nCoalesced   atomic.Int64
 	nShed        atomic.Int64
@@ -116,6 +119,7 @@ func (c *counters) snapshot() Stats {
 		NInterp:       int(c.nInterp.Load()),
 		SumNeigh:      int(c.sumNeigh.Load()),
 		NVarRejected:  int(c.nVarRejected.Load()),
+		NKrigFallback: int(c.nKrigFall.Load()),
 		NBatchPredict: int(c.nBatchPred.Load()),
 		NCoalesced:    int(c.nCoalesced.Load()),
 		NShed:         int(c.nShed.Load()),
@@ -134,6 +138,7 @@ func (c *counters) merge(o *counters) {
 	c.nInterp.Add(o.nInterp.Load())
 	c.sumNeigh.Add(o.sumNeigh.Load())
 	c.nVarRejected.Add(o.nVarRejected.Load())
+	c.nKrigFall.Add(o.nKrigFall.Load())
 	c.nBatchPred.Add(o.nBatchPred.Load())
 	c.nCoalesced.Add(o.nCoalesced.Load())
 	c.nShed.Add(o.nShed.Load())
@@ -149,6 +154,7 @@ func (c *counters) reset() {
 	c.nInterp.Store(0)
 	c.sumNeigh.Store(0)
 	c.nVarRejected.Store(0)
+	c.nKrigFall.Store(0)
 	c.nBatchPred.Store(0)
 	c.nCoalesced.Store(0)
 	c.nShed.Store(0)

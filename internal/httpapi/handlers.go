@@ -66,6 +66,7 @@ type statsResponse struct {
 	// hit rate is nbatch_predict / ninterp).
 	NBatchPredict       int     `json:"nbatch_predict"`
 	NVarRejected        int     `json:"nvar_rejected"`
+	NKrigFallback       int     `json:"nkrig_fallback"`
 	PercentInterpolated float64 `json:"percent_interpolated"`
 	MeanNeighbors       float64 `json:"mean_neighbors"`
 	SimTimeMS           float64 `json:"sim_time_ms"`
@@ -271,6 +272,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		NCoalesced:          st.NCoalesced,
 		NBatchPredict:       st.NBatchPredict,
 		NVarRejected:        st.NVarRejected,
+		NKrigFallback:       st.NKrigFallback,
 		PercentInterpolated: st.PercentInterpolated(),
 		MeanNeighbors:       st.MeanNeighbors(),
 		SimTimeMS:           float64(st.SimTime) / float64(time.Millisecond),

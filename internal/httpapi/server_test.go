@@ -325,7 +325,7 @@ func TestStatsShape(t *testing.T) {
 		t.Fatalf("stats status = %d", status)
 	}
 	for _, key := range []string{
-		"nsim", "ninterp", "ncoalesced", "nbatch_predict", "nvar_rejected", "percent_interpolated",
+		"nsim", "ninterp", "ncoalesced", "nbatch_predict", "nvar_rejected", "nkrig_fallback", "percent_interpolated",
 		"mean_neighbors", "sim_time_ms", "interp_time_ms", "estimated_speedup",
 		"store_len", "inflight", "active_sims", "max_sims", "draining",
 	} {

@@ -91,8 +91,8 @@ func NewEvaluator(sim Simulator, opts EvaluatorOptions) (*Evaluator, error) {
 	return evaluator.New(sim, opts)
 }
 
-// Replay feeds a recorded trajectory through the kriging decision rule
-// and reports the Table I statistics (p%, j̄, ε).
+// Replay feeds a recorded trajectory through Evaluate of an in-memory
+// Evaluator and reports the Table I statistics (p%, j̄, ε).
 func Replay(trace Trace, opts EvaluatorOptions, kind evaluator.ErrorKind) (evaluator.ReplayRow, error) {
 	return evaluator.Replay(trace, opts, kind)
 }
