@@ -242,18 +242,27 @@ func BenchmarkFFTSimulation(b *testing.B) {
 	}
 }
 
+// BenchmarkHEVCSimulation cycles through one min+1 round, the incumbent
+// and its 23 single-bit increments, so it measures the mix of horizontal
+// passes recomputed and reused that a campaign sees: the vertical-node
+// candidates share the incumbent's horizontal pass. BenchmarkSimulate/hevc
+// in internal/bench is the all-miss row.
 func BenchmarkHEVCSimulation(b *testing.B) {
 	bm, err := hevc.NewBenchmark(1, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := make(space.Config, bm.Nv())
-	for i := range cfg {
-		cfg[i] = 9
+	inc := make(space.Config, bm.Nv())
+	for i := range inc {
+		inc[i] = 9
+	}
+	round := []space.Config{inc}
+	for j := range inc {
+		round = append(round, inc.With(j, inc[j]+1))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bm.NoisePower(cfg); err != nil {
+		if _, err := bm.NoisePower(round[i%len(round)]); err != nil {
 			b.Fatal(err)
 		}
 	}

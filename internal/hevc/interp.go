@@ -12,10 +12,24 @@
 // pass reads (1), the eight vertical tap products (8), the vertical
 // accumulator and its normalised output (2), and the final output
 // register (1).
+//
+// The horizontal pass reads only the first twelve of these (the input
+// register through the line buffer), and a min+1 round's eleven
+// vertical-node candidates share them with their incumbent. A Benchmark
+// therefore keeps the horizontal pass it computed last: one immutable
+// entry, published through an atomic pointer, holding the twelve
+// word-lengths and every block's intermediate plane. A simulation whose
+// first twelve word-lengths match the entry runs only the vertical pass;
+// any other recomputes the planes into a fresh entry and publishes it.
+// The values are bit-identical to a full interpolation, since the same
+// float operations run in the same order. On the seed-1 perfbench
+// campaigns about 45% (sequential) and 50% (batched) of hevc
+// simulations reuse the entry.
 package hevc
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/fixed"
@@ -165,8 +179,12 @@ func (ip *Interp) Fixed(cfg space.Config, src [][]float64, mv MotionVector) ([][
 	if err := ip.path.Compile(p[:], cfg); err != nil {
 		return nil, err
 	}
+	var pl plane
+	if err := p.horizontal(&pl, src, mv.FracX); err != nil {
+		return nil, err
+	}
 	var out block
-	if err := p.interpolate(&out, src, mv); err != nil {
+	if err := p.vertical(&out, &pl, mv.FracY); err != nil {
 		return nil, err
 	}
 	return out.rows(), nil
@@ -175,25 +193,38 @@ func (ip *Interp) Fixed(cfg space.Config, src [][]float64, mv MotionVector) ([][
 // lumaNv is the luma datapath's number of optimisation variables.
 const lumaNv = 2*taps + 7
 
+// hNodes is the number of leading datapath nodes the horizontal pass
+// reads: the input register, the eight h-products, h_acc, h_out and
+// inter. The vertical pass reads the rest.
+const hNodes = taps + 4
+
 // lumaPlan is the luma datapath compiled for one configuration, one
 // quantiser per node in datapath order.
 type lumaPlan [lumaNv]fixed.Quantizer
 
-// interpolate runs one block through the compiled datapath into out.
-func (p *lumaPlan) interpolate(out *block, src [][]float64, mv MotionVector) error {
+// plane is one block's horizontal-pass output: the window×BlockSize
+// intermediate line buffer the vertical pass reads.
+type plane [window][BlockSize]float64
+
+// horizontal runs one source window through the input register and the
+// horizontal filter (nodes 0..hNodes-1) into pl.
+func (p *lumaPlan) horizontal(pl *plane, src [][]float64, fracX int) error {
 	var (
 		inQ    = &p[0]
 		hProd  = p[1 : 1+taps]
 		hAccQ  = &p[1+taps]
 		hOutQ  = &p[2+taps]
 		interQ = &p[3+taps]
-		vProd  = p[4+taps : 4+2*taps]
-		vAccQ  = &p[4+2*taps]
-		vOutQ  = &p[5+2*taps]
-		outQ   = &p[6+2*taps]
 	)
 	if err := checkWindow(src); err != nil {
 		return err
+	}
+	var fx *[taps]float64
+	if fracX != 0 {
+		var err error
+		if fx, err = filterFor(fracX); err != nil {
+			return err
+		}
 	}
 	// Input registers.
 	var q [window][window]float64
@@ -202,16 +233,11 @@ func (p *lumaPlan) interpolate(out *block, src [][]float64, mv MotionVector) err
 			q[y][x] = inQ.Quantize(src[y][x])
 		}
 	}
-	var inter [window][BlockSize]float64
 	for y := 0; y < window; y++ {
 		for x := 0; x < BlockSize; x++ {
-			if mv.FracX == 0 {
-				inter[y][x] = hOutQ.Quantize(q[y][x+3])
+			if fx == nil {
+				pl[y][x] = hOutQ.Quantize(q[y][x+3])
 				continue
-			}
-			fx, err := filterFor(mv.FracX)
-			if err != nil {
-				return err
 			}
 			var acc float64
 			for t := 0; t < taps; t++ {
@@ -220,25 +246,40 @@ func (p *lumaPlan) interpolate(out *block, src [][]float64, mv MotionVector) err
 				}
 				acc = hAccQ.Quantize(acc + hProd[t].Quantize(fx[t]*q[y][x+t]))
 			}
-			inter[y][x] = interQ.Quantize(hOutQ.Quantize(acc))
+			pl[y][x] = interQ.Quantize(hOutQ.Quantize(acc))
+		}
+	}
+	return nil
+}
+
+// vertical runs one block's intermediate plane through the vertical
+// filter and the output register (nodes hNodes..lumaNv-1) into out.
+func (p *lumaPlan) vertical(out *block, pl *plane, fracY int) error {
+	var (
+		vProd = p[4+taps : 4+2*taps]
+		vAccQ = &p[4+2*taps]
+		vOutQ = &p[5+2*taps]
+		outQ  = &p[6+2*taps]
+	)
+	var fy *[taps]float64
+	if fracY != 0 {
+		var err error
+		if fy, err = filterFor(fracY); err != nil {
+			return err
 		}
 	}
 	for y := 0; y < BlockSize; y++ {
 		for x := 0; x < BlockSize; x++ {
 			var v float64
-			if mv.FracY == 0 {
-				v = inter[y+3][x]
+			if fy == nil {
+				v = pl[y+3][x]
 			} else {
-				fy, err := filterFor(mv.FracY)
-				if err != nil {
-					return err
-				}
 				var acc float64
 				for t := 0; t < taps; t++ {
 					if fy[t] == 0 {
 						continue
 					}
-					acc = vAccQ.Quantize(acc + vProd[t].Quantize(fy[t]*inter[y+t][x]))
+					acc = vAccQ.Quantize(acc + vProd[t].Quantize(fy[t]*pl[y+t][x]))
 				}
 				v = vOutQ.Quantize(acc)
 			}
@@ -300,6 +341,18 @@ type Benchmark struct {
 	srcs [][][]float64
 	mvs  []MotionVector
 	refs [][][]float64
+
+	// last is the most recently computed horizontal pass. It is
+	// immutable once published, so concurrent simulations read it
+	// without a lock.
+	last atomic.Pointer[hEntry]
+}
+
+// hEntry is every block's horizontal-pass plane under one setting of
+// the first hNodes word-lengths.
+type hEntry struct {
+	key [hNodes]int
+	pl  []plane
 }
 
 // NewBenchmark synthesises nBlocks source windows and fractional motion
@@ -342,13 +395,40 @@ func (b *Benchmark) NoisePower(cfg space.Config) (float64, error) {
 	if err := b.ip.path.Compile(p[:], cfg); err != nil {
 		return 0, err
 	}
+	pls, err := b.planes(&p, cfg)
+	if err != nil {
+		return 0, err
+	}
 	var out block
 	var s float64
-	for i := range b.srcs {
-		if err := p.interpolate(&out, b.srcs[i], b.mvs[i]); err != nil {
+	for i := range pls {
+		if err := p.vertical(&out, &pls[i], b.mvs[i].FracY); err != nil {
 			return 0, err
 		}
 		s = out.addSquaredError(s, b.refs[i])
 	}
 	return s / float64(len(b.srcs)*BlockSize*BlockSize), nil
+}
+
+// planes returns every block's horizontal-pass plane under p, which was
+// compiled from cfg. The planes depend only on cfg's first hNodes
+// word-lengths, which a min+1 round's vertical-node candidates share
+// with their incumbent: if they match the published entry, its planes
+// are returned as they are; otherwise they are recomputed into a fresh
+// entry, which replaces it. Either way the vertical pass then reads
+// exactly the values a full interpolation would have computed.
+func (b *Benchmark) planes(p *lumaPlan, cfg space.Config) ([]plane, error) {
+	var key [hNodes]int
+	copy(key[:], cfg)
+	if e := b.last.Load(); e != nil && e.key == key {
+		return e.pl, nil
+	}
+	e := &hEntry{key: key, pl: make([]plane, len(b.srcs))}
+	for i := range e.pl {
+		if err := p.horizontal(&e.pl[i], b.srcs[i], b.mvs[i].FracX); err != nil {
+			return nil, err
+		}
+	}
+	b.last.Store(e)
+	return e.pl, nil
 }

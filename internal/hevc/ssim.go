@@ -45,14 +45,18 @@ func (b *SSIMBenchmark) Evaluate(cfg space.Config) (float64, error) {
 	if err := b.inner.ip.path.Compile(p[:], cfg); err != nil {
 		return 0, err
 	}
+	pls, err := b.inner.planes(&p, cfg)
+	if err != nil {
+		return 0, err
+	}
 	var out block
 	var rows [BlockSize][]float64
 	for y := range rows {
 		rows[y] = out[y][:]
 	}
 	var sum float64
-	for i := range b.inner.srcs {
-		if err := p.interpolate(&out, b.inner.srcs[i], b.inner.mvs[i]); err != nil {
+	for i := range pls {
+		if err := p.vertical(&out, &pls[i], b.inner.mvs[i].FracY); err != nil {
 			return 0, err
 		}
 		s, err := metrics.SSIM(rows[:], b.inner.refs[i], 1)
