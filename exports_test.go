@@ -42,11 +42,10 @@ var testOnlyAllowed = map[string]string{
 	"internal/evaluator.OverloadError.Is":  "interface method: errors.Is calls it",
 	"internal/simpool.UnavailableError.Is": "interface method: errors.Is calls it",
 
-	"internal/store.Store.Versions":  "counts stored versions, superseded overwrites included; the coalescing tests assert one insert with it",
-	"internal/store.Store.NearestK":  "allocating wrapper over NearestKInto, the readable form of the query",
-	"internal/store.Snapshot.*":      "allocating query wrappers over the Snapshot *Into forms, and its Len/Entries views",
-	"internal/kriging.L2Distance":    "the Euclidean kriging distance, planned as the default (ROADMAP item 1)",
-	"internal/fixed.Format.Quantize": "reference oracle: the one-shot form the compiled Quantizer is checked against",
+	"internal/store.Store.Versions": "counts stored versions, superseded overwrites included; the coalescing tests assert one insert with it",
+	"internal/store.Store.NearestK": "allocating wrapper over NearestKInto, the readable form of the query",
+	"internal/store.Snapshot.*":     "allocating query wrappers over the Snapshot *Into forms, and its Len/Entries views",
+	"internal/kriging.L2Distance":   "the Euclidean kriging distance, planned as the default (ROADMAP item 1)",
 
 	"internal/raceflag.Enabled":    "test infrastructure: lets allocation gates skip under -race",
 	"internal/store/wal/faultfs.*": "test infrastructure: the fault-injecting filesystem of the WAL crash tests",

@@ -6,13 +6,13 @@ import (
 	"repro/internal/fixed"
 )
 
-// ExampleFormat_Quantize shows the truncation and range behaviour of a
-// signed Q1.3 format (1 integer bit, 3 fractional bits).
-func ExampleFormat_Quantize() {
-	f := fixed.NewFormat(1, 3)
-	fmt.Println(f.Quantize(0.3))  // truncated to the 1/8 grid
-	fmt.Println(f.Quantize(5.0))  // saturated to Max
-	fmt.Println(f.Quantize(-0.3)) // truncation rounds toward -inf
+// ExampleQuantizer_Quantize shows the truncation and range behaviour of
+// a signed Q1.3 format (1 integer bit, 3 fractional bits).
+func ExampleQuantizer_Quantize() {
+	q := fixed.NewFormat(1, 3).Compile()
+	fmt.Println(q.Quantize(0.3))  // truncated to the 1/8 grid
+	fmt.Println(q.Quantize(5.0))  // saturated to Max
+	fmt.Println(q.Quantize(-0.3)) // truncation rounds toward -inf
 	// Output:
 	// 0.25
 	// 1.875

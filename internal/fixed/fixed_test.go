@@ -21,6 +21,12 @@ func TestFormatBasics(t *testing.T) {
 	}
 }
 
+// quantize compiles f and quantises x with it.
+func quantize(f Format, x float64) float64 {
+	q := f.Compile()
+	return q.Quantize(x)
+}
+
 func TestQuantizeTruncate(t *testing.T) {
 	f := NewFormat(3, 2) // step 0.25
 	cases := []struct{ in, want float64 }{
@@ -32,56 +38,25 @@ func TestQuantizeTruncate(t *testing.T) {
 		{-0.25, -0.25},
 	}
 	for _, c := range cases {
-		if got := f.Quantize(c.in); got != c.want {
+		if got := quantize(f, c.in); got != c.want {
 			t.Errorf("truncate(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestQuantizeRoundNearest(t *testing.T) {
-	f := NewFormat(3, 2)
-	f.Quant = RoundNearest
-	cases := []struct{ in, want float64 }{
-		{0.3, 0.25},
-		{0.4, 0.5},
-		{-0.3, -0.25},
-		{-0.4, -0.5},
-	}
-	for _, c := range cases {
-		if got := f.Quantize(c.in); got != c.want {
-			t.Errorf("round(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestQuantizeSaturate(t *testing.T) {
 	f := NewFormat(1, 2) // range [-2, 1.75]
-	if got := f.Quantize(5); got != f.Max() {
+	if got := quantize(f, 5); got != f.Max() {
 		t.Errorf("saturate high = %v, want %v", got, f.Max())
 	}
-	if got := f.Quantize(-5); got != f.Min() {
+	if got := quantize(f, -5); got != f.Min() {
 		t.Errorf("saturate low = %v, want %v", got, f.Min())
-	}
-}
-
-func TestQuantizeWrap(t *testing.T) {
-	f := NewFormat(1, 2)
-	f.Overflow = Wrap
-	// Range is [-2, 2); 2 wraps to -2, 2.25 wraps to -1.75.
-	if got := f.Quantize(2); got != -2 {
-		t.Errorf("wrap(2) = %v, want -2", got)
-	}
-	if got := f.Quantize(2.25); got != -1.75 {
-		t.Errorf("wrap(2.25) = %v, want -1.75", got)
-	}
-	if got := f.Quantize(-2.25); got != 1.75 {
-		t.Errorf("wrap(-2.25) = %v, want 1.75", got)
 	}
 }
 
 func TestQuantizeNaN(t *testing.T) {
 	f := NewFormat(1, 4)
-	if got := f.Quantize(math.NaN()); got != 0 {
+	if got := quantize(f, math.NaN()); got != 0 {
 		t.Errorf("Quantize(NaN) = %v, want 0", got)
 	}
 }
@@ -91,58 +66,30 @@ func TestQuantizeIdempotent(t *testing.T) {
 	r := rng.New(3)
 	for i := 0; i < 1000; i++ {
 		x := r.NormScaled(0, 2)
-		q := f.Quantize(x)
-		if f.Quantize(q) != q {
+		q := quantize(f, x)
+		if quantize(f, q) != q {
 			t.Fatalf("quantisation not idempotent at %v", x)
 		}
 	}
 }
 
-func TestQuantizeSlice(t *testing.T) {
-	f := NewFormat(3, 1)
-	out := f.QuantizeSlice(nil, []float64{0.6, 1.3})
-	if out[0] != 0.5 || out[1] != 1.0 {
-		t.Errorf("QuantizeSlice = %v", out)
-	}
-	dst := make([]float64, 2)
-	out2 := f.QuantizeSlice(dst, []float64{0.6, 1.3})
-	if &out2[0] != &dst[0] {
-		t.Error("QuantizeSlice did not reuse dst")
-	}
-}
-
-// quantizationNoisePower is the analytic noise power of quantising to f
-// under the uniform-error model: truncation error is uniform on
-// (-step, 0], so P = step²/3; round-to-nearest error is uniform on
-// [-step/2, step/2), so P = step²/12.
-func quantizationNoisePower(f Format) float64 {
-	s := f.Step()
-	if f.Quant == Truncate {
-		return s * s / 3
-	}
-	return s * s / 12
-}
-
 func TestEmpiricalNoiseMatchesModel(t *testing.T) {
-	// Measured truncation noise power over uniform inputs should match
-	// the step²/3 model within a few percent; same for rounding and
-	// step²/12.
+	// Truncation error is uniform on (-step, 0] under the uniform-error
+	// model, so its power is step²/3: measured over uniform inputs it
+	// should match within a few percent.
 	r := rng.New(9)
 	const n = 200000
-	for _, mode := range []QuantMode{Truncate, RoundNearest} {
-		f := NewFormat(1, 8)
-		f.Quant = mode
-		var sum float64
-		for i := 0; i < n; i++ {
-			x := r.Float64()*2 - 1
-			d := f.Quantize(x) - x
-			sum += d * d
-		}
-		got := sum / n
-		want := quantizationNoisePower(f)
-		if math.Abs(got-want)/want > 0.05 {
-			t.Errorf("%s: empirical P = %v, model %v", mode, got, want)
-		}
+	f := NewFormat(1, 8)
+	var sum float64
+	for i := 0; i < n; i++ {
+		x := r.Float64()*2 - 1
+		d := quantize(f, x) - x
+		sum += d * d
+	}
+	got := sum / n
+	want := f.Step() * f.Step() / 3
+	if math.Abs(got-want)/want > 0.05 {
+		t.Errorf("empirical P = %v, model %v", got, want)
 	}
 }
 
@@ -161,26 +108,13 @@ func TestOps(t *testing.T) {
 	}
 }
 
-func TestModeStrings(t *testing.T) {
-	if Truncate.String() != "truncate" || RoundNearest.String() != "round-nearest" {
-		t.Error("quant mode names")
-	}
-	if Saturate.String() != "saturate" || Wrap.String() != "wrap" {
-		t.Error("overflow mode names")
-	}
-	f := NewFormat(3, 12)
-	if f.String() != "Q3.12(truncate,saturate)" {
-		t.Errorf("Format.String = %q", f.String())
-	}
-}
-
 func TestPropertyQuantizeWithinRange(t *testing.T) {
 	f := func(x float64, ib, fb uint8) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return true
 		}
 		fmt := NewFormat(int(ib%8), int(fb%16))
-		q := fmt.Quantize(x)
+		q := quantize(fmt, x)
 		return q >= fmt.Min() && q <= fmt.Max()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -199,7 +133,7 @@ func TestPropertyQuantizeErrorBounded(t *testing.T) {
 			if x < fmt.Min() || x > fmt.Max() {
 				continue
 			}
-			if math.Abs(fmt.Quantize(x)-x) >= fmt.Step() {
+			if math.Abs(quantize(fmt, x)-x) >= fmt.Step() {
 				return false
 			}
 		}
@@ -219,7 +153,7 @@ func TestPropertyMoreBitsLessError(t *testing.T) {
 		prev := math.Inf(1)
 		for fb := 2; fb <= 14; fb += 3 {
 			fmt := NewFormat(2, fb)
-			e := math.Abs(fmt.Quantize(x) - x)
+			e := math.Abs(quantize(fmt, x) - x)
 			if e > prev+1e-15 {
 				return false
 			}

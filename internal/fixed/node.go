@@ -20,8 +20,7 @@ func NewNode(name string, intBits int) *Node {
 	return &Node{Name: name, IntBits: intBits}
 }
 
-// Format returns the node's format at frac fractional bits, with
-// truncation quantisation and saturating overflow.
+// Format returns the node's format at frac fractional bits.
 func (n *Node) Format(frac int) Format { return NewFormat(n.IntBits, frac) }
 
 // Datapath is an ordered collection of quantisation nodes; its length is
@@ -44,9 +43,11 @@ func (d *Datapath) AddNode(name string, intBits int) *Node {
 func (d *Datapath) Nv() int { return len(d.Nodes) }
 
 // Compile fills dst[i] with node i's format under cfg, compiled for
-// quantisation; dst must have one entry per node. It writes only dst, so
-// several goroutines can evaluate the same datapath under different
-// configurations concurrently, each into its own dst.
+// quantisation; dst must have one entry per node. A negative word-length,
+// or one that makes a node wider than the 53 bits float64 emulates
+// exactly, is an error. Compile writes only dst, so several goroutines
+// can evaluate the same datapath under different configurations
+// concurrently, each into its own dst.
 func (d *Datapath) Compile(dst []Quantizer, cfg []int) error {
 	if len(cfg) != len(d.Nodes) || len(dst) != len(d.Nodes) {
 		return fmt.Errorf("fixed: config has %d entries and dst %d for %d nodes", len(cfg), len(dst), len(d.Nodes))
@@ -54,6 +55,9 @@ func (d *Datapath) Compile(dst []Quantizer, cfg []int) error {
 	for i, n := range d.Nodes {
 		if cfg[i] < 0 {
 			return fmt.Errorf("fixed: negative word-length %d at node %s", cfg[i], n.Name)
+		}
+		if w := 1 + n.IntBits + cfg[i]; w > maxWordLength {
+			return fmt.Errorf("fixed: word-length %d at node %s makes it %d bits wide, over the %d float64 emulates exactly", cfg[i], n.Name, w, maxWordLength)
 		}
 		dst[i] = n.Format(cfg[i]).Compile()
 	}

@@ -84,9 +84,37 @@ func TestDatapathFormatsAgreeWithApply(t *testing.T) {
 	}
 	for i, n := range d.Nodes {
 		for _, v := range []float64{0.3, -1.7, 2.22} {
-			if qs[i].Quantize(v) != n.Format(cfg[i]).Quantize(v) {
-				t.Fatalf("node %d: compiled and uncompiled formats disagree at %v", i, v)
+			if qs[i].Quantize(v) != exp2Quantize(n.Format(cfg[i]), v) {
+				t.Fatalf("node %d: compiled quantiser and oracle disagree at %v", i, v)
 			}
+		}
+	}
+}
+
+// TestDatapathRejectsInexactWordLengths checks that Compile accepts a
+// node up to the 53 bits float64 holds exactly and rejects a wider one:
+// past that, the range ends and the step overflow their exponents, and
+// the quantiser returns values outside the format (0.3 once quantised
+// to -2 at 1024 fractional bits, and to 2.4e285 at 1100).
+func TestDatapathRejectsInexactWordLengths(t *testing.T) {
+	d := NewDatapath()
+	d.AddNode("a", 1)
+	d.AddNode("b", 0)
+	qs, widest := make([]Quantizer, 2), []int{51, 52}
+	if err := d.Compile(qs, widest); err != nil {
+		t.Fatalf("53-bit nodes rejected: %v", err)
+	}
+	for i, n := range d.Nodes {
+		f := n.Format(widest[i])
+		for _, v := range []float64{0.3, -0.3, 1e9, -1e9} {
+			if got := qs[i].Quantize(v); got != exp2Quantize(f, v) || got < f.Min() || got > f.Max() {
+				t.Errorf("node %s: Quantize(%v) = %v, outside %+v or off the oracle", n.Name, v, got, f)
+			}
+		}
+	}
+	for _, cfg := range [][]int{{52, 2}, {2, 53}, {1024, 2}, {1100, 2}, {2, 1 << 20}} {
+		if err := d.Compile(qs, cfg); err == nil {
+			t.Errorf("config %v wider than 53 bits accepted", cfg)
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/rng"
 )
 
-// The differential oracle: Format.Quantize as it stood before formats were
-// compiled, with Step, Min and Max spelled out in their math.Exp2 forms,
-// and with ±Inf wrapping to 0 rather than to math.Mod's NaN.
+// The differential oracle: truncate-and-saturate quantisation as it stood
+// before formats were compiled, with Step, Min and Max spelled out in
+// their math.Exp2 forms and the quantisation as a division by the step.
 // Quantizer.Quantize must agree with it bit for bit on every input.
 
 func exp2Step(f Format) float64 { return math.Exp2(-float64(f.FracBits)) }
@@ -23,66 +23,35 @@ func exp2Quantize(f Format, x float64) float64 {
 		return 0
 	}
 	step := exp2Step(f)
-	var q float64
-	switch f.Quant {
-	case Truncate:
-		q = math.Floor(x/step) * step
-	case RoundNearest:
-		q = math.Round(x/step) * step
-	default:
-		panic("fixed: unknown quantisation mode")
-	}
+	q := math.Floor(x/step) * step
 	lo, hi := exp2Min(f), exp2Max(f)
-	if q >= lo && q <= hi {
-		return q
+	if q < lo {
+		return lo
 	}
-	switch f.Overflow {
-	case Saturate:
-		if q < lo {
-			return lo
-		}
+	if q > hi {
 		return hi
-	case Wrap:
-		if math.IsInf(q, 0) {
-			return 0
-		}
-		// Two's-complement wrap over the range [lo, hi+step).
-		span := math.Exp2(float64(f.IntBits + 1)) // hi+step - lo
-		w := math.Mod(q-lo, span)
-		if w < 0 {
-			w += span
-		}
-		return lo + w
-	default:
-		panic("fixed: unknown overflow mode")
 	}
+	return q
 }
 
-// checkAgainstOracle fails t unless the compiled quantiser and
-// Format.Quantize both return exactly the oracle's bits for x.
+// checkAgainstOracle fails t unless the compiled quantiser returns
+// exactly the oracle's bits for x.
 func checkAgainstOracle(t *testing.T, f Format, x float64) {
 	t.Helper()
 	want := math.Float64bits(exp2Quantize(f, x))
 	q := f.Compile()
 	if got := math.Float64bits(q.Quantize(x)); got != want {
-		t.Fatalf("%v: Quantizer.Quantize(%v) = %v, oracle %v", f, x, math.Float64frombits(got), math.Float64frombits(want))
-	}
-	if got := math.Float64bits(f.Quantize(x)); got != want {
-		t.Fatalf("%v: Format.Quantize(%v) = %v, oracle %v", f, x, math.Float64frombits(got), math.Float64frombits(want))
+		t.Fatalf("%+v: Quantize(%v) = %v, oracle %v", f, x, math.Float64frombits(got), math.Float64frombits(want))
 	}
 }
 
 // oracleFormats lists every format the emulation supports with 0-8
-// integer bits, under all four quantisation/overflow mode pairs.
+// integer bits: every FracBits up to the 53-bit total word-length.
 func oracleFormats() []Format {
 	var out []Format
-	for _, qm := range []QuantMode{Truncate, RoundNearest} {
-		for _, om := range []OverflowMode{Saturate, Wrap} {
-			for ib := 0; ib <= 8; ib++ {
-				for fb := 0; fb <= 51-ib; fb++ {
-					out = append(out, Format{IntBits: ib, FracBits: fb, Quant: qm, Overflow: om})
-				}
-			}
+	for ib := 0; ib <= 8; ib++ {
+		for fb := 0; 1+ib+fb <= maxWordLength; fb++ {
+			out = append(out, NewFormat(ib, fb))
 		}
 	}
 	return out
@@ -104,25 +73,16 @@ func TestQuantizerMatchesExp2Oracle(t *testing.T) {
 	r := rng.New(19)
 	for _, f := range oracleFormats() {
 		if got, want := f.Step(), exp2Step(f); got != want {
-			t.Fatalf("%v: Step = %v, oracle %v", f, got, want)
+			t.Fatalf("%+v: Step = %v, oracle %v", f, got, want)
 		}
 		if got, want := f.Min(), exp2Min(f); got != want {
-			t.Fatalf("%v: Min = %v, oracle %v", f, got, want)
+			t.Fatalf("%+v: Min = %v, oracle %v", f, got, want)
 		}
 		if got, want := f.Max(), exp2Max(f); got != want {
-			t.Fatalf("%v: Max = %v, oracle %v", f, got, want)
+			t.Fatalf("%+v: Max = %v, oracle %v", f, got, want)
 		}
 		for _, x := range special {
 			checkAgainstOracle(t, f, x)
-		}
-		// Both sides agreeing is not enough for ±Inf: under Wrap it once
-		// agreed on NaN. It must wrap to 0, as NaN does.
-		if f.Overflow == Wrap {
-			for _, x := range []float64{math.Inf(1), math.Inf(-1)} {
-				if got := f.Quantize(x); math.Float64bits(got) != 0 {
-					t.Fatalf("%v: Quantize(%v) = %v, want 0", f, x, got)
-				}
-			}
 		}
 		// The range ends, one step beyond them, and half-step ties.
 		lo, hi, step := exp2Min(f), exp2Max(f), exp2Step(f)

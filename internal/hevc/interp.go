@@ -234,19 +234,27 @@ func (p *lumaPlan) horizontal(pl *plane, src [][]float64, fracX int) error {
 		}
 	}
 	for y := 0; y < window; y++ {
-		for x := 0; x < BlockSize; x++ {
-			if fx == nil {
+		if fx == nil {
+			for x := range pl[y] {
 				pl[y][x] = hOutQ.Quantize(q[y][x+3])
+			}
+			continue
+		}
+		// The tap loop runs outside the pixel loop, so the row's
+		// BlockSize accumulators are independent dependency chains; each
+		// pixel still takes its taps in order.
+		var acc [BlockSize]float64
+		for t, c := range fx {
+			if c == 0 {
 				continue
 			}
-			var acc float64
-			for t := 0; t < taps; t++ {
-				if fx[t] == 0 {
-					continue
-				}
-				acc = hAccQ.Quantize(acc + hProd[t].Quantize(fx[t]*q[y][x+t]))
+			prodQ, row := &hProd[t], q[y][t:t+BlockSize]
+			for x, v := range row {
+				acc[x] = hAccQ.Quantize(acc[x] + prodQ.Quantize(c*v))
 			}
-			pl[y][x] = interQ.Quantize(hOutQ.Quantize(acc))
+		}
+		for x, a := range acc {
+			pl[y][x] = interQ.Quantize(hOutQ.Quantize(a))
 		}
 	}
 	return nil
@@ -269,21 +277,25 @@ func (p *lumaPlan) vertical(out *block, pl *plane, fracY int) error {
 		}
 	}
 	for y := 0; y < BlockSize; y++ {
-		for x := 0; x < BlockSize; x++ {
-			var v float64
-			if fy == nil {
-				v = pl[y+3][x]
-			} else {
-				var acc float64
-				for t := 0; t < taps; t++ {
-					if fy[t] == 0 {
-						continue
-					}
-					acc = vAccQ.Quantize(acc + vProd[t].Quantize(fy[t]*pl[y+t][x]))
-				}
-				v = vOutQ.Quantize(acc)
+		if fy == nil {
+			for x, v := range pl[y+3] {
+				out[y][x] = outQ.Quantize(v)
 			}
-			out[y][x] = outQ.Quantize(v)
+			continue
+		}
+		// As in horizontal, the row's accumulators advance together.
+		var acc [BlockSize]float64
+		for t, c := range fy {
+			if c == 0 {
+				continue
+			}
+			prodQ, row := &vProd[t], &pl[y+t]
+			for x, v := range row {
+				acc[x] = vAccQ.Quantize(acc[x] + prodQ.Quantize(c*v))
+			}
+		}
+		for x, a := range acc {
+			out[y][x] = outQ.Quantize(vOutQ.Quantize(a))
 		}
 	}
 	return nil

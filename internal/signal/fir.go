@@ -67,7 +67,10 @@ func NewFIR() (*FIR, error) {
 	if err != nil {
 		return nil, err
 	}
-	coeffs := q15.QuantizeSlice(nil, exact)
+	coeffs := make([]float64, len(exact))
+	for i, h := range exact {
+		coeffs[i] = q15(h)
+	}
 
 	f := &FIR{Coeffs: coeffs, exact: exact, path: fixed.NewDatapath()}
 	// Products of |x|<1 by |h|<1 stay below 1 (IntBits 0); the
@@ -110,25 +113,40 @@ func (f *FIR) Fixed(cfg space.Config, x []float64) ([]float64, error) {
 	}
 	mulQ, accQ := &q[0], &q[1]
 	// The input itself is quantised at a fixed, generous precision
-	// (Q0.15, round-nearest) shared by reference comparisons: the paper's
-	// approximation sources are the internal datapath nodes.
-	inQ := q15.Compile()
+	// (Q0.15) shared by reference comparisons: the paper's approximation
+	// sources are the internal datapath nodes. Each sample x[m] is
+	// quantised once and fed to every output it reaches, y[m+k] through
+	// tap k. Walking m from the last sample down, each y[n] still takes
+	// its taps in the order k = 0, 1, ..., so it sees the same operations
+	// in the same order as a per-output loop, while the taps of one
+	// sample update independent accumulators.
 	y := make([]float64, len(x))
-	for n := range x {
-		var acc float64
-		for k, h := range f.Coeffs {
-			if n-k < 0 {
-				break
-			}
-			p := mulQ.Quantize(h * inQ.Quantize(x[n-k]))
-			acc = accQ.Quantize(acc + p)
+	for m := len(x) - 1; m >= 0; m-- {
+		xm := q15(x[m])
+		hs := f.Coeffs[:min(len(f.Coeffs), len(x)-m)]
+		ys := y[m : m+len(hs)]
+		for k, h := range hs {
+			ys[k] = accQ.Quantize(ys[k] + mulQ.Quantize(h*xm))
 		}
-		y[n] = acc
 	}
 	return y, nil
 }
 
-// q15 is the fixed Q0.15 round-nearest format of the FIR coefficients
-// and of the input register every signal kernel feeds its configurable
-// nodes from.
-var q15 = fixed.Format{FracBits: 15, Quant: fixed.RoundNearest}
+// q15 rounds x to Q0.15, the fixed format of the FIR coefficients and of
+// the input register the fir and iir kernels feed their configurable
+// nodes from: the nearest multiple of 2^-15, ties away from zero,
+// saturated to [-1, 1-2^-15], with NaN mapping to 0.
+func q15(x float64) float64 {
+	const step, hi = 0x1p-15, 1 - 0x1p-15
+	v := math.Round(x*0x1p15) * step
+	if v >= -1 && v <= hi {
+		return v
+	}
+	if v < -1 {
+		return -1
+	}
+	if v > hi {
+		return hi
+	}
+	return 0
+}

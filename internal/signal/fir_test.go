@@ -178,3 +178,66 @@ func TestNewFIRBenchmarkValidation(t *testing.T) {
 		t.Error("zero samples accepted")
 	}
 }
+
+// TestQ15MatchesRoundOracle checks the Q0.15 input register bit for bit
+// against math.Round(x/2^-15)·2^-15 saturated to [-1, 1-2^-15], with NaN
+// mapping to 0: at ties ±(k+1/2) steps, at and beside ±1, on saturating
+// inputs, on ±Inf and NaN, and on seeded random values at every
+// magnitude.
+func TestQ15MatchesRoundOracle(t *testing.T) {
+	const step, hi = 0x1p-15, 1 - 0x1p-15
+	oracle := func(x float64) float64 {
+		if math.IsNaN(x) {
+			return 0
+		}
+		v := math.Round(x/step) * step
+		if v < -1 {
+			return -1
+		}
+		if v > hi {
+			return hi
+		}
+		return v
+	}
+	cases := []struct{ in, want float64 }{
+		{step / 2, step},          // a tie rounds away from zero
+		{-step / 2, -step},        // on both sides
+		{5.5 * step, 6 * step},    // ...at every k
+		{-5.5 * step, -6 * step},  //
+		{0.4 * step, 0},           // below the tie rounds to zero
+		{1, hi},                   // +1 is out of range
+		{-1, -1},                  // -1 is the range's low end
+		{hi + step/4, hi},         // rounds down to hi
+		{hi + step/2, hi},         // rounds up to 1, saturates
+		{-1 - step/4, -1},         // rounds up to -1
+		{-1 - step/2, -1},         // rounds down past -1, saturates
+		{1e300, hi},               // far beyond the range
+		{-1e300, -1},              //
+		{math.Inf(1), hi},         // ±Inf saturate
+		{math.Inf(-1), -1},        //
+		{math.NaN(), 0},           // a datapath has no NaN
+		{math.Copysign(0, -1), 0}, // -0 stays on the grid
+	}
+	for _, c := range cases {
+		got := q15(c.in)
+		if got != c.want {
+			t.Errorf("q15(%v) = %v, want %v", c.in, got, c.want)
+		}
+		if math.Float64bits(got) != math.Float64bits(oracle(c.in)) {
+			t.Errorf("q15(%v) = %v, oracle %v", c.in, got, oracle(c.in))
+		}
+	}
+	var xs []float64
+	for k := -40000; k <= 40000; k++ {
+		xs = append(xs, (float64(k)+0.5)*step)
+	}
+	r := rng.New(15)
+	for i := 0; i < 10000; i++ {
+		xs = append(xs, 4*r.Float64()-2, math.Float64frombits(r.Uint64()))
+	}
+	for _, x := range xs {
+		if got, want := q15(x), oracle(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("q15(%v) = %v, oracle %v", x, got, want)
+		}
+	}
+}

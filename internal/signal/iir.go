@@ -107,10 +107,9 @@ func (f *IIR) Fixed(cfg space.Config, x []float64) ([]float64, error) {
 		return nil, err
 	}
 	mulQ := &q[len(f.secOut)]
-	inQ := q15.Compile()
 	cur := make([]float64, len(x))
 	for i, v := range x {
-		cur[i] = inQ.Quantize(v)
+		cur[i] = q15(v)
 	}
 	for si, s := range f.Sections {
 		outQ := &q[si]

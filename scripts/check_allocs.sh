@@ -16,11 +16,20 @@
 #   - signal:    fir/iir/fft NoisePower               (constant, <= 2)
 #   - hevc:      luma/chroma NoisePower, SSIM Evaluate (constant, <= 2)
 #
+# It also gates inlining: fixed.(*Quantizer).Quantize runs in every
+# simulator's inner loop, and it must stay under the compiler's inlining
+# budget, so an edit that pushes it over fails here.
+#
 # Run from the repository root:  sh scripts/check_allocs.sh
 set -eu
+
+if ! go build -gcflags=-m ./internal/fixed 2>&1 | grep -q 'can inline (\*Quantizer).Quantize'; then
+    echo "fixed.(*Quantizer).Quantize is no longer inlinable (go build -gcflags=-m ./internal/fixed)"
+    exit 1
+fi
 
 go test -count=1 -run 'TestAllocs|TestSolveIntoAllocs' \
     ./internal/linalg ./internal/kriging ./internal/store \
     ./internal/store/wal ./internal/evaluator ./internal/signal \
     ./internal/hevc
-echo "allocation gates OK"
+echo "allocation and inlining gates OK"
